@@ -21,7 +21,6 @@ from .ie_solver import (
     SolutionGrid,
     a_priori_bounds,
     convergence_report,
-    interpolate_a,
     rhs_derivative,
     solve_a,
 )

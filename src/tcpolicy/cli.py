@@ -8,7 +8,8 @@ with command one of ``solve``, ``policies``, ``simulate``, ``stationary``,
 ``converge``, ``hump``.  Configs are flat ``key = value`` text with dotted
 sections (``market.r = 0.05``); unknown keys are rejected with their line
 number.  Exit status 0 on success, 2 on a validation refusal (bad config
-or violated model assumption), 1 on a runtime failure.
+or violated model assumption), 3 when ``simulate`` fails its fixed-point
+check (``fixedpoint.csv`` is still written), 1 on a runtime failure.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ COMMANDS = ("solve", "policies", "simulate", "stationary", "converge", "hump")
 
 class ConfigError(ValidationError):
     """Malformed or inconsistent run configuration."""
+
+
+class VerificationFailed(Exception):
+    """The Monte Carlo fixed-point check failed; its artifacts are written."""
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +419,12 @@ def _cmd_solve(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_policies(rc: RunConfig, out: Path, svg: bool) -> None:
-    spec = rc.spec
     grid, b_vals = _solved_curves(rc)
     order = np.argsort(grid.times)
     t = grid.times[order]
-    rate = policy.consumption_rate(grid.a_curve, spec.prefs.gamma, t)
-    one_mg = 1.0 if spec.prefs.gamma == 0.0 else 1.0 - spec.prefs.gamma
-    merton = np.full_like(t, spec.market.mu / (spec.market.sigma**2 * one_mg))
-    expo = -1.0 if spec.prefs.gamma == 0.0 else 1.0 / (spec.prefs.gamma - 1.0)
-    z_rate = (grid.a_values[order] / spec.prefs.m0) ** expo
-    inv_l = np.asarray(spec.insurance.payout.inverse(t), dtype=float)
-    x_coef = inv_l * (z_rate - spec.insurance.eta)
-    b_coef = inv_l * z_rate * b_vals[order]
-    rows = zip(t, rate, merton, x_coef, b_coef)
+    rates = policy.feedback_rates(rc.spec, grid.a_values[order], t)
+    rate, x_coef = rates.consumption, rates.premium_x
+    rows = zip(t, rate, np.full_like(t, rates.merton), x_coef, rates.premium_b * b_vals[order])
     emit_csv(
         rows,
         ["t", "consumption_rate", "merton_fraction", "insurance_x_coef", "insurance_b_coef"],
@@ -443,9 +441,9 @@ def _cmd_policies(rc: RunConfig, out: Path, svg: bool) -> None:
 
 def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
     spec = rc.spec
-    grid, _ = _solved_curves(rc)
+    grid = ie_solver.solve_a(spec, rc.grid_n)
     b_curve = closed_form.b_function(spec, rc.grid_n)
-    report = simulate.verify_fixed_point(spec, grid.a_curve, b_curve, rc.t0, rc.x0, rc.mc)
+    report = simulate.verify_fixed_point(spec, grid.interpolate, b_curve, rc.t0, rc.x0, rc.mc)
     emit_csv(
         [
             (
@@ -465,6 +463,8 @@ def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
         f"j={report.j_estimate.mean:.8g} +- {report.j_estimate.std_error:.3g} "
         f"z={report.z_score:.3f} ({'pass' if report.passed else 'FAIL'})"
     )
+    if not report.passed:
+        raise VerificationFailed(f"fixed-point check failed (z = {report.z_score:.3f})")
 
 
 def _cmd_stationary(rc: RunConfig, out: Path, svg: bool) -> None:
@@ -481,8 +481,8 @@ def _cmd_stationary(rc: RunConfig, out: Path, svg: bool) -> None:
         raise ConfigError("stationary: requires exponential discount kernels")
     params = closed_form.StationaryParams(
         hazard_rate=spec.mortality.lambda0,
-        r1=spec.prefs.bequest_discount.rho,
-        r2=spec.discount.rho,
+        r1=spec.discount.rho,
+        r2=spec.prefs.bequest_discount.rho,
         m=spec.prefs.m0,
         payout=spec.insurance.payout.payout,
         eta=spec.insurance.eta,
@@ -516,11 +516,10 @@ def _cmd_converge(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_hump(rc: RunConfig, out: Path, svg: bool) -> None:
-    spec = rc.spec
-    grid, _ = _solved_curves(rc)
+    grid = ie_solver.solve_a(rc.spec, rc.grid_n)
     order = np.argsort(grid.times)
     t = grid.times[order]
-    rate = policy.consumption_rate(grid.a_curve, spec.prefs.gamma, t)
+    rate = policy.consumption_rate(grid.interpolate, rc.spec.prefs.gamma, t)
     emit_csv(zip(t, rate), ["t", "rate"], out / "hump.csv")
     satiation = policy.find_satiation(np.column_stack([t, rate]))
     print(f"satiation_time = {'none' if satiation is None else f'{satiation:.10g}'}")
@@ -565,6 +564,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:  # includes ConfigError and assumption refusals
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except VerificationFailed as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,8 +54,20 @@ def _composite_simpson(f, lo: float, hi: float, panels: int = _SIMPSON_PANELS) -
 # ---------------------------------------------------------------------------
 
 
-def _has_constant_payout_rate(spec: ModelSpec) -> bool:
-    return isinstance(spec.insurance.payout, ConstantPayout)
+def _b_is_exact(spec: ModelSpec) -> bool:
+    return spec.insurance.income == 0.0 or isinstance(spec.insurance.payout, ConstantPayout)
+
+
+def _exact_b(spec: ModelSpec, t):
+    """``b(t)`` in closed form; valid when :func:`_b_is_exact` holds."""
+    income = spec.insurance.income
+    tau = spec.horizon - np.asarray(t, dtype=float)
+    if income == 0.0:
+        return np.zeros_like(tau)
+    rate = spec.market.r + spec.insurance.eta * spec.insurance.payout.inverse(0.0)
+    if rate == 0.0:
+        return income * tau
+    return income * (-np.expm1(-rate * tau)) / rate
 
 
 def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
@@ -71,16 +83,9 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
     if N < 2:
         raise ValidationError("solve_b: N must be >= 2")
     times = np.linspace(spec.horizon, 0.0, N + 1)
-    income = spec.insurance.income
-    if income == 0.0:
-        return np.zeros(N + 1)
-    eta = spec.insurance.eta
-    if _has_constant_payout_rate(spec):
-        rate = spec.market.r + eta * spec.insurance.payout.inverse(0.0)
-        tau = spec.horizon - times
-        if rate == 0.0:
-            return income * tau
-        return income * (-np.expm1(-rate * tau)) / rate
+    if _b_is_exact(spec):
+        return _exact_b(spec, times)
+    income, eta = spec.insurance.income, spec.insurance.eta
 
     # R(t) = int_0^t (r + eta/l); b(t) = e^{R(t)} int_t^T i e^{-R(u)} du
     def big_r(t):
@@ -98,33 +103,19 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
 def b_function(spec: ModelSpec, N: int = 4096):
     """Return ``b`` as a vectorized callable of time.
 
-    Exact when the discount rate ``r + eta/l`` is constant; otherwise a
-    linear interpolant of the Simpson grid values.
+    Exact when there is no income or the discount rate ``r + eta/l`` is
+    constant; otherwise a linear interpolant of the Simpson grid values.
     """
-    income = spec.insurance.income
-    if income == 0.0:
-        return lambda t: np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    if _has_constant_payout_rate(spec):
-        rate = spec.market.r + spec.insurance.eta * spec.insurance.payout.inverse(0.0)
+    exact = _b_is_exact(spec)
+    if not exact:
+        times = np.linspace(spec.horizon, 0.0, N + 1)[::-1]
+        values = solve_b(spec, N)[::-1]
 
-        def exact(t):
-            tau = spec.horizon - np.asarray(t, dtype=float)
-            if rate == 0.0:
-                out = income * tau
-            else:
-                out = income * (-np.expm1(-rate * tau)) / rate
-            return out if np.ndim(t) else float(out)
-
-        return exact
-
-    values = solve_b(spec, N)
-    times = np.linspace(spec.horizon, 0.0, N + 1)
-
-    def interp(t):
-        out = np.interp(np.asarray(t, dtype=float), times[::-1], values[::-1])
+    def b(t):
+        out = _exact_b(spec, t) if exact else np.interp(np.asarray(t, dtype=float), times, values)
         return out if np.ndim(t) else float(out)
 
-    return interp
+    return b
 
 
 # ---------------------------------------------------------------------------

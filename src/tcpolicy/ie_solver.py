@@ -53,7 +53,6 @@ __all__ = [
     "SchemeBreakdownError",
     "solve_a",
     "rhs_derivative",
-    "interpolate_a",
     "convergence_report",
     "a_priori_bounds",
 ]
@@ -72,7 +71,8 @@ class SolutionGrid:
     """Backward grid ``t_n = T - n T/N`` with the a- and A-iterates.
 
     ``times`` decreases from T to 0; ``a_values[0] = n`` and
-    ``A_values[0] = 1`` hold bit-exactly.
+    ``A_values[0] = 1`` hold bit-exactly.  The three arrays are made
+    read-only in place at construction.
     """
 
     times: np.ndarray
@@ -80,6 +80,10 @@ class SolutionGrid:
     A_values: np.ndarray
     N: int
     epsilon: float
+
+    def __post_init__(self):
+        for values in (self.times, self.a_values, self.A_values):
+            values.flags.writeable = False
 
     def interpolate(self, t):
         """Piecewise-linear interpolation of a; exact at the nodes."""
@@ -92,11 +96,6 @@ class SolutionGrid:
     @property
     def a_curve(self):
         return self.interpolate
-
-
-def interpolate_a(grid: SolutionGrid, t):
-    """Module-level alias for :meth:`SolutionGrid.interpolate`."""
-    return grid.interpolate(t)
 
 
 # ---------------------------------------------------------------------------

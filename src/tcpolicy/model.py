@@ -43,8 +43,6 @@ __all__ = [
     "PreferenceParams",
     "ModelSpec",
     "A1Check",
-    "discount_value",
-    "discount_log_derivative",
     "survival",
     "kernel_Q",
     "kernel_q",
@@ -181,16 +179,6 @@ class AffineExponential(DiscountKernel):
     def log_derivative(self, t):
         t = np.asarray(_check_nonnegative_time(t), dtype=float)
         return self.a_coef / (1.0 + self.a_coef * t) - self.r_rate
-
-
-def discount_value(kernel: DiscountKernel, t):
-    """Evaluate ``h(t)``; ``h(0) = 1`` for every family."""
-    return kernel.value(t)
-
-
-def discount_log_derivative(kernel: DiscountKernel, t):
-    """Evaluate ``h'(t)/h(t)``; nonpositive for every valid kernel."""
-    return kernel.log_derivative(t)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +456,6 @@ class ModelSpec:
             )
 
     # -- convenience wrappers used by the solvers -------------------------
-
-    def assumption_a1(self) -> "A1Check":
-        """Positivity check on the consumption coefficient; solvers refuse
-        instances where it fails."""
-        return check_assumption_a1(self)
 
     def hbar_value(self, t):
         """Legacy kernel weight ``m(t) h_hat(t)``."""

@@ -4,8 +4,10 @@ Given a solved value coefficient curve a(t) and income floor b(t), the
 policy at state (t, x) is linear in the shifted wealth ``y = x + b(t)``:
 a constant Merton fraction of y in the stock, consumption
 ``a^(1/(gamma-1)) y`` and an insurance premium that tops the bequeathed
-wealth up to ``(a/m)^(1/(gamma-1)) y``.  The log branch (gamma = 0) uses
-exponent -1 throughout and the classical Merton stock fraction.
+wealth up to ``(a/m)^(1/(gamma-1)) y``.  :func:`feedback_rates` is the
+only place these rates are computed.  The log branch (gamma = 0) needs no
+special case: the exponent ``1/(gamma-1)`` is then exactly -1 and the
+Merton fraction the classical ``mu/sigma^2``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .model import ModelSpec, ValidationError
 
 __all__ = [
     "PolicyTriple",
+    "FeedbackRates",
+    "feedback_rates",
     "policy_at",
     "consumption_rate",
     "legacy",
@@ -47,35 +51,73 @@ def _shifted_wealth(b_curve, t: float, x: float) -> float:
     return y
 
 
-def _rate_exponent(gamma: float) -> float:
-    return -1.0 if gamma == 0.0 else 1.0 / (gamma - 1.0)
+def _crra_rate(a, gamma: float) -> np.ndarray:
+    """``a^(1/(gamma-1))`` for a > 0; the exponent is exactly -1 at gamma = 0."""
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValidationError("a(t) must be positive")
+    return a ** (1.0 / (gamma - 1.0))
+
+
+@dataclass(frozen=True)
+class FeedbackRates:
+    """The feedback map per unit of shifted wealth ``y = x + b``.
+
+    Stock ``merton y``, consumption ``consumption y`` and bequeathed wealth
+    ``bequest y``; ``inv_l = 1/l``.  Rates are shaped like ``a``.
+    """
+
+    merton: float
+    consumption: np.ndarray
+    bequest: np.ndarray
+    inv_l: np.ndarray
+    eta: float
+
+    @property
+    def premium_x(self):
+        """Premium per unit of wealth, ``(bequest - eta)/l``."""
+        return self.inv_l * (self.bequest - self.eta)
+
+    @property
+    def premium_b(self):
+        """Premium per unit of the income floor, ``bequest/l``."""
+        return self.inv_l * self.bequest
+
+    def node(self, k: int) -> "FeedbackRates":
+        """The map at the k-th of the times it was built for."""
+        return FeedbackRates(self.merton, self.consumption[k], self.bequest[k], self.inv_l[k], self.eta)
+
+    def premium(self, x, b):
+        """Premium that tops the legacy ``eta x + l premium`` up to ``bequest (x + b)``."""
+        return self.premium_x * x + self.premium_b * b
+
+
+def feedback_rates(spec: ModelSpec, a, t) -> FeedbackRates:
+    """The feedback map at times ``t`` given the value coefficients ``a = a(t)``."""
+    gamma, market = spec.prefs.gamma, spec.market
+    return FeedbackRates(
+        merton=market.mu / (market.sigma**2 * (1.0 - gamma)),
+        consumption=_crra_rate(a, gamma),
+        bequest=_crra_rate(np.asarray(a, dtype=float) / spec.prefs.m0, gamma),
+        inv_l=np.asarray(spec.insurance.payout.inverse(t), dtype=float),
+        eta=spec.insurance.eta,
+    )
 
 
 def policy_at(a_curve, b_curve, spec: ModelSpec, t: float, x: float) -> PolicyTriple:
     """Evaluate the equilibrium feedback triple at (t, x)."""
     y = _shifted_wealth(b_curve, t, x)
-    a = float(a_curve(t))
-    if a <= 0.0:
-        raise ValidationError("policy_at: a(t) must be positive")
-    gamma = spec.prefs.gamma
-    market = spec.market
-    expo = _rate_exponent(gamma)
-    one_mg = 1.0 if gamma == 0.0 else 1.0 - gamma
-
-    stock = market.mu * y / (market.sigma**2 * one_mg)
-    consumption = a**expo * y
-    z_rate = (a / spec.prefs.m0) ** expo
-    inv_l = float(spec.insurance.payout.inverse(t))
-    premium = inv_l * ((z_rate - spec.insurance.eta) * x + z_rate * float(b_curve(t)))
-    return PolicyTriple(stock_amount=stock, consumption=consumption, insurance_premium=premium)
+    rates = feedback_rates(spec, float(a_curve(t)), t)
+    return PolicyTriple(
+        stock_amount=float(rates.merton * y),
+        consumption=float(rates.consumption * y),
+        insurance_premium=float(rates.premium(x, float(b_curve(t)))),
+    )
 
 
 def consumption_rate(a_curve, gamma: float, t):
     """Consumption per unit of shifted wealth, ``a(t)^(1/(gamma-1))``."""
-    a = np.asarray(a_curve(t), dtype=float)
-    if np.any(a <= 0.0):
-        raise ValidationError("consumption_rate: a(t) must be positive")
-    out = a ** _rate_exponent(gamma)
+    out = _crra_rate(a_curve(t), gamma)
     return out if np.ndim(t) else float(out)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import ModelSpec, ValidationError, crra_utility, kernel_Q, kernel_q, weight_M
+from .policy import feedback_rates, value_function
 
 __all__ = [
     "EXACT_Y",
@@ -125,14 +126,6 @@ def _path_death_uniforms(seed: int, first_path: int, n_paths: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _rate_exponent(gamma: float) -> float:
-    return -1.0 if gamma == 0.0 else 1.0 / (gamma - 1.0)
-
-
-def _one_minus_gamma(gamma: float) -> float:
-    return 1.0 if gamma == 0.0 else 1.0 - gamma
-
-
 class _SimContext:
     """Time grid and node-level coefficients shared by all paths."""
 
@@ -151,37 +144,23 @@ class _SimContext:
         self.h = (T - t0) / n_steps
         self.times = np.linspace(t0, T, n_steps + 1)
 
-        prefs, market, ins = spec.prefs, spec.market, spec.insurance
-        self.gamma = prefs.gamma
-        expo = _rate_exponent(self.gamma)
-        one_mg = _one_minus_gamma(self.gamma)
-        self.kappa = market.mu / (market.sigma * one_mg)
-
+        market, ins = spec.market, spec.insurance
+        self.gamma = spec.prefs.gamma
         self.b = np.asarray(b_curve(self.times), dtype=float)
-        self.a = np.asarray(a_curve(self.times), dtype=float)
-        if np.any(self.a <= 0.0):
-            raise ValidationError("a(t) must be positive along the simulation grid")
+        self.rates = rates = feedback_rates(spec, a_curve(self.times), self.times)
         self.y0 = x0 + self.b[0]
         if self.y0 <= 0.0:
             raise ValidationError("wealth below human-capital floor: x0 + b(t0) <= 0")
 
-        self.crate = self.a**expo
-        self.zrate = (self.a / prefs.m0) ** expo
-        self.inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
-        self.M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
+        self.kappa = market.sigma * rates.merton
+        M = np.asarray(weight_M(spec.prefs, ins, self.times), dtype=float)
         # geometric drift of Y = X + b and its log-space counterpart
-        self.nu = (
-            market.r
-            + ins.eta * self.inv_l
-            + market.mu**2 / (market.sigma**2 * one_mg)
-            - self.crate * self.M
-        )
+        self.nu = market.r + ins.eta * rates.inv_l + market.mu * rates.merton - rates.consumption * M
         g = self.nu - 0.5 * self.kappa**2
         self.log_drift_prefix = np.concatenate(
             [[0.0], np.cumsum(0.5 * self.h * (g[:-1] + g[1:]))]
         )
         self.a_curve = a_curve
-        self.b_curve = b_curve
 
     # -- path blocks ------------------------------------------------------
 
@@ -200,9 +179,7 @@ class _SimContext:
         Paths are rejected (NaN from the violation onward) when the
         shifted wealth X + b leaves the positive cone.
         """
-        spec = self.spec
-        market, ins = spec.market, spec.insurance
-        one_mg = _one_minus_gamma(self.gamma)
+        market, income = self.spec.market, self.spec.insurance.income
         B = normals.shape[0]
         sq_h = math.sqrt(self.h)
         x = np.empty((B, self.n_steps + 1))
@@ -211,10 +188,12 @@ class _SimContext:
         for k in range(self.n_steps):
             xk = x[:, k]
             y = xk + self.b[k]
-            f1 = market.mu * y / (market.sigma**2 * one_mg)
-            f2 = self.crate[k] * y
-            f3 = self.inv_l[k] * ((self.zrate[k] - ins.eta) * xk + self.zrate[k] * self.b[k])
-            drift = market.r * xk + market.mu * f1 - f2 - f3 + ins.income
+            rates = self.rates.node(k)
+            f1 = rates.merton * y
+            drift = (
+                market.r * xk + market.mu * f1 - rates.consumption * y
+                - rates.premium(xk, self.b[k]) + income
+            )
             with np.errstate(invalid="ignore"):
                 x_next = xk + drift * self.h + market.sigma * f1 * sq_h * normals[:, k]
                 dead_now = alive & ~(x_next + self.b[k + 1] > 0.0)
@@ -292,13 +271,13 @@ def estimate_J_kernel(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Estimat
     Qv = np.asarray(kernel_Q(spec, times, t0), dtype=float)
     qv = np.asarray(kernel_q(spec, times, t0), dtype=float)
     n_weight = spec.prefs.n
-    gamma = ctx.gamma
+    gamma, rates = ctx.gamma, ctx.rates
 
     samples = []
     for start, count in _block_ranges(cfg.paths):
         y, ok = ctx.paths_block(start, count)
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = Qv * crra_utility(ctx.crate * y, gamma) + qv * crra_utility(ctx.zrate * y, gamma)
+            f = Qv * crra_utility(rates.consumption * y, gamma) + qv * crra_utility(rates.bequest * y, gamma)
             j = np.sum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)
             j += n_weight * Qv[-1] * crra_utility(y[:, -1], gamma)
         samples.append(j[ok])
@@ -347,7 +326,7 @@ def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Esti
         tau = _sample_death_times(spec, t0, u)
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = hval * crra_utility(ctx.crate * y, gamma)
+            f = hval * crra_utility(ctx.rates.consumption * y, gamma)
             prefix = np.concatenate(
                 [np.zeros((count, 1)), np.cumsum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)],
                 axis=1,
@@ -362,10 +341,9 @@ def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Esti
                 frac = (tau_d - times[k]) / ctx.h
                 # geometric interpolation keeps Y positive between nodes
                 y_tau = y[rows, k] ** (1.0 - frac) * y[rows, k + 1] ** frac
-                a_tau = np.asarray(ctx.a_curve(tau_d), dtype=float)
-                expo = _rate_exponent(gamma)
-                c_tau = a_tau**expo * y_tau
-                z_tau = (a_tau / spec.prefs.m0) ** expo * y_tau
+                rates_tau = feedback_rates(spec, ctx.a_curve(tau_d), tau_d)
+                c_tau = rates_tau.consumption * y_tau
+                z_tau = rates_tau.bequest * y_tau
                 f_tau = np.asarray(spec.discount.value(tau_d - t0)) * crra_utility(c_tau, gamma)
                 j_cons = prefix[rows, k] + 0.5 * (f[rows, k] + f_tau) * (tau_d - times[k])
                 legacy_w = np.asarray(spec.hbar_value(tau_d - t0), dtype=float)
@@ -375,14 +353,17 @@ def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Esti
 
 
 def verify_fixed_point(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> FixedPointReport:
-    """z-test of ``v(t0, x0)`` against the kernel Monte Carlo estimate of J."""
+    """z-test of ``v(t0, x0)`` against the kernel Monte Carlo estimate of J.
+
+    Without evidence (fewer than 2 used paths, or a standard error that is
+    not finite and positive) the z-score is NaN and the test fails.
+    """
     if spec.prefs.is_log:
         raise ValidationError(
             "verify_fixed_point: log utility value omits an additive term; policies only"
         )
-    from .policy import value_function
-
     v = value_function(a_curve, b_curve, spec.prefs.gamma, t0, x0)
     est = estimate_J_kernel(spec, a_curve, b_curve, t0, x0, cfg)
-    z = (est.mean - v) / est.std_error
-    return FixedPointReport(v_value=v, j_estimate=est, z_score=z, passed=abs(z) <= 3.0)
+    evidence = est.paths_used >= 2 and 0.0 < est.std_error < math.inf
+    z = (est.mean - v) / est.std_error if evidence else math.nan
+    return FixedPointReport(v_value=v, j_estimate=est, z_score=z, passed=evidence and abs(z) <= 3.0)

@@ -3,6 +3,7 @@
 import csv
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from tcpolicy.cli import (
     parse_config,
     serialize_config,
 )
+from tcpolicy.closed_form import b_function
+from tcpolicy.ie_solver import solve_a
 from tcpolicy.model import Hyperbolic
+from tcpolicy.policy import policy_at
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 EXP1_TEXT = """\
 # exponential reference instance
@@ -252,7 +258,8 @@ def test_no_svg_flag(tmp_path):
 
 
 def test_policies_command(tmp_path):
-    cfg = _write(tmp_path, EXP1_TEXT)
+    # actuarial payout and tapering weight: 1/l varies along the grid
+    cfg = CONFIGS / "experiment.cfg"
     out = tmp_path / "pol"
     assert main(["policies", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
     with open(out / "policies.csv", newline="") as fh:
@@ -260,6 +267,19 @@ def test_policies_command(tmp_path):
     assert rows[0] == ["t", "consumption_rate", "merton_fraction", "insurance_x_coef", "insurance_b_coef"]
     merton = {float(r[2]) for r in rows[1:]}
     assert all(abs(v - 0.875) < 1e-12 for v in merton)
+
+    # every row is the scalar feedback triple at its node, at x = 1
+    rc = parse_config(cfg.read_text())
+    grid = solve_a(rc.spec, rc.grid_n)
+    b_curve = b_function(rc.spec, rc.grid_n)
+    assert len(rows) == rc.grid_n + 2
+    for row in rows[1:]:
+        t, rate, merton, x_coef, b_coef = map(float, row)
+        trip = policy_at(grid.interpolate, b_curve, rc.spec, t, 1.0)
+        y = 1.0 + b_curve(t)
+        assert rate * y == pytest.approx(trip.consumption, rel=1e-12)
+        assert merton * y == pytest.approx(trip.stock_amount, rel=1e-12)
+        assert x_coef * 1.0 + b_coef == pytest.approx(trip.insurance_premium, rel=1e-12)
 
 
 def test_simulate_command(tmp_path, capsys):
@@ -271,6 +291,18 @@ def test_simulate_command(tmp_path, capsys):
     assert rows[0] == ["t0", "x0", "v", "j_mean", "j_stderr", "z"]
     assert len(rows) == 2
     assert "fixed point" in capsys.readouterr().out
+
+
+def test_simulate_exit_3_without_evidence(tmp_path, capsys):
+    # one path gives no standard error, so the check fails; the CSV is still written
+    cfg = _write(tmp_path, EXP1_TEXT.replace("mc.paths = 500", "mc.paths = 1"))
+    out = tmp_path / "sim1"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 3
+    with open(out / "fixedpoint.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][5] == "nan"
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "failed" in captured.err
 
 
 def test_stationary_command(tmp_path, capsys):
@@ -285,6 +317,28 @@ def test_stationary_command(tmp_path, capsys):
     assert vals["a"] == pytest.approx(0.0116963, abs=1e-6)
     assert vals["b"] == pytest.approx(1.0 / 0.07, rel=1e-10)
     assert vals["tc1"] > 0.0 and vals["tc2"] > 0.0
+
+
+@pytest.mark.parametrize("rho_c, rho_b, m", [(0.1, 0.3, 1.0), (0.3, 0.1, 1.0), (0.1, 0.3, 2.0)])
+def test_stationary_matches_long_horizon_solve(tmp_path, rho_c, rho_b, m):
+    # stationary a is the reciprocal of a(0) from a long-horizon backward solve
+    text = (
+        EXP1_TEXT.replace("horizon = 1.0", "horizon = 100.0")
+        .replace(
+            "discount.rho = 0.1",
+            f"discount.rho = {rho_c}\nbequest_discount.family = exponential\nbequest_discount.rho = {rho_b}",
+        )
+        .replace("preferences.m.value = 1.0", f"preferences.m.value = {m}")
+        .replace("grid.N = 200", "grid.N = 4000")
+    )
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "stat"
+    assert main(["stationary", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
+    with open(out / "stationary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rc = parse_config(text)
+    a0 = solve_a(rc.spec, rc.grid_n).a_values[-1]
+    assert float(rows[1][0]) == pytest.approx(1.0 / a0, rel=1e-2)
 
 
 def test_converge_command(tmp_path):

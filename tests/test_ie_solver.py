@@ -23,7 +23,6 @@ from tcpolicy.ie_solver import (
     _SchemeTables,
     a_priori_bounds,
     convergence_report,
-    interpolate_a,
     rhs_derivative,
     solve_a,
 )
@@ -54,6 +53,13 @@ def test_terminal_values_bit_exact(exp1_spec):
     assert grid.times[0] == exp1_spec.horizon
     assert grid.times[-1] == 0.0
     assert grid.epsilon == -exp1_spec.horizon / 64
+
+
+def test_solution_grid_arrays_read_only(exp1_spec):
+    grid = solve_a(exp1_spec, 16)
+    for values in (grid.times, grid.a_values, grid.A_values):
+        with pytest.raises(ValueError, match="read-only"):
+            values[1] = 0.5
 
 
 def test_exp1_matches_closed_form(exp1_spec):
@@ -174,17 +180,17 @@ def test_rhs_index_validation(exp1_spec):
 
 def test_interpolation_nodes_and_midpoints(exp1_spec):
     grid = solve_a(exp1_spec, 32)
-    assert interpolate_a(grid, exp1_spec.horizon) == exp1_spec.prefs.n
+    assert grid.interpolate(exp1_spec.horizon) == exp1_spec.prefs.n
     k = 7
-    assert interpolate_a(grid, grid.times[k]) == grid.a_values[k]
+    assert grid.interpolate(grid.times[k]) == grid.a_values[k]
     mid = 0.5 * (grid.times[k] + grid.times[k + 1])
-    assert interpolate_a(grid, mid) == pytest.approx(
+    assert grid.interpolate(mid) == pytest.approx(
         0.5 * (grid.a_values[k] + grid.a_values[k + 1]), rel=1e-14
     )
     with pytest.raises(ValidationError):
-        interpolate_a(grid, -0.01)
+        grid.interpolate(-0.01)
     with pytest.raises(ValidationError):
-        interpolate_a(grid, exp1_spec.horizon + 0.01)
+        grid.interpolate(exp1_spec.horizon + 0.01)
 
 
 # ---------------------------------------------------------------------------

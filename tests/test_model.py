@@ -30,7 +30,7 @@ from tcpolicy import (
     survival,
     weight_M,
 )
-from tcpolicy.model import discount_log_derivative, discount_value, legacy_hazard_weight
+from tcpolicy.model import legacy_hazard_weight
 
 ALL_KERNELS = [
     Exponential(rho=0.1),
@@ -47,7 +47,7 @@ ALL_KERNELS = [
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
 def test_h_at_zero_is_one(kernel):
-    assert discount_value(kernel, 0.0) == pytest.approx(1.0, abs=0.0)
+    assert kernel.value(0.0) == pytest.approx(1.0, abs=0.0)
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
@@ -74,7 +74,7 @@ def test_exponential_zero_rate_constant():
 
 
 def test_exponential_log_derivative_constant():
-    assert discount_log_derivative(Exponential(rho=0.1), 2.0) == -0.1
+    assert Exponential(rho=0.1).log_derivative(2.0) == -0.1
 
 
 def test_hyperbolic_unit_value_matches_root_finder():
@@ -95,9 +95,9 @@ def test_hyperbolic_log_derivative_formula():
 
 def test_negative_time_rejected():
     with pytest.raises(ValidationError):
-        discount_value(Exponential(rho=0.1), -0.5)
+        Exponential(rho=0.1).value(-0.5)
     with pytest.raises(ValidationError):
-        discount_log_derivative(Hyperbolic(k1=1.0, k2=1.0), -1.0)
+        Hyperbolic(k1=1.0, k2=1.0).log_derivative(-1.0)
 
 
 def test_kernel_parameter_validation():

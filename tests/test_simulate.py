@@ -307,6 +307,14 @@ def test_fixed_point_smoke(exp1_spec, exp1_solution):
     assert rep.j_estimate.paths_used == CFG.paths
 
 
+def test_fixed_point_single_path_is_no_evidence(exp1_spec, exp1_solution):
+    a_curve, b_curve = exp1_solution
+    rep = verify_fixed_point(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(1, 424242, 2e-3))
+    assert rep.j_estimate.paths_used == 1
+    assert math.isnan(rep.z_score)
+    assert not rep.passed
+
+
 def test_fixed_point_refuses_log_branch(log_spec):
     with pytest.raises(ValidationError, match="polic"):
         verify_fixed_point(log_spec, lambda t: 1.0, lambda t: 0.0, 0.0, 1.0, CFG)
