@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     ConstantPayout,
@@ -263,6 +262,9 @@ def _stationary_pieces(p: StationaryParams):
     return inv_l, alpha1, alpha2, beta, legacy_weight
 
 
+_ROOT_RESIDUAL_TOL = 1e-9
+
+
 def _tc_ok(alpha1, alpha2, gb, x) -> bool:
     return alpha1 + gb * x > 0.0 and alpha2 + gb * x > 0.0
 
@@ -271,11 +273,10 @@ def _residual(alpha1, alpha2, gb, legacy_weight, x) -> float:
     return 1.0 / x - 1.0 / (alpha1 + gb * x) - legacy_weight / (alpha2 + gb * x)
 
 
-def _quadratic_root(p: StationaryParams, alpha1, alpha2, beta, lam):
-    # m = 1 clears denominators into A x^2 + B x + C = 0
-    gb = p.gamma * beta
-    A = gb * (1.0 - gb + lam)
-    B = alpha2 * (1.0 - gb) + alpha1 * (lam - gb)
+def _quadratic_root(gb, alpha1, alpha2, legacy_weight):
+    # multiplying by x (alpha1 + gb x)(alpha2 + gb x) gives A x^2 + B x + C = 0
+    A = gb * (1.0 - gb + legacy_weight)
+    B = alpha2 * (1.0 - gb) + alpha1 * (legacy_weight - gb)
     C = -alpha1 * alpha2
     if A == 0.0:
         if B == 0.0:
@@ -285,15 +286,18 @@ def _quadratic_root(p: StationaryParams, alpha1, alpha2, beta, lam):
         disc = B * B - 4.0 * A * C
         if disc < 0.0:
             raise StationaryInfeasibleError("stationary quadratic has no real root")
-        sq = math.sqrt(disc)
         # numerically stable pair
-        q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else 0.5 * sq
-        roots = [q / A] if q != 0.0 else [0.0]
-        if q != 0.0:
-            roots.append(C / q)
-        else:
-            roots.append(-B / A)
-    feasible = [x for x in roots if x > 0.0 and _tc_ok(alpha1, alpha2, gb, x)]
+        q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+        roots = [q / A, C / q] if q != 0.0 else [0.0]
+    # when alpha1 = alpha2 clearing adds the root alpha + gb x = 0, at which
+    # the equation itself is unbounded: the residual test drops it
+    feasible = [
+        x
+        for x in roots
+        if x > 0.0
+        and _tc_ok(alpha1, alpha2, gb, x)
+        and abs(x * _residual(alpha1, alpha2, gb, legacy_weight, x)) <= _ROOT_RESIDUAL_TOL
+    ]
     if not feasible:
         raise StationaryInfeasibleError(
             "no transversality-feasible root; model misconfiguration (roots: %s)" % roots
@@ -303,52 +307,21 @@ def _quadratic_root(p: StationaryParams, alpha1, alpha2, beta, lam):
     return feasible[0]
 
 
-def _bisection_root(p: StationaryParams, alpha1, alpha2, beta, legacy_weight):
-    gb = p.gamma * beta
-
-    def g(x):
-        return _residual(alpha1, alpha2, gb, legacy_weight, x)
-
-    if gb < 0.0:
-        upper = min(alpha1, alpha2) / (-gb)
-        if upper <= 0.0:
-            raise StationaryInfeasibleError("transversality region empty (alpha_j <= 0)")
-        lo, hi = upper * 1e-12, upper * (1.0 - 1e-12)
-    else:
-        lo = max(0.0, max(-alpha1, -alpha2) / gb) if gb > 0.0 else 0.0
-        lo = lo * (1.0 + 1e-12) + 1e-300
-        hi = max(1.0, lo) * 1e9
-    grid = np.geomspace(lo, hi, 4000)
-    vals = np.array([g(x) for x in grid])
-    sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(sign_flip) == 0:
-        raise StationaryInfeasibleError("no sign change on the transversality-feasible interval")
-    i = sign_flip[0]
-    root = brentq(g, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
-    if not _tc_ok(alpha1, alpha2, gb, root):
-        raise StationaryInfeasibleError("bisection root violates transversality")
-    return root
-
-
-def solve_stationary(p: StationaryParams, method: str = "auto") -> StationarySolution:
+def solve_stationary(p: StationaryParams) -> StationarySolution:
     """Solve the stationary fixed-point equation and transversality check.
 
-    ``method`` is "auto" (quadratic fast path when m = 1, bisection
-    otherwise), "quadratic" or "bisect".  ``b = i / (r + eta/l)``.
+    Clearing the denominators of the equation in
+    :class:`StationarySolution` gives one quadratic in x for every m and
+    gamma (linear when ``gamma beta = 0``).  A root is accepted when
+    ``x > 0``, both transversality values are strictly positive and the
+    relative residual ``|x (1/x - rhs(x))|`` is at most 1e-9.  The last
+    test drops the spurious root ``alpha + gamma beta x = 0`` that clearing
+    adds when ``alpha1 = alpha2``.  No accepted root, or two, raises
+    :class:`StationaryInfeasibleError`.  ``b = i / (r + eta/l)``.
     """
     inv_l, alpha1, alpha2, beta, legacy_weight = _stationary_pieces(p)
     gb = p.gamma * beta
-
-    if p.gamma == 0.0:
-        if alpha1 <= 0.0 or alpha2 <= 0.0:
-            raise StationaryInfeasibleError("gamma = 0 requires alpha1, alpha2 > 0")
-        x = 1.0 / (1.0 / alpha1 + legacy_weight / alpha2)
-    elif method == "quadratic" or (method == "auto" and p.m == 1.0):
-        x = _quadratic_root(p, alpha1, alpha2, beta, p.hazard_rate)
-    elif method in ("auto", "bisect"):
-        x = _bisection_root(p, alpha1, alpha2, beta, legacy_weight)
-    else:
-        raise ValidationError(f"solve_stationary: unknown method {method!r}")
+    x = _quadratic_root(gb, alpha1, alpha2, legacy_weight)
 
     b_rate = p.market.r + p.eta * inv_l
     if b_rate <= 0.0 and p.income > 0.0:

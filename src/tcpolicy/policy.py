@@ -17,7 +17,7 @@ from math import isinf
 
 import numpy as np
 
-from .model import ModelSpec, ValidationError
+from .model import ModelSpec, ValidationError, crra_utility
 
 __all__ = [
     "PolicyTriple",
@@ -137,10 +137,7 @@ def value_function(a_curve, b_curve, gamma: float, t: float, x: float) -> float:
     time-dependent additive term; treat the log branch as policies-only.
     """
     y = _shifted_wealth(b_curve, t, x)
-    a = float(a_curve(t))
-    if gamma == 0.0:
-        return a * np.log(y)
-    return a * y**gamma / gamma
+    return float(a_curve(t)) * crra_utility(y, gamma)
 
 
 def find_satiation(rate_samples) -> float | None:

@@ -199,15 +199,18 @@ class _SimContext:
                 dead_now = alive & ~(x_next + self.b[k + 1] > 0.0)
             alive &= ~dead_now
             x[:, k + 1] = np.where(alive, x_next, np.nan)
-            x[dead_now, k + 1] = np.nan
         return x + self.b[np.newaxis, :], alive
 
-    def paths_block(self, first_path: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
-        normals = _path_normals(self.cfg.seed, first_path, n_paths, self.n_steps)
-        if self.cfg.scheme == EXACT_Y:
-            y = self.exact_y_block(normals)
-            return y, np.ones(n_paths, dtype=bool)
-        return self.euler_block(normals)
+    def blocks(self):
+        """Yield ``(start, Y, alive)`` for each block of paths, in path order."""
+        for start, count in _block_ranges(self.cfg.paths):
+            normals = _path_normals(self.cfg.seed, start, count, self.n_steps)
+            if self.cfg.scheme == EXACT_Y:
+                block = start, self.exact_y_block(normals), np.ones(count, dtype=bool)
+            else:
+                block = start, *self.euler_block(normals)
+            del normals  # the paused generator would keep a paths x steps array alive
+            yield block
 
 
 def _block_ranges(total: int, block: int | None = None):
@@ -235,23 +238,25 @@ def simulate_wealth(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> WealthEns
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     wealth = np.empty((cfg.paths, ctx.n_steps + 1))
     alive = np.empty(cfg.paths, dtype=bool)
-    for start, count in _block_ranges(cfg.paths):
-        y, ok = ctx.paths_block(start, count)
-        wealth[start : start + count] = y - ctx.b[np.newaxis, :]
-        alive[start : start + count] = ok
-    rejected = 1.0 - alive.mean()
-    if rejected > 0.01:
-        warnings.warn(f"Euler rejection fraction {rejected:.2%} exceeds 1%", stacklevel=2)
+    for start, y, ok in ctx.blocks():
+        wealth[start : start + ok.size] = y - ctx.b[np.newaxis, :]
+        alive[start : start + ok.size] = ok
+    rejected = _rejected_fraction(int(alive.sum()), cfg.paths)
     return WealthEnsemble(
         times=ctx.times, wealth=wealth, alive=alive, scheme=cfg.scheme, rejected_fraction=rejected
     )
 
 
-def _report_from_samples(samples: np.ndarray, requested: int) -> EstimateReport:
-    n = samples.size
-    rejected = 1.0 - n / requested
+def _rejected_fraction(used: int, requested: int) -> float:
+    """Share of rejected paths; above 1% it warns, pointing at the public function's caller."""
+    rejected = 1.0 - used / requested
     if rejected > 0.01:
         warnings.warn(f"Euler rejection fraction {rejected:.2%} exceeds 1%", stacklevel=3)
+    return rejected
+
+
+def _report_from_samples(samples: np.ndarray) -> EstimateReport:
+    n = samples.size
     if n == 0:
         return EstimateReport(mean=float("nan"), std_error=float("inf"), paths_used=0)
     mean = float(np.mean(samples))
@@ -274,14 +279,15 @@ def estimate_J_kernel(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Estimat
     gamma, rates = ctx.gamma, ctx.rates
 
     samples = []
-    for start, count in _block_ranges(cfg.paths):
-        y, ok = ctx.paths_block(start, count)
+    for _, y, ok in ctx.blocks():
         with np.errstate(invalid="ignore", divide="ignore"):
             f = Qv * crra_utility(rates.consumption * y, gamma) + qv * crra_utility(rates.bequest * y, gamma)
             j = np.sum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)
             j += n_weight * Qv[-1] * crra_utility(y[:, -1], gamma)
         samples.append(j[ok])
-    return _report_from_samples(np.concatenate(samples), cfg.paths)
+    samples = np.concatenate(samples)
+    _rejected_fraction(samples.size, cfg.paths)
+    return _report_from_samples(samples)
 
 
 def _sample_death_times(spec: ModelSpec, t0: float, u: np.ndarray) -> np.ndarray:
@@ -320,8 +326,8 @@ def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Esti
     n_weight = spec.prefs.n
 
     samples = []
-    for start, count in _block_ranges(cfg.paths):
-        y, ok = ctx.paths_block(start, count)
+    for start, y, ok in ctx.blocks():
+        count = ok.size
         u = _path_death_uniforms(cfg.seed, start, count)
         tau = _sample_death_times(spec, t0, u)
 
@@ -349,7 +355,9 @@ def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Esti
                 legacy_w = np.asarray(spec.hbar_value(tau_d - t0), dtype=float)
                 j[rows] = j_cons + legacy_w * crra_utility(z_tau, gamma)
         samples.append(j[ok])
-    return _report_from_samples(np.concatenate(samples), cfg.paths)
+    samples = np.concatenate(samples)
+    _rejected_fraction(samples.size, cfg.paths)
+    return _report_from_samples(samples)
 
 
 def verify_fixed_point(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> FixedPointReport:

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -339,6 +342,37 @@ def test_stationary_matches_long_horizon_solve(tmp_path, rho_c, rho_b, m):
     rc = parse_config(text)
     a0 = solve_a(rc.spec, rc.grid_n).a_values[-1]
     assert float(rows[1][0]) == pytest.approx(1.0 / a0, rel=1e-2)
+
+
+@pytest.mark.parametrize("payout, gamma, status", [(50, -1, 0), (20, 0.3, 2)])
+def test_stationary_equal_rates_spurious_root(tmp_path, capsys, payout, gamma, status):
+    # lambda = r1 = r2 = 0.005 puts the root alpha + gamma beta x = 0 that
+    # clearing denominators adds at a positive x with tc rounding to > 0
+    text = (
+        (CONFIGS / "stationary.cfg").read_text()
+        .replace("mortality.lambda0 = 0.02", "mortality.lambda0 = 0.005")
+        .replace("discount.rho = 0.1", "discount.rho = 0.005")
+        .replace("insurance.payout.value = 50", f"insurance.payout.value = {payout}")
+        .replace("preferences.gamma = -1", f"preferences.gamma = {gamma}")
+    )
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "stat"
+    assert main(["stationary", "--config", str(cfg), "--out", str(out), "--no-svg"]) == status
+    if status:
+        assert "refused" in capsys.readouterr().err
+        return
+    with open(out / "stationary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # alpha = 0.005 + 0.005 + 0.080625 + 0.02, x = alpha/(1 + lambda - gamma beta)
+    assert float(rows[1][0]) == pytest.approx((0.110625 / 2.025) ** 2, rel=1e-12)
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize adds about a quarter second to every CLI start
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = "import tcpolicy, tcpolicy.cli, sys; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_converge_command(tmp_path):

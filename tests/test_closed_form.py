@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from tcpolicy import (
     AffineHazard,
@@ -14,6 +17,7 @@ from tcpolicy import (
     Exponential,
     Hyperbolic,
     InsuranceIncomeSpec,
+    MarketParams,
     ModelSpec,
     PreferenceParams,
     ValidationError,
@@ -293,11 +297,72 @@ def test_stationary_income_floor(market):
     assert sol.b == pytest.approx(1.0 / 0.07, rel=1e-12)
 
 
-def test_stationary_quadratic_matches_bisection(stationary_fixture):
-    q = solve_stationary(stationary_fixture, method="quadratic")
-    b = solve_stationary(stationary_fixture, method="bisect")
-    assert abs(q.x - b.x) < 1e-10
-    assert abs(q.a - b.a) < 1e-10
+def _stationary_alphas(p):
+    inv_l = 1.0 / p.payout
+    K = constant_K(p.market, p.gamma)
+    return (
+        p.hazard_rate + p.r1 - K - p.gamma * p.eta * inv_l,
+        p.hazard_rate + p.r2 - K - p.gamma * p.eta * inv_l,
+    )
+
+
+def _brentq_stationary_x(p):
+    # reference: bracket the first sign change of the uncleared equation on
+    # the interval where both transversality values are positive, then brentq
+    alpha1, alpha2 = _stationary_alphas(p)
+    w = p.hazard_rate * p.m ** (1.0 / (1.0 - p.gamma))
+    gb = p.gamma * (1.0 + p.m ** (1.0 / (1.0 - p.gamma)) / p.payout)
+
+    def g(x):
+        return 1.0 / x - 1.0 / (alpha1 + gb * x) - w / (alpha2 + gb * x)
+
+    if gb < 0.0:
+        upper = min(alpha1, alpha2) / (-gb)
+        lo, hi = upper * 1e-12, upper * (1.0 - 1e-12)
+    else:
+        lo = max(0.0, max(-alpha1, -alpha2) / gb) if gb > 0.0 else 0.0
+        lo = lo * (1.0 + 1e-12) + 1e-300
+        hi = max(1.0, lo) * 1e9
+    grid = np.geomspace(lo, hi, 4000)
+    vals = np.array([g(x) for x in grid])
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][0]
+    return brentq(g, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
+
+
+_STATIONARY_CASES = [
+    # (hazard_rate, r1, r2, m, payout, gamma)
+    (0.02, 0.1, 0.1, 1.0, 50.0, -1.0),
+    (0.005, 0.005, 0.005, 1.0, 50.0, -1.0),  # equal rates: spurious root inside the region
+    (0.03, 0.08, 0.12, 4.0, 20.0, -1.0),
+    (0.02, 0.1, 0.3, 2.0, math.inf, -3.0),
+    (0.05, 0.3, 0.1, 0.25, 5.0, -0.5),
+    (0.02, 0.1, 0.3, 2.0, 50.0, 0.0),
+    (0.02, 0.3, 0.3, 4.0, 50.0, 0.3),
+    (0.1, 0.3, 0.2, 1.0, 10.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("lam, r1, r2, m, payout, gamma", _STATIONARY_CASES)
+def test_stationary_quadratic_matches_brentq(market, lam, r1, r2, m, payout, gamma):
+    p = StationaryParams(
+        hazard_rate=lam, r1=r1, r2=r2, m=m, payout=payout, eta=1.0, income=0.0,
+        gamma=gamma, market=market,
+    )
+    sol = solve_stationary(p)
+    x_ref = _brentq_stationary_x(p)
+    assert sol.x == pytest.approx(x_ref, rel=1e-13)
+    assert sol.a == pytest.approx(x_ref ** (1.0 - gamma), rel=1e-13)
+
+
+def test_stationary_two_feasible_roots_refused(market):
+    # gamma > 0 with m != 1: both roots of the quadratic satisfy the
+    # equation and transversality, so no single stationary value exists
+    p = StationaryParams(
+        hazard_rate=0.005, r1=0.3, r2=0.05, m=4.0, payout=5.0, eta=1.0, income=0.0,
+        gamma=0.3, market=market,
+    )
+    with pytest.raises(StationaryInfeasibleError, match="multiple"):
+        solve_stationary(p)
 
 
 def test_stationary_distinct_rates_and_weight(market):
@@ -338,7 +403,62 @@ def test_stationary_infeasible(market):
         gamma=0.5, market=market,
     )
     with pytest.raises(StationaryInfeasibleError):
-        solve_stationary(p, method="bisect")
+        solve_stationary(p)
+
+
+_REPRO_MARKET = MarketParams(r=0.05, alpha=0.12, sigma=0.2)
+_rates = st.floats(0.001, 0.5)
+
+
+@st.composite
+def _stationary_params(draw):
+    r1 = draw(_rates)
+    return StationaryParams(
+        hazard_rate=draw(_rates),
+        r1=r1,
+        r2=draw(st.one_of(st.just(r1), _rates)),
+        m=draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0))),
+        payout=draw(st.one_of(st.just(math.inf), st.floats(0.5, 100.0))),
+        eta=draw(st.floats(0.1, 2.0)),
+        income=draw(st.floats(0.0, 2.0)),
+        gamma=draw(st.one_of(st.just(0.0), st.floats(-10.0, 0.95))),
+        market=MarketParams(
+            r=draw(st.floats(0.001, 0.1)), alpha=draw(st.floats(0.11, 0.3)), sigma=draw(st.floats(0.1, 0.5))
+        ),
+    )
+
+
+@given(p=_stationary_params())
+@example(
+    p=StationaryParams(
+        hazard_rate=0.005, r1=0.005, r2=0.005, m=1.0, payout=50.0, eta=1.0, income=1.0,
+        gamma=-1.0, market=_REPRO_MARKET,
+    )
+)
+@example(
+    p=StationaryParams(
+        hazard_rate=0.005, r1=0.005, r2=0.005, m=1.0, payout=20.0, eta=1.0, income=1.0,
+        gamma=0.3, market=_REPRO_MARKET,
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_stationary_root_properties(p):
+    alpha1, alpha2 = _stationary_alphas(p)
+    try:
+        sol = solve_stationary(p)
+    except StationaryInfeasibleError:
+        sol = None
+    if p.gamma <= 0.0:
+        # the equation is monotone on the transversality region, which is
+        # non-empty exactly when both alphas are positive
+        assert (sol is not None) == (min(alpha1, alpha2) > 0.0)
+    if sol is None:
+        return
+    assert sol.tc1 > 0.0 and sol.tc2 > 0.0
+    assert sol.x * sol.residual <= 1e-9
+    if p.r1 == p.r2:
+        w = p.hazard_rate * p.m ** (1.0 / (1.0 - p.gamma))
+        assert sol.x == pytest.approx(alpha1 / (1.0 + w - p.gamma * sol.beta), rel=1e-12)
 
 
 def test_stationary_parameter_validation(market):

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo: determinism, estimator agreement, sampling laws."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -55,12 +56,21 @@ def test_estimates_bit_identical_across_runs(exp1_spec, exp1_solution):
     assert r1 == r2
 
 
-def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch):
+def _same_ensemble(e1, e2):
+    return np.array_equal(e1.wealth, e2.wealth, equal_nan=True) and np.array_equal(e1.alive, e2.alive)
+
+
+@pytest.mark.parametrize(
+    "run, same",
+    [(estimate_J_kernel, operator.eq), (estimate_J_mortality, operator.eq), (simulate_wealth, _same_ensemble)],
+    ids=["kernel", "mortality", "wealth"],
+)
+def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch, run, same):
     a_curve, b_curve = exp1_solution
-    base = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
+    base = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
     monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 37)
-    chunked = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
-    assert base == chunked
+    chunked = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
+    assert same(base, chunked)
 
 
 def test_path_normals_are_per_path_substreams():
