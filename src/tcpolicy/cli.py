@@ -6,8 +6,9 @@ Usage::
 
 with command one of ``solve``, ``policies``, ``simulate``, ``stationary``,
 ``converge``, ``hump``.  Configs are flat ``key = value`` text with dotted
-sections (``market.r = 0.05``); unknown keys are rejected with their line
-number.  Exit status 0 on success, 2 on a validation refusal (bad config
+sections (``market.r = 0.05``); unknown keys and non-finite numbers (bar
+``insurance.payout.value = inf``) are rejected with their line number.
+Exit status 0 on success, 2 on a validation refusal (bad config
 or violated model assumption), 3 when ``simulate`` fails its fixed-point
 check (``fixedpoint.csv`` is still written), 1 on a runtime failure.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from .model import (
     ConstantHazard,
     ConstantPayout,
     ConstantWeight,
-    DiscountKernel,
     Exponential,
     Hyperbolic,
     InsuranceIncomeSpec,
@@ -96,6 +96,17 @@ def _to_bool(raw: str) -> bool:
     raise ValueError("expected 'true' or 'false'")
 
 
+def _to_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _to_float_or_inf(raw: str) -> float:
+    return math.inf if float(raw) == math.inf else _to_float(raw)
+
+
 def _read_pairs(text: str, source: str) -> dict[str, tuple[str, int]]:
     pairs: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -114,31 +125,73 @@ def _read_pairs(text: str, source: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _build_kernel(cfg: _Config, prefix: str, default: DiscountKernel | None = None) -> DiscountKernel:
-    family = cfg.take(f"{prefix}.family", str, default=None)
-    if family is None:
-        if default is None:
-            raise ConfigError(f"missing required key '{prefix}.family'")
-        return default
-    if family == "exponential":
-        return Exponential(rho=cfg.take(f"{prefix}.rho", float))
-    if family == "hyperbolic":
-        k1 = cfg.take(f"{prefix}.k1", float)
-        if cfg.has(f"{prefix}.h1_target"):
-            return Hyperbolic.from_unit_value(k1, cfg.take(f"{prefix}.h1_target", float))
-        return Hyperbolic(k1=k1, k2=cfg.take(f"{prefix}.k2", float))
-    if family == "sum_of_exponentials":
-        return SumOfExponentials(
-            weight=cfg.take(f"{prefix}.weight", float),
-            r1=cfg.take(f"{prefix}.r1", float),
-            r2=cfg.take(f"{prefix}.r2", float),
-        )
-    if family == "affine_exponential":
-        return AffineExponential(
-            a_coef=cfg.take(f"{prefix}.a_coef", float),
-            r_rate=cfg.take(f"{prefix}.r_rate", float),
-        )
-    raise ConfigError(f"unknown discount family '{family}' for '{prefix}'")
+# One table per family section: family name -> (model class, keys), each
+# key a (config key, dataclass field, default).  parse_config and
+# serialize_config both read these tables.  Dataclass fields a table does
+# not name (LogTaperWeight.horizon, InverseHazardPayout.hazard) come from
+# the model parsed so far.  A key whose default is inf also accepts inf
+# (insurance.payout.value: no insurance offered).
+_KERNELS = {
+    "exponential": (Exponential, (("rho", "rho", _REQUIRED),)),
+    "hyperbolic": (Hyperbolic, (("k1", "k1", _REQUIRED), ("k2", "k2", _REQUIRED))),
+    "sum_of_exponentials": (
+        SumOfExponentials,
+        (("weight", "weight", _REQUIRED), ("r1", "r1", _REQUIRED), ("r2", "r2", _REQUIRED)),
+    ),
+    "affine_exponential": (
+        AffineExponential,
+        (("a_coef", "a_coef", _REQUIRED), ("r_rate", "r_rate", _REQUIRED)),
+    ),
+}
+
+_FAMILIES = {
+    "mortality": {
+        "constant": (ConstantHazard, (("lambda0", "lambda0", 0.0),)),
+        "affine": (AffineHazard, (("lambda0", "lambda0", _REQUIRED), ("lambda1", "lambda1", _REQUIRED))),
+    },
+    "discount": _KERNELS,
+    "bequest_discount": _KERNELS,
+    "insurance.payout": {
+        "constant": (ConstantPayout, (("value", "payout", math.inf),)),
+        "inverse_hazard": (InverseHazardPayout, ()),
+    },
+    "preferences.m": {
+        "constant": (ConstantWeight, (("value", "m0", 1.0),)),
+        "log_taper": (LogTaperWeight, (("eps", "eps", 1e-15),)),
+    },
+}
+
+
+def _parse_family(cfg: _Config, section: str, default=_REQUIRED, **context):
+    """Build the model object that ``<section>.family`` names from its keys."""
+    table = _FAMILIES[section]
+
+    def known(name: str) -> str:
+        if name not in table:
+            raise ValueError(f"unknown family '{name}' (expected one of {', '.join(table)})")
+        return name
+
+    family = cfg.take(f"{section}.family", known, default)
+    if family == "hyperbolic" and cfg.has(f"{section}.h1_target"):
+        # h(1) = h1_target is another way to give k2
+        k1 = cfg.take(f"{section}.k1", _to_float)
+        return Hyperbolic.from_unit_value(k1, cfg.take(f"{section}.h1_target", _to_float))
+    cls, keys = table[family]
+    values = {
+        field: cfg.take(f"{section}.{key}", _to_float_or_inf if fallback == math.inf else _to_float, fallback)
+        for key, field, fallback in keys
+    }
+    values.update((f.name, context[f.name]) for f in fields(cls) if f.name not in values)
+    return cls(**values)
+
+
+def _family_lines(section: str, obj) -> list[str]:
+    for family, (cls, keys) in _FAMILIES[section].items():
+        if isinstance(obj, cls):
+            return [f"{section}.family = {family}"] + [
+                f"{section}.{key} = {getattr(obj, field)!r}" for key, field, _ in keys
+            ]
+    raise ConfigError(f"cannot serialize {section} {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -158,51 +211,26 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse flat key = value text into a validated RunConfig."""
     cfg = _Config(_read_pairs(text, source), source)
 
-    horizon = cfg.take("horizon", float)
+    horizon = cfg.take("horizon", _to_float)
     market = MarketParams(
-        r=cfg.take("market.r", float),
-        alpha=cfg.take("market.alpha", float),
-        sigma=cfg.take("market.sigma", float),
+        r=cfg.take("market.r", _to_float),
+        alpha=cfg.take("market.alpha", _to_float),
+        sigma=cfg.take("market.sigma", _to_float),
     )
-
-    mort_family = cfg.take("mortality.family", str, default="constant")
-    if mort_family == "constant":
-        mortality = ConstantHazard(lambda0=cfg.take("mortality.lambda0", float, default=0.0))
-    elif mort_family == "affine":
-        mortality = AffineHazard(
-            lambda0=cfg.take("mortality.lambda0", float),
-            lambda1=cfg.take("mortality.lambda1", float),
-        )
-    else:
-        raise ConfigError(f"unknown mortality family '{mort_family}'")
-
-    discount = _build_kernel(cfg, "discount")
-    bequest = _build_kernel(cfg, "bequest_discount", default=discount)
-
-    payout_family = cfg.take("insurance.payout.family", str, default="constant")
-    if payout_family == "constant":
-        payout = ConstantPayout(payout=cfg.take("insurance.payout.value", float, default=math.inf))
-    elif payout_family == "inverse_hazard":
-        payout = InverseHazardPayout(hazard=mortality)
-    else:
-        raise ConfigError(f"unknown payout family '{payout_family}'")
+    mortality = _parse_family(cfg, "mortality", default="constant")
+    discount = _parse_family(cfg, "discount")
+    bequest = _parse_family(cfg, "bequest_discount") if cfg.has("bequest_discount.family") else discount
     insurance = InsuranceIncomeSpec(
-        payout=payout,
-        eta=cfg.take("insurance.eta", float, default=1.0),
-        income=cfg.take("income.rate", float, default=0.0),
+        payout=_parse_family(cfg, "insurance.payout", default="constant", hazard=mortality),
+        eta=cfg.take("insurance.eta", _to_float, default=1.0),
+        income=cfg.take("income.rate", _to_float, default=0.0),
     )
-
-    gamma = cfg.take("preferences.gamma", float)
-    n_weight = cfg.take("preferences.n", float)
-    m_family = cfg.take("preferences.m.family", str, default="constant")
-    if m_family == "constant":
-        m_weight = ConstantWeight(m0=cfg.take("preferences.m.value", float, default=1.0))
-    elif m_family == "log_taper":
-        m_weight = LogTaperWeight(horizon=horizon, eps=cfg.take("preferences.m.eps", float, default=1e-15))
-    else:
-        raise ConfigError(f"unknown Pareto weight family '{m_family}'")
-    prefs = PreferenceParams(gamma=gamma, n=n_weight, m_weight=m_weight, bequest_discount=bequest)
-
+    prefs = PreferenceParams(
+        gamma=cfg.take("preferences.gamma", _to_float),
+        n=cfg.take("preferences.n", _to_float),
+        m_weight=_parse_family(cfg, "preferences.m", default="constant", horizon=horizon),
+        bequest_discount=bequest,
+    )
     spec = ModelSpec(
         market=market,
         mortality=mortality,
@@ -216,11 +244,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     mc = simulate.SimConfig(
         paths=cfg.take("mc.paths", int, default=100_000),
         seed=cfg.take("mc.seed", int, default=20240901),
-        dt=cfg.take("mc.dt", float, default=1e-3),
+        dt=cfg.take("mc.dt", _to_float, default=1e-3),
         scheme=cfg.take("mc.scheme", str, default=simulate.EXACT_Y),
     )
-    t0 = cfg.take("mc.t0", float, default=0.0)
-    x0 = cfg.take("mc.x0", float, default=1.0)
+    t0 = cfg.take("mc.t0", _to_float, default=0.0)
+    x0 = cfg.take("mc.x0", _to_float, default=1.0)
     output_dir = cfg.take("output.directory", str, default="out")
     emit_svg = cfg.take("output.emit_svg", _to_bool, default=True)
     cfg.finish()
@@ -229,64 +257,24 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     )
 
 
-def _kernel_lines(prefix: str, kernel: DiscountKernel) -> list[str]:
-    if isinstance(kernel, Exponential):
-        return [f"{prefix}.family = exponential", f"{prefix}.rho = {kernel.rho!r}"]
-    if isinstance(kernel, Hyperbolic):
-        return [f"{prefix}.family = hyperbolic", f"{prefix}.k1 = {kernel.k1!r}", f"{prefix}.k2 = {kernel.k2!r}"]
-    if isinstance(kernel, SumOfExponentials):
-        return [
-            f"{prefix}.family = sum_of_exponentials",
-            f"{prefix}.weight = {kernel.weight!r}",
-            f"{prefix}.r1 = {kernel.r1!r}",
-            f"{prefix}.r2 = {kernel.r2!r}",
-        ]
-    if isinstance(kernel, AffineExponential):
-        return [
-            f"{prefix}.family = affine_exponential",
-            f"{prefix}.a_coef = {kernel.a_coef!r}",
-            f"{prefix}.r_rate = {kernel.r_rate!r}",
-        ]
-    raise ConfigError(f"cannot serialize kernel {kernel!r}")
-
-
 def serialize_config(rc: RunConfig) -> str:
     """Render a RunConfig back to config text; parsing it again reproduces
-    the same ModelSpec."""
+    the same RunConfig."""
     spec = rc.spec
-    lines = [f"horizon = {spec.horizon!r}"]
-    lines += [
+    lines = [
+        f"horizon = {spec.horizon!r}",
         f"market.r = {spec.market.r!r}",
         f"market.alpha = {spec.market.alpha!r}",
         f"market.sigma = {spec.market.sigma!r}",
-    ]
-    if isinstance(spec.mortality, ConstantHazard):
-        lines += ["mortality.family = constant", f"mortality.lambda0 = {spec.mortality.lambda0!r}"]
-    else:
-        lines += [
-            "mortality.family = affine",
-            f"mortality.lambda0 = {spec.mortality.lambda0!r}",
-            f"mortality.lambda1 = {spec.mortality.lambda1!r}",
-        ]
-    lines += _kernel_lines("discount", spec.discount)
-    lines += _kernel_lines("bequest_discount", spec.prefs.bequest_discount)
-    payout = spec.insurance.payout
-    if isinstance(payout, ConstantPayout):
-        lines += ["insurance.payout.family = constant", f"insurance.payout.value = {payout.payout!r}"]
-    else:
-        lines += ["insurance.payout.family = inverse_hazard"]
-    lines += [
+        *_family_lines("mortality", spec.mortality),
+        *_family_lines("discount", spec.discount),
+        *_family_lines("bequest_discount", spec.prefs.bequest_discount),
+        *_family_lines("insurance.payout", spec.insurance.payout),
         f"insurance.eta = {spec.insurance.eta!r}",
         f"income.rate = {spec.insurance.income!r}",
         f"preferences.gamma = {spec.prefs.gamma!r}",
         f"preferences.n = {spec.prefs.n!r}",
-    ]
-    m_weight = spec.prefs.m_weight
-    if isinstance(m_weight, ConstantWeight):
-        lines += ["preferences.m.family = constant", f"preferences.m.value = {m_weight.m0!r}"]
-    else:
-        lines += ["preferences.m.family = log_taper", f"preferences.m.eps = {m_weight.eps!r}"]
-    lines += [
+        *_family_lines("preferences.m", spec.prefs.m_weight),
         f"grid.N = {rc.grid_n}",
         f"mc.paths = {rc.mc.paths}",
         f"mc.seed = {rc.mc.seed}",

@@ -124,6 +124,7 @@ class Hyperbolic(DiscountKernel):
     @classmethod
     def from_unit_value(cls, k1: float, h1: float) -> "Hyperbolic":
         """Construct with ``k2`` chosen so that ``h(1) = h1``."""
+        _require(k1 > 0, "Hyperbolic.from_unit_value: need k1 > 0")
         _require(0 < h1 < 1, "Hyperbolic.from_unit_value: need 0 < h1 < 1")
         k2 = -k1 * math.log(h1) / math.log1p(k1)
         return cls(k1, k2)

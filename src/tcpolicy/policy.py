@@ -13,7 +13,6 @@ Merton fraction the classical ``mu/sigma^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isinf
 
 import numpy as np
 
@@ -125,8 +124,6 @@ def legacy(spec: ModelSpec, t: float, x: float, premium: float) -> float:
     """Amount accruing to heirs at death: ``eta(t) x + l(t) premium``."""
     payout = float(spec.insurance.payout.value(t))
     insured = 0.0 if premium == 0.0 else payout * premium
-    if isinf(payout) and premium != 0.0:
-        insured = float("inf") if premium > 0 else float("-inf")
     return spec.insurance.eta * x + insured
 
 

@@ -213,12 +213,11 @@ class _SimContext:
             yield block
 
 
-def _block_ranges(total: int, block: int | None = None):
-    # block resolved at call time so results are chunking-independent by
-    # construction (each path owns fixed counter blocks) and testably so
-    block = _BLOCK_PATHS if block is None else block
-    for start in range(0, total, block):
-        yield start, min(block, total - start)
+def _block_ranges(total: int):
+    # _BLOCK_PATHS is read at call time so tests can shrink it; results do
+    # not depend on it because each path owns fixed counter blocks
+    for start in range(0, total, _BLOCK_PATHS):
+        yield start, min(_BLOCK_PATHS, total - start)
 
 
 # ---------------------------------------------------------------------------

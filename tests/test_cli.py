@@ -3,6 +3,8 @@
 import csv
 import math
 import os
+import re
+import string
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,9 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcpolicy.cli import (
+    _FAMILIES,
     ConfigError,
+    RunConfig,
     emit_csv,
     emit_svg_plot,
     main,
@@ -21,8 +27,24 @@ from tcpolicy.cli import (
 )
 from tcpolicy.closed_form import b_function
 from tcpolicy.ie_solver import solve_a
-from tcpolicy.model import Hyperbolic
+from tcpolicy.model import (
+    AffineExponential,
+    AffineHazard,
+    ConstantHazard,
+    ConstantPayout,
+    ConstantWeight,
+    Exponential,
+    Hyperbolic,
+    InsuranceIncomeSpec,
+    InverseHazardPayout,
+    LogTaperWeight,
+    MarketParams,
+    ModelSpec,
+    PreferenceParams,
+    SumOfExponentials,
+)
 from tcpolicy.policy import policy_at
+from tcpolicy.simulate import EULER, EXACT_Y, SimConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -159,6 +181,156 @@ def test_config_round_trip():
             rc.output_dir,
             rc.emit_svg,
         )
+
+
+SCALAR_FLOAT_KEYS = [
+    "horizon",
+    "market.r",
+    "market.alpha",
+    "market.sigma",
+    "insurance.eta",
+    "income.rate",
+    "preferences.gamma",
+    "preferences.n",
+    "mc.dt",
+    "mc.t0",
+    "mc.x0",
+]
+
+# valid values for every key of every family class in the tables
+FAMILY_VALUES = {
+    Exponential: {"rho": 0.1},
+    Hyperbolic: {"k1": 5.0, "k2": 3.0},
+    SumOfExponentials: {"weight": 0.5, "r1": 0.1, "r2": 0.3},
+    AffineExponential: {"a_coef": 0.1, "r_rate": 0.2},
+    ConstantHazard: {"lambda0": 0.02},
+    AffineHazard: {"lambda0": 0.005, "lambda1": 0.001},
+    ConstantPayout: {"value": 50.0},
+    InverseHazardPayout: {},
+    ConstantWeight: {"value": 1.0},
+    LogTaperWeight: {"eps": 1e-15},
+}
+
+
+def _with_family(section, family, values):
+    """EXP1_TEXT with the section switched to the family and its values."""
+    lines = [ln for ln in EXP1_TEXT.splitlines() if not ln.startswith(section + ".")]
+    return lines + [f"{section}.family = {family}"] + [f"{section}.{k} = {v!r}" for k, v in values.items()]
+
+
+def _set_key(lines, key, value):
+    """Set ``key = value`` in config lines, appending if absent; return its line number."""
+    for i, line in enumerate(lines):
+        if line.partition("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}"
+            return i + 1
+    lines.append(f"{key} = {value}")
+    return len(lines)
+
+
+def _float_key_cases():
+    for key in SCALAR_FLOAT_KEYS:
+        yield pytest.param(EXP1_TEXT.splitlines(), key, id=key)
+    for section, table in _FAMILIES.items():
+        for family, (cls, keys) in table.items():
+            assert set(FAMILY_VALUES[cls]) == {key for key, _, _ in keys}
+            lines = _with_family(section, family, FAMILY_VALUES[cls])
+            for key, _, _ in keys:
+                yield pytest.param(lines, f"{section}.{key}", id=f"{section}.{key}-{family}")
+    for section in ("discount", "bequest_discount"):
+        lines = _with_family(section, "hyperbolic", {"k1": 5.0, "h1_target": 0.3})
+        for key in ("k1", "h1_target"):
+            yield pytest.param(lines, f"{section}.{key}", id=f"{section}.{key}-h1_target")
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("lines, key", _float_key_cases())
+def test_nonfinite_float_rejected_with_line(lines, key, bad):
+    lines = list(lines)
+    parse_config("\n".join(lines) + "\n")  # valid until the bad value goes in
+    line = _set_key(lines, key, bad)
+    text = "\n".join(lines) + "\n"
+    if key == "insurance.payout.value" and bad == "inf":
+        # documented as "no insurance offered"
+        assert parse_config(text).spec.insurance.payout == ConstantPayout(math.inf)
+        return
+    with pytest.raises(ConfigError, match=rf":{line}: bad value for '{re.escape(key)}': must be finite"):
+        parse_config(text)
+
+
+_SAFE_DIR = st.text(string.ascii_letters + string.digits + "_-./", min_size=1, max_size=20)
+
+
+def _between(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    horizon = draw(_between(0.1, 50.0))
+    r = draw(_between(-0.05, 0.1))
+    market = MarketParams(r=r, alpha=r + draw(_between(1e-3, 0.2)), sigma=draw(_between(0.01, 1.0)))
+    mortality = draw(
+        st.builds(ConstantHazard, _between(0.0, 0.1))
+        | st.builds(AffineHazard, _between(0.0, 0.1), _between(0.0, 0.01))
+    )
+    kernels = (
+        st.builds(Exponential, _between(0.0, 2.0))
+        | st.builds(Hyperbolic, _between(0.01, 10.0), _between(0.01, 5.0))
+        | st.builds(SumOfExponentials, _between(0.0, 1.0), _between(0.0, 2.0), _between(0.0, 2.0))
+        | st.builds(lambda rate, u: AffineExponential(rate * u, rate), _between(0.0, 2.0), _between(0.0, 1.0))
+    )
+    discount = draw(kernels)
+    payout = draw(
+        st.builds(ConstantPayout, _between(0.1, 1e3) | st.just(math.inf)) | st.just(InverseHazardPayout(mortality))
+    )
+    m_weight = draw(
+        st.builds(ConstantWeight, _between(0.1, 5.0))
+        | st.builds(LogTaperWeight, st.just(horizon), _between(1e-16, 1e-3))
+    )
+    prefs = PreferenceParams(
+        gamma=draw(st.just(0.0) | _between(-5.0, 0.9)),
+        n=draw(_between(0.1, 30.0)),
+        m_weight=m_weight,
+        bequest_discount=draw(st.just(discount) | kernels),
+    )
+    insurance = InsuranceIncomeSpec(payout=payout, eta=draw(_between(0.1, 2.0)), income=draw(_between(0.0, 2.0)))
+    mc = SimConfig(
+        paths=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**63)),
+        dt=draw(_between(1e-4, 0.1)),
+        scheme=draw(st.sampled_from([EXACT_Y, EULER])),
+    )
+    return RunConfig(
+        spec=ModelSpec(market, mortality, discount, prefs, insurance, horizon),
+        grid_n=draw(st.integers(2, 10**5)),
+        mc=mc,
+        t0=draw(_between(0.0, horizon)),
+        x0=draw(_between(-1e3, 1e3)),
+        output_dir=draw(_SAFE_DIR),
+        emit_svg=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_configs())
+def test_config_round_trip_property(rc):
+    text = serialize_config(rc)
+    assert parse_config(text) == rc
+    assert serialize_config(parse_config(text)) == text
+
+
+def test_readme_lists_every_family_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = [
+        f"{section}.{key}"
+        for section, table in _FAMILIES.items()
+        for _, keys in table.values()
+        for key, _, _ in keys
+        if not re.search(rf"(?<![\w.]){re.escape(section)}\.{key}\b", readme)
+    ]
+    missing += [f"family {name}" for table in _FAMILIES.values() for name in table if f"`{name}`" not in readme]
+    assert not missing
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +624,24 @@ def test_exit_1_on_scheme_breakdown(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "increase N" in capsys.readouterr().err
+
+
+def test_exit_2_on_nonfinite_value(tmp_path, capsys):
+    # an infinite volatility used to solve to a zero Merton fraction
+    cfg = _write(tmp_path, EXP1_TEXT.replace("market.sigma = 0.2", "market.sigma = inf"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert ":5: bad value for 'market.sigma': must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k1", ["0", "-1"])
+def test_exit_2_on_nonpositive_hyperbolic_k1(tmp_path, capsys, k1):
+    text = EXP1_TEXT.replace(
+        "discount.family = exponential\ndiscount.rho = 0.1",
+        f"discount.family = hyperbolic\ndiscount.k1 = {k1}\ndiscount.h1_target = 0.3",
+    )
+    cfg = _write(tmp_path, text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "refused" in capsys.readouterr().err
 
 
 def test_exit_2_on_invalid_model_value(tmp_path, capsys):

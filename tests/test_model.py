@@ -86,6 +86,13 @@ def test_hyperbolic_unit_value_matches_root_finder():
     assert k.value(1.0) == pytest.approx(0.3, rel=1e-12)
 
 
+@pytest.mark.parametrize("k1", [0.0, -1.0, -0.5, math.nan])
+def test_hyperbolic_unit_value_rejects_nonpositive_k1(k1):
+    # log1p(k1) is 0 at k1 = 0 and undefined below -1: refuse before either
+    with pytest.raises(ValidationError, match="k1 > 0"):
+        Hyperbolic.from_unit_value(k1, 0.3)
+
+
 def test_hyperbolic_log_derivative_formula():
     k = Hyperbolic(k1=5.0, k2=3.3597)
     assert k.log_derivative(0.0) == pytest.approx(-3.3597, rel=1e-12)
