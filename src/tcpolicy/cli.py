@@ -259,7 +259,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 def serialize_config(rc: RunConfig) -> str:
     """Render a RunConfig back to config text; parsing it again reproduces
-    the same RunConfig."""
+    the same RunConfig.
+
+    Refuses an ``output_dir`` the parser would read back differently: one
+    that is empty, holds ``#`` or a line break, or has leading or trailing
+    whitespace.
+    """
+    out = rc.output_dir
+    if out.splitlines() != [out] or "#" in out or out != out.strip():
+        raise ConfigError(f"output.directory {out!r} cannot be written as config text")
     spec = rc.spec
     lines = [
         f"horizon = {spec.horizon!r}",

@@ -18,7 +18,10 @@ criterion carries ``(a/m(0))^(gamma/(gamma-1))`` rather than the bare
 power of a; w = 1 whenever m(0) = 1.  The scheme marches from T down to 0
 with step ``epsilon = -T/N``, discretizing the memory integral by a
 Riemann sum over the already-computed nodes; it is first-order accurate
-in 1/N.
+in 1/N.  On the uniform grid L factors into lag-only tables times
+node-only weights kept in log space, so step n is two (2 x n) mat-vecs
+without allocation: O(N^2) flops in total, and long horizons neither
+underflow nor overflow the exponential factors.
 
 Also here: a-priori comparison bounds sandwiching a(t) between two
 Bernoulli-ODE envelopes, and an empirical convergence report.  The march
@@ -29,6 +32,7 @@ freely shareable across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +67,7 @@ class AssumptionViolatedError(ValidationError):
 
 
 class SchemeBreakdownError(RuntimeError):
-    """A scheme iterate left the positive cone; increase N."""
+    """A scheme iterate left the positive cone (increase N) or overflowed."""
 
 
 @dataclass(frozen=True)
@@ -99,19 +103,36 @@ class SolutionGrid:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed node tables
+# Precomputed node and lag tables
 # ---------------------------------------------------------------------------
+
+# The node weights f and g are stored relative to e^ref, and ref moves to
+# the current node once e_n + log A_n drifts this far from it, so that they
+# stay inside the double range (about e^+-709) over long horizons.
+_MAX_LOG_DRIFT = 100.0
 
 
 class _SchemeTables:
-    """Node-indexed arrays shared by every step of the backward march.
+    """Node- and lag-indexed tables and the node-weight buffers of one march.
 
-    Lag-indexed arrays exploit the uniform grid: ``s - t`` between nodes is
-    always a whole number of steps, so h'/h and the kernel weights are
-    tabulated once.  The separable exponential ``exp(int_t^s (K + gamma
-    eta/l))`` is stored as a ratio of prefix factors.  The legacy-weight
-    tables stop one lag short of T: a lag of exactly T never occurs inside
-    the Riemann sums, and a tapering Pareto weight may be singular there.
+    On the uniform grid ``s - t`` between nodes is a whole number of steps,
+    so the memory kernel factors into lag-only tables times node-only
+    weights.  With ``k = n - j``, ``e = Psi - Lambda`` (``Psi = int_0^t (K +
+    gamma eta/l)``, Lambda the integrated hazard; kept in log space and
+    offset so that e = 0 at t = T), ``d = h'/h - h'/h(0)`` and ``dbar =
+    hbar'/hbar - h'/h(0)`` at each lag,
+
+        L(t_j, t_n) A_j/A_n = [(d_n - d_k) h_k + q_weight (d_n - dbar_k) hbar_k lambda_j]
+                              e^(e_j - e_n) A_j/A_n.
+
+    h'/h(0) cancels in each difference; measuring from it makes d vanish
+    exactly for an exponential kernel, so the memory term is exactly zero
+    where the kernel is, instead of the rounding residue of sums as large
+    as e^(e_j - e_n).  The lag tables ``[h, d h]`` and ``[hbar, dbar hbar]``
+    are stored reversed, so step n reads the contiguous tail of length n.
+    The legacy-weight table stops one lag short of T: a lag of exactly T
+    never occurs inside the march, and a tapering Pareto weight may be
+    singular there.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -123,7 +144,6 @@ class _SchemeTables:
         self.K = constant_K(spec.market, self.gamma)
         self.eta = ins.eta
         self.epsilon = -T / N
-        self.N = N
         # legacy-kernel scaling from U((a/m)^(1/(g-1)) Y); both equal 1 at m(0) = 1
         self.lam_weight = legacy_hazard_weight(prefs)
         self.q_weight = self.lam_weight / prefs.m0
@@ -132,38 +152,58 @@ class _SchemeTables:
         lags = np.linspace(0.0, T, N + 1)  # k * T/N
 
         self.h_log = np.asarray(spec.discount.log_derivative(lags), dtype=float)
-        self.h_val = np.asarray(spec.discount.value(lags), dtype=float)
-        self.hbar_log = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float)
-        self.hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
+        h_val = np.asarray(spec.discount.value(lags), dtype=float)
+        hbar_log = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float)
+        hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
+        self.d = self.h_log - self.h_log[0]
+        dbar = hbar_log - self.h_log[0]
+        # lags N..1 and N-1..1
+        self.h_lags = np.ascontiguousarray(np.stack([h_val, self.d * h_val])[:, :0:-1])
+        self.hbar_lags = np.ascontiguousarray(np.stack([hbar_val, dbar * hbar_val])[:, :0:-1])
 
         self.lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
         self.M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
         self.inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
-        # e^{-Lambda(t_n)} and e^{Psi(t_n)} with Psi = int_0^t (K + gamma eta/l)
-        self.exp_neg_cumhaz = np.exp(-np.asarray(spec.mortality.cumulative(self.times), dtype=float))
         psi = self.K * self.times + self.gamma * self.eta * np.asarray(
             ins.payout.integrated_inverse(self.times), dtype=float
         )
-        self.exp_psi = np.exp(psi)
+        e = psi - np.asarray(spec.mortality.cumulative(self.times), dtype=float)
+        self.e = e - e[0]  # only differences of e enter; e = 0 at t = T
 
-    def local_terms(self, n: int, a_n: float, a_pow_n: float) -> float:
-        drift = self.lam[n] - self.h_log[n] - self.K - self.gamma * self.eta * self.inv_l[n]
-        return (self.gamma * self.M[n] - self.lam_weight * self.lam[n] - 1.0) * a_pow_n + drift * a_n
+        # node weights, relative to e^ref and filled one node at a time
+        self.f = np.empty(N)
+        self.g = np.empty(N)
+        self.ref = 0.0
 
-    def memory_sum(self, n: int, a_pow: np.ndarray, A: np.ndarray) -> float:
-        """``sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n`` over j = 0..n-1."""
+    def record(self, n: int, a_pow_n: float, A_n: float) -> None:
+        """Store the node weights ``f_n = e^(e_n - ref) a_n^(g/(g-1)) A_n``
+        and ``g_n = lambda_n f_n``, first rescaling the stored ones if ref
+        has to move (see ``_MAX_LOG_DRIFT``); nodes come in order 0, 1, ...
+        """
+        log_scale = self.e[n] + math.log(A_n)
+        if abs(log_scale - self.ref) > _MAX_LOG_DRIFT:
+            shift = math.exp(self.ref - log_scale)
+            self.f[:n] *= shift
+            self.g[:n] *= shift
+            self.ref = log_scale
+        self.f[n] = math.exp(log_scale - self.ref) * a_pow_n
+        self.g[n] = self.lam[n] * self.f[n]
+
+    def memory(self, n: int, A_n: float) -> float:
+        """``sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n`` over j = 0..n-1, from
+        the weights recorded for those nodes: two (2 x n) mat-vecs."""
         if n == 0:
             return 0.0
-        surv = self.exp_neg_cumhaz[:n] / self.exp_neg_cumhaz[n]
-        Q = self.h_val[n:0:-1] * surv
-        q = self.q_weight * self.hbar_val[n:0:-1] * self.lam[:n] * surv
-        bracket = (self.h_log[n] - self.h_log[n:0:-1]) * Q + (self.h_log[n] - self.hbar_log[n:0:-1]) * q
-        L = bracket * (self.exp_psi[:n] / self.exp_psi[n])
-        return float(np.sum(L * a_pow[:n] * (A[:n] / A[n])))
+        hf, dhf = self.h_lags[:, -n:] @ self.f[:n]
+        hg, dhg = self.hbar_lags[:, -n:] @ self.g[:n]
+        d_n = self.d[n]
+        bracket = d_n * hf - dhf + self.q_weight * (d_n * hg - dhg)
+        return bracket / math.exp(self.e[n] + math.log(A_n) - self.ref)
 
-    def rhs(self, n: int, a: np.ndarray, A: np.ndarray, a_pow: np.ndarray) -> float:
-        integral = -self.epsilon * self.memory_sum(n, a_pow, A)
-        return self.local_terms(n, a[n], a_pow[n]) + integral
+    def rhs(self, n: int, a_n: float, a_pow_n: float, memory: float) -> float:
+        drift = self.lam[n] - self.h_log[n] - self.K - self.gamma * self.eta * self.inv_l[n]
+        local = (self.gamma * self.M[n] - self.lam_weight * self.lam[n] - 1.0) * a_pow_n + drift * a_n
+        return local - self.epsilon * memory
 
 
 def _check_preconditions(spec: ModelSpec, N: int) -> None:
@@ -182,8 +222,10 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     """March the explicit scheme backward from a(T) = n, A(T) = 1.
 
     Refuses to run when the positivity assumption fails; raises
-    :class:`SchemeBreakdownError` if an iterate leaves the positive cone.
-    Cost is O(N^2) from the memory sums.
+    :class:`SchemeBreakdownError` if an iterate leaves the positive cone or
+    overflows.  Step n costs two (2 x n) mat-vecs of the lag tables against
+    node weights filled one node per step, so a solve is O(N^2) flops with
+    no per-step array allocation.
     """
     _check_preconditions(spec, N)
     tab = _SchemeTables(spec, N)
@@ -191,17 +233,20 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
 
     a = np.empty(N + 1)
     A = np.empty(N + 1)
-    a_pow = np.empty(N + 1)
     a[0] = spec.prefs.n
     A[0] = 1.0
     for n in range(N):
-        a_pow[n] = a[n] ** tab.pow_ratio
-        a[n + 1] = a[n] + eps * tab.rhs(n, a, A, a_pow)
+        a_pow = a[n] ** tab.pow_ratio
+        memory = tab.memory(n, A[n])
+        tab.record(n, a_pow, A[n])
+        a[n + 1] = a[n] + eps * tab.rhs(n, a[n], a_pow, memory)
         A[n + 1] = A[n] - tab.gamma * eps * a[n] ** tab.pow_inv * tab.M[n] * A[n]
-        if not (a[n + 1] > 0.0 and A[n + 1] > 0.0):
+        if not (0.0 < a[n + 1] < math.inf and 0.0 < A[n + 1] < math.inf):
+            finite = math.isfinite(a[n + 1]) and math.isfinite(A[n + 1])
             raise SchemeBreakdownError(
                 f"scheme breakdown at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
-                f"a = {a[n + 1]:.6g}, A = {A[n + 1]:.6g}; increase N"
+                f"a = {a[n + 1]:.6g}, A = {A[n + 1]:.6g}; "
+                + ("increase N" if finite else "overflow: the iterate is not finite")
             )
     return SolutionGrid(times=tab.times, a_values=a, A_values=A, N=N, epsilon=eps)
 
@@ -210,16 +255,20 @@ def rhs_derivative(spec: ModelSpec, grid: SolutionGrid, n: int) -> float:
     """Discretized right-hand side a'(t_n) given the populated grid.
 
     The memory integral is the Riemann sum ``-eps sum_j L(t_j, t_n) ...``
-    over the nodes already computed (t_j > t_n).
+    over the nodes already computed (t_j > t_n), the same sum the march
+    takes; n = N is outside the march (it needs the legacy weight at lag T).
     """
-    if not 0 <= n <= grid.N:
-        raise ValidationError(f"rhs_derivative: index {n} outside 0..{grid.N}")
-    if np.any(grid.a_values[: n + 1] <= 0.0) or np.any(grid.A_values[: n + 1] <= 0.0):
+    if not 0 <= n < grid.N:
+        raise ValidationError(f"rhs_derivative: index {n} outside 0..{grid.N - 1}")
+    a, A = grid.a_values, grid.A_values
+    if np.any(a[: n + 1] <= 0.0) or np.any(A[: n + 1] <= 0.0):
         raise SchemeBreakdownError("rhs_derivative: non-positive grid values")
     _check_preconditions(spec, grid.N)
     tab = _SchemeTables(spec, grid.N)
-    a_pow = grid.a_values ** tab.pow_ratio
-    return tab.rhs(n, grid.a_values, grid.A_values, a_pow)
+    a_pow = a[: n + 1] ** tab.pow_ratio
+    for j in range(n):
+        tab.record(j, a_pow[j], A[j])
+    return tab.rhs(n, a[n], a_pow[n], tab.memory(n, A[n]))
 
 
 # ---------------------------------------------------------------------------

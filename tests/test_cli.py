@@ -1,6 +1,7 @@
 """Config parsing, artifact emission, command dispatch, exit codes."""
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -181,6 +182,25 @@ def test_config_round_trip():
             rc.output_dir,
             rc.emit_svg,
         )
+
+
+@pytest.mark.parametrize("output_dir", ["runs#1", "runs\n1", "runs\r1", " runs", "runs ", "runs\t", ""])
+def test_serialize_refuses_unreadable_output_dir(output_dir):
+    # "runs#1" used to come back as "runs"; a line break made the text unparseable
+    rc = dataclasses.replace(parse_config(EXP1_TEXT), output_dir=output_dir)
+    with pytest.raises(ConfigError, match="output.directory"):
+        serialize_config(rc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_output_dir_round_trips_or_is_refused(output_dir):
+    rc = dataclasses.replace(parse_config(EXP1_TEXT), output_dir=output_dir)
+    try:
+        text = serialize_config(rc)
+    except ConfigError:
+        return
+    assert parse_config(text) == rc
 
 
 SCALAR_FLOAT_KEYS = [
@@ -624,6 +644,19 @@ def test_exit_1_on_scheme_breakdown(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "increase N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, status",
+    [("solve", 2), ("policies", 2), ("simulate", 2), ("hump", 2), ("converge", 2), ("stationary", 0)],
+)
+def test_log_utility_served_by_stationary_only(tmp_path, capsys, command, status):
+    # gamma = 0 has no backward scheme; only the stationary closed form takes it
+    text = (CONFIGS / "exp1.cfg").read_text().replace("preferences.gamma = -1", "preferences.gamma = 0")
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--no-svg"]) == status
+    if status == 2:
+        assert "gamma = 0 is served by the log-utility closed form" in capsys.readouterr().err
 
 
 def test_exit_2_on_nonfinite_value(tmp_path, capsys):

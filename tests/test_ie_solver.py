@@ -1,21 +1,30 @@
 """Backward scheme, interpolation, convergence, and comparison bounds."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tcpolicy import (
+    AffineExponential,
+    AffineHazard,
     ConstantHazard,
     ConstantPayout,
     ConstantWeight,
     Exponential,
+    Hyperbolic,
     InsuranceIncomeSpec,
+    MarketParams,
     ModelSpec,
     PreferenceParams,
+    SumOfExponentials,
     ValidationError,
     constant_K,
+    weight_M,
 )
+from tcpolicy.cli import parse_config
 from tcpolicy.closed_form import a_exponential
 from tcpolicy.ie_solver import (
     AssumptionViolatedError,
@@ -26,6 +35,9 @@ from tcpolicy.ie_solver import (
     rhs_derivative,
     solve_a,
 )
+from tcpolicy.model import legacy_hazard_weight
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _no_insurance_spec(market, rho=0.1, gamma=-1.0, n=1.0, horizon=1.0):
@@ -130,6 +142,149 @@ def test_A_recursion_matches_trapezoid(exp1_spec):
 
 
 # ---------------------------------------------------------------------------
+# The factored memory sum against the per-pair sum it replaced
+# ---------------------------------------------------------------------------
+
+
+def _per_pair_march(spec, N):
+    """Reference march: the memory kernel L(t_j, t_n) formed pair by pair
+    over j = 0..n-1 at every step, with the survival and Psi factors taken
+    as ratios of exponentials (the form the lag tables replaced)."""
+    T = spec.horizon
+    prefs, ins = spec.prefs, spec.insurance
+    gamma = prefs.gamma
+    pow_ratio = gamma / (gamma - 1.0)
+    pow_inv = 1.0 / (gamma - 1.0)
+    K = constant_K(spec.market, gamma)
+    eps = -T / N
+    lam_weight = legacy_hazard_weight(prefs)
+    q_weight = lam_weight / prefs.m0
+    times = np.linspace(T, 0.0, N + 1)
+    lags = np.linspace(0.0, T, N + 1)
+    h_log = np.asarray(spec.discount.log_derivative(lags), dtype=float)
+    h_val = np.asarray(spec.discount.value(lags), dtype=float)
+    hbar_log = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float)
+    hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
+    lam = np.asarray(spec.mortality.rate(times), dtype=float)
+    M = np.asarray(weight_M(prefs, ins, times), dtype=float)
+    inv_l = np.asarray(ins.payout.inverse(times), dtype=float)
+    exp_neg_cumhaz = np.exp(-np.asarray(spec.mortality.cumulative(times), dtype=float))
+    psi = K * times + gamma * ins.eta * np.asarray(ins.payout.integrated_inverse(times), dtype=float)
+    exp_psi = np.exp(psi)
+
+    a = np.empty(N + 1)
+    A = np.empty(N + 1)
+    a_pow = np.empty(N + 1)
+    a[0] = prefs.n
+    A[0] = 1.0
+    for n in range(N):
+        a_pow[n] = a[n] ** pow_ratio
+        memory = 0.0
+        if n > 0:
+            surv = exp_neg_cumhaz[:n] / exp_neg_cumhaz[n]
+            Q = h_val[n:0:-1] * surv
+            q = q_weight * hbar_val[n:0:-1] * lam[:n] * surv
+            bracket = (h_log[n] - h_log[n:0:-1]) * Q + (h_log[n] - hbar_log[n:0:-1]) * q
+            L = bracket * (exp_psi[:n] / exp_psi[n])
+            memory = float(np.sum(L * a_pow[:n] * (A[:n] / A[n])))
+        drift = lam[n] - h_log[n] - K - gamma * ins.eta * inv_l[n]
+        local = (gamma * M[n] - lam_weight * lam[n] - 1.0) * a_pow[n] + drift * a[n]
+        a[n + 1] = a[n] + eps * (local + -eps * memory)
+        A[n + 1] = A[n] - gamma * eps * a[n] ** pow_inv * M[n] * A[n]
+    return a, A
+
+
+def _mixed_kernel_spec():
+    # distinct consumption and bequest kernels and m != 1: hbar != h and q_weight != 1
+    hazard = AffineHazard(lambda0=0.01, lambda1=0.004)
+    return ModelSpec(
+        market=MarketParams(r=0.04, alpha=0.1, sigma=0.25),
+        mortality=hazard,
+        discount=SumOfExponentials(weight=0.4, r1=0.05, r2=0.6),
+        prefs=PreferenceParams(
+            gamma=-2.0,
+            n=3.0,
+            m_weight=ConstantWeight(2.0),
+            bequest_discount=AffineExponential(a_coef=0.2, r_rate=0.5),
+        ),
+        insurance=InsuranceIncomeSpec(payout=ConstantPayout(30.0), eta=0.8, income=0.0),
+        horizon=5.0,
+    )
+
+
+@pytest.mark.parametrize("N", [400, 4000])
+@pytest.mark.parametrize("config", ["exp1", "experiment", "hump_k5_n10", "mixed"])
+def test_factored_memory_matches_per_pair_sum(config, N):
+    if config == "mixed":
+        spec = _mixed_kernel_spec()
+        assert legacy_hazard_weight(spec.prefs) / spec.prefs.m0 != 1.0  # q_weight
+    else:
+        spec = parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
+    ref_a, ref_A = _per_pair_march(spec, N)
+    grid = solve_a(spec, N)
+    assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
+    assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Long horizons: the exponential factors stay in log space
+# ---------------------------------------------------------------------------
+
+
+def _long_horizon(spec, horizon, hazard, discount=None):
+    discount = discount or spec.discount
+    return dataclasses.replace(
+        spec,
+        horizon=horizon,
+        mortality=ConstantHazard(hazard),
+        discount=discount,
+        prefs=dataclasses.replace(spec.prefs, bequest_discount=discount),
+    )
+
+
+@pytest.mark.parametrize("horizon, hazard", [(400.0, 2.0), (1000.0, 1.0), (400.0, 4.0)])
+def test_long_horizon_matches_closed_form(exp1_spec, horizon, hazard):
+    # Lambda(T) = 800, 1000, 1600: e^(-Lambda) underflows.  At hazard 4 the
+    # node weights' exponent e + log A spans about 1345, more than the double
+    # range, so they must be rescaled during the march.  The first-order
+    # error measures 0.13, 0.07 and 0.21 T/N.
+    spec = _long_horizon(exp1_spec, horizon, hazard)
+    N = 4000
+    grid = solve_a(spec, N)
+    ref = np.array([a_exponential(spec, t) for t in grid.times])
+    assert np.max(np.abs(grid.a_values - ref) / ref) <= 0.3 * horizon / N
+    assert np.all(grid.A_values > 0.0)
+
+
+def test_long_horizon_hyperbolic_inside_envelopes(exp1_spec):
+    spec = _long_horizon(exp1_spec, 400.0, 2.0, Hyperbolic.from_unit_value(5.0, 0.3))
+    grid = solve_a(spec, 4000)
+    assert np.all(np.isfinite(grid.a_values)) and np.all(grid.a_values > 0.0)
+    rep = a_priori_bounds(spec)
+    tol = 1e-12 * grid.a_values
+    assert np.all(grid.a_values >= rep.lower_curve(grid.times) - tol)
+    assert np.all(grid.a_values <= rep.upper_curve(grid.times) + tol)
+
+
+def test_nonfinite_iterate_reported_as_overflow():
+    # gamma = 0.5 with a tiny volatility: K = 24.5, so a(t) grows like
+    # e^(24.4 (T - t)) and leaves the double range well before t = 0
+    h = Exponential(0.1)
+    spec = ModelSpec(
+        market=MarketParams(r=0.05, alpha=0.12, sigma=0.01),
+        mortality=ConstantHazard(0.0),
+        discount=h,
+        prefs=PreferenceParams(gamma=0.5, n=1.0, m_weight=ConstantWeight(1.0), bequest_discount=h),
+        insurance=InsuranceIncomeSpec(payout=ConstantPayout(math.inf)),
+        horizon=40.0,
+    )
+    with pytest.raises(SchemeBreakdownError, match="overflow") as info:
+        solve_a(spec, 4000)
+    # stopped at the first infinite iterate, not at a nan it leads to later
+    assert "a = inf" in str(info.value) and "increase N" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
 # rhs_derivative
 # ---------------------------------------------------------------------------
 
@@ -161,7 +316,10 @@ def test_exponential_kernel_degeneracy(exp1_spec):
     grid = solve_a(exp1_spec, N)
     tab = _SchemeTables(exp1_spec, N)
     a_pow = grid.a_values ** tab.pow_ratio
-    sums = [abs(tab.memory_sum(n, a_pow, grid.A_values)) for n in range(N)]
+    sums = []
+    for n in range(N):
+        sums.append(abs(tab.memory(n, grid.A_values[n])))
+        tab.record(n, a_pow[n], grid.A_values[n])
     assert max(sums) <= 1e-14
 
 
@@ -171,6 +329,17 @@ def test_rhs_index_validation(exp1_spec):
         rhs_derivative(exp1_spec, grid, 17)
     with pytest.raises(ValidationError):
         rhs_derivative(exp1_spec, grid, -1)
+    with pytest.raises(ValidationError, match="outside 0..15"):
+        rhs_derivative(exp1_spec, grid, 16)  # t = 0 needs the legacy weight at lag T
+
+
+@pytest.mark.parametrize("config", ["exp1", "experiment", "hump_k5_n10"])
+def test_rhs_derivative_matches_march(config):
+    spec = parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
+    grid = solve_a(spec, 300)
+    for n in (0, 1, 2, 150, 299):
+        step = (grid.a_values[n + 1] - grid.a_values[n]) / grid.epsilon
+        assert rhs_derivative(spec, grid, n) == pytest.approx(step, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
