@@ -235,19 +235,22 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     A = np.empty(N + 1)
     a[0] = spec.prefs.n
     A[0] = 1.0
-    for n in range(N):
-        a_pow = a[n] ** tab.pow_ratio
-        memory = tab.memory(n, A[n])
-        tab.record(n, a_pow, A[n])
-        a[n + 1] = a[n] + eps * tab.rhs(n, a[n], a_pow, memory)
-        A[n + 1] = A[n] - tab.gamma * eps * a[n] ** tab.pow_inv * tab.M[n] * A[n]
-        if not (0.0 < a[n + 1] < math.inf and 0.0 < A[n + 1] < math.inf):
-            finite = math.isfinite(a[n + 1]) and math.isfinite(A[n + 1])
-            raise SchemeBreakdownError(
-                f"scheme breakdown at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
-                f"a = {a[n + 1]:.6g}, A = {A[n + 1]:.6g}; "
-                + ("increase N" if finite else "overflow: the iterate is not finite")
-            )
+    # an overflow shows as a non-finite iterate, which the breakdown test
+    # below reports; one errstate per step would cost about 35 ms at N = 1.6e4
+    with np.errstate(over="ignore"):
+        for n in range(N):
+            a_pow = a[n] ** tab.pow_ratio
+            memory = tab.memory(n, A[n])
+            tab.record(n, a_pow, A[n])
+            a[n + 1] = a[n] + eps * tab.rhs(n, a[n], a_pow, memory)
+            A[n + 1] = A[n] - tab.gamma * eps * a[n] ** tab.pow_inv * tab.M[n] * A[n]
+            if not (0.0 < a[n + 1] < math.inf and 0.0 < A[n + 1] < math.inf):
+                finite = math.isfinite(a[n + 1]) and math.isfinite(A[n + 1])
+                raise SchemeBreakdownError(
+                    f"scheme breakdown at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
+                    f"a = {a[n + 1]:.6g}, A = {A[n + 1]:.6g}; "
+                    + ("increase N" if finite else "overflow: the iterate is not finite")
+                )
     return SolutionGrid(times=tab.times, a_values=a, A_values=A, N=N, epsilon=eps)
 
 
@@ -265,10 +268,11 @@ def rhs_derivative(spec: ModelSpec, grid: SolutionGrid, n: int) -> float:
         raise SchemeBreakdownError("rhs_derivative: non-positive grid values")
     _check_preconditions(spec, grid.N)
     tab = _SchemeTables(spec, grid.N)
-    a_pow = a[: n + 1] ** tab.pow_ratio
-    for j in range(n):
-        tab.record(j, a_pow[j], A[j])
-    return tab.rhs(n, a[n], a_pow[n], tab.memory(n, A[n]))
+    with np.errstate(over="ignore"):
+        a_pow = a[: n + 1] ** tab.pow_ratio
+        for j in range(n):
+            tab.record(j, a_pow[j], A[j])
+        return tab.rhs(n, a[n], a_pow[n], tab.memory(n, A[n]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,26 @@ within Monte Carlo error — that equality is the defining property of the
 equilibrium, not an optimality statement.
 
 Randomness is fully deterministic: each path owns a fixed range of Philox
-counter blocks keyed by (seed, stream), so results are bit-identical for
-identical (seed, paths, dt, scheme) regardless of internal chunking.
+counter blocks keyed by (seed, stream) and each path is reduced to its
+sample on its own, so results are bit-identical for identical (seed, paths,
+dt, scheme) whatever the block size or the number of worker threads.
+
+Paths are built and reduced in blocks of ``_BLOCK_PATHS`` on one worker
+thread per available CPU, with at most one block per worker in flight.
+Writing ``U(r y) = r^gamma/gamma y^gamma`` (``log r + log y`` at
+gamma = 0) folds the trapezoid weights, the kernels and the feedback rates
+into one node-weight vector per call, so a block costs one exp and one
+mat-vec on its log-wealth paths.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +52,11 @@ __all__ = [
 EXACT_Y = "exact_y"
 EULER = "euler"
 
+# Paths per block, and one worker thread per CPU this process may run on.
+# Both are read at call time so tests can vary them; results do not depend
+# on them because each path owns fixed counter blocks and is reduced alone.
 _BLOCK_PATHS = 4096
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _STREAM_BROWNIAN = 0
 _STREAM_DEATH = 1
 _U_FLOOR = 2.0**-64  # uniforms of exactly 0 would map to -inf normals
@@ -110,7 +126,8 @@ def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.
     bg = np.random.Philox(key=_stream_key(seed, _STREAM_BROWNIAN))
     bg.advance(first_path * blocks_per_path)
     u = np.random.Generator(bg).random((n_paths, 4 * blocks_per_path))[:, :n_steps]
-    return ndtri(np.maximum(u, _U_FLOOR))
+    np.maximum(u, _U_FLOOR, out=u)
+    return ndtri(u, out=u)
 
 
 def _path_death_uniforms(seed: int, first_path: int, n_paths: int) -> np.ndarray:
@@ -165,13 +182,14 @@ class _SimContext:
     # -- path blocks ------------------------------------------------------
 
     def exact_y_block(self, normals: np.ndarray) -> np.ndarray:
-        """Shifted-wealth paths Y > 0 by exact Gaussian increments of log Y."""
-        w = np.concatenate(
-            [np.zeros((normals.shape[0], 1)), np.cumsum(normals, axis=1) * math.sqrt(self.h)],
-            axis=1,
-        )
-        log_y = math.log(self.y0) + self.log_drift_prefix + self.kappa * w
-        return np.exp(log_y)
+        """log Y of shifted-wealth paths by exact Gaussian increments, built in one array."""
+        log_y = np.empty((normals.shape[0], self.n_steps + 1))
+        log_y[:, 0] = 0.0
+        np.cumsum(normals, axis=1, out=log_y[:, 1:])
+        log_y *= math.sqrt(self.h)
+        log_y *= self.kappa
+        log_y += math.log(self.y0) + self.log_drift_prefix
+        return log_y
 
     def euler_block(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Euler-Maruyama wealth paths; returns (Y, alive).
@@ -199,25 +217,40 @@ class _SimContext:
                 dead_now = alive & ~(x_next + self.b[k + 1] > 0.0)
             alive &= ~dead_now
             x[:, k + 1] = np.where(alive, x_next, np.nan)
-        return x + self.b[np.newaxis, :], alive
+        x += self.b
+        return x, alive
 
-    def blocks(self):
-        """Yield ``(start, Y, alive)`` for each block of paths, in path order."""
-        for start, count in _block_ranges(self.cfg.paths):
-            normals = _path_normals(self.cfg.seed, start, count, self.n_steps)
-            if self.cfg.scheme == EXACT_Y:
-                block = start, self.exact_y_block(normals), np.ones(count, dtype=bool)
-            else:
-                block = start, *self.euler_block(normals)
-            del normals  # the paused generator would keep a paths x steps array alive
-            yield block
+    def path_block(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(log Y, alive)`` of paths [start, start + count); rejected rows are NaN."""
+        normals = _path_normals(self.cfg.seed, start, count, self.n_steps)
+        if self.cfg.scheme == EXACT_Y:
+            return self.exact_y_block(normals), np.ones(count, dtype=bool)
+        y, alive = self.euler_block(normals)
+        return np.log(y, out=y), alive
 
+    def map_blocks(self, reduce) -> list:
+        """``reduce(start, log_y, alive)`` of every block of paths, in path order.
 
-def _block_ranges(total: int):
-    # _BLOCK_PATHS is read at call time so tests can shrink it; results do
-    # not depend on it because each path owns fixed counter blocks
-    for start in range(0, total, _BLOCK_PATHS):
-        yield start, min(_BLOCK_PATHS, total - start)
+        Each block is built and reduced on one worker thread, at most one
+        block per worker in flight, in a copy of the caller's context (so
+        numpy's error state carries over).  ``reduce`` may overwrite
+        ``log_y``; it must not call the module's kernel functions, which
+        belong to the calling thread.
+        """
+        def work(start, count):
+            return reduce(start, *self.path_block(start, count))
+
+        paths = self.cfg.paths
+        ranges = [(start, min(_BLOCK_PATHS, paths - start)) for start in range(0, paths, _BLOCK_PATHS)]
+        workers = min(_WORKERS, len(ranges))
+        results, pending = [], deque()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for start, count in ranges:
+                if len(pending) == workers:
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(contextvars.copy_context().run, work, start, count))
+            results.extend(f.result() for f in pending)
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +270,14 @@ def simulate_wealth(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> WealthEns
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     wealth = np.empty((cfg.paths, ctx.n_steps + 1))
     alive = np.empty(cfg.paths, dtype=bool)
-    for start, y, ok in ctx.blocks():
-        wealth[start : start + ok.size] = y - ctx.b[np.newaxis, :]
-        alive[start : start + ok.size] = ok
+
+    def reduce(start, log_y, ok):
+        rows = slice(start, start + ok.size)
+        np.exp(log_y, out=wealth[rows])
+        wealth[rows] -= ctx.b
+        alive[rows] = ok
+
+    ctx.map_blocks(reduce)
     rejected = _rejected_fraction(int(alive.sum()), cfg.paths)
     return WealthEnsemble(
         times=ctx.times, wealth=wealth, alive=alive, scheme=cfg.scheme, rejected_fraction=rejected
@@ -263,28 +301,70 @@ def _report_from_samples(samples: np.ndarray) -> EstimateReport:
     return EstimateReport(mean=mean, std_error=se, paths_used=n)
 
 
+def _utility_terms(rate, gamma: float):
+    """``(scale, shift)`` with ``U(rate y) = scale phi(y) + shift``.
+
+    ``phi(y) = y^gamma``, or ``log y`` at gamma = 0.
+    """
+    rate = np.asarray(rate, dtype=float)
+    if gamma == 0.0:
+        return np.ones_like(rate), np.log(rate)
+    return rate**gamma / gamma, np.zeros_like(rate)
+
+
+def _node_weights(ctx: _SimContext, parts, terminal: float) -> tuple[np.ndarray, float]:
+    """``(weights, offset)`` with ``phi(Y) @ weights + offset`` equal to the
+    trapezoid sum of ``sum(coef U(rate Y) for coef, rate in parts)`` on the
+    grid plus ``terminal U(Y(T))``."""
+    trapezoid = np.full(ctx.n_steps + 1, ctx.h)
+    trapezoid[[0, -1]] *= 0.5
+    scale = shift = 0.0
+    for coef, rate in parts:
+        s, c = _utility_terms(rate, ctx.gamma)
+        scale = scale + coef * s
+        shift = shift + coef * c
+    weights = trapezoid * scale
+    weights[-1] += terminal * _utility_terms(1.0, ctx.gamma)[0]
+    return weights, float(trapezoid @ shift)
+
+
+def _kernel_weights(ctx: _SimContext) -> tuple[np.ndarray, float]:
+    """Node weights of the kernel estimator: ``Q U(c Y) + q U(z Y)`` plus ``n Q(T) U(Y(T))``."""
+    Qv = np.asarray(kernel_Q(ctx.spec, ctx.times, ctx.t0), dtype=float)
+    qv = np.asarray(kernel_q(ctx.spec, ctx.times, ctx.t0), dtype=float)
+    rates = ctx.rates
+    return _node_weights(ctx, ((Qv, rates.consumption), (qv, rates.bequest)), ctx.spec.prefs.n * Qv[-1])
+
+
+def _node_sum(log_y: np.ndarray, gamma: float, weights: np.ndarray, offset: float) -> np.ndarray:
+    """``phi(Y) @ weights + offset`` per path; overwrites ``log_y``.
+
+    ``einsum`` sums each row on its own; BLAS gemv (``@``) rounds a row's
+    sum differently depending on the rows around it, which would make the
+    samples depend on the block size.
+    """
+    if gamma != 0.0:
+        log_y *= gamma
+        np.exp(log_y, out=log_y)
+    return np.einsum("ij,j->i", log_y, weights) + offset
+
+
 def estimate_J_kernel(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> EstimateReport:
     """Estimate J by integrating the survival-adjusted kernels Q and q.
 
     Per path, the time integral of ``Q(s,t0) U(consumption) +
     q(s,t0) U(legacy)`` is a trapezoid sum on the simulation grid plus the
-    terminal term ``n Q(T,t0) U(X(T))``.
+    terminal term ``n Q(T,t0) U(X(T))``, taken as one weighted sum of
+    ``Y^gamma`` (``log Y`` at gamma = 0) over the nodes.
     """
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
-    times = ctx.times
-    Qv = np.asarray(kernel_Q(spec, times, t0), dtype=float)
-    qv = np.asarray(kernel_q(spec, times, t0), dtype=float)
-    n_weight = spec.prefs.n
-    gamma, rates = ctx.gamma, ctx.rates
+    weights, offset = _kernel_weights(ctx)
 
-    samples = []
-    for _, y, ok in ctx.blocks():
+    def reduce(start, log_y, ok):
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = Qv * crra_utility(rates.consumption * y, gamma) + qv * crra_utility(rates.bequest * y, gamma)
-            j = np.sum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)
-            j += n_weight * Qv[-1] * crra_utility(y[:, -1], gamma)
-        samples.append(j[ok])
-    samples = np.concatenate(samples)
+            return _node_sum(log_y, ctx.gamma, weights, offset)[ok]
+
+    samples = np.concatenate(ctx.map_blocks(reduce))
     _rejected_fraction(samples.size, cfg.paths)
     return _report_from_samples(samples)
 
@@ -317,46 +397,46 @@ def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Esti
     this estimator and the kernel one must agree within Monte Carlo error.
     """
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
-    spec_T = spec.horizon
-    times = ctx.times
-    gamma = ctx.gamma
-    hval = np.asarray(spec.discount.value(times - t0), dtype=float)
-    h_T = float(spec.discount.value(spec_T - t0))
-    n_weight = spec.prefs.n
+    hval = np.asarray(spec.discount.value(ctx.times - t0), dtype=float)
+    h_T = float(spec.discount.value(spec.horizon - t0))
+    weights, offset = _node_weights(ctx, ((hval, ctx.rates.consumption),), spec.prefs.n * h_T)
 
-    samples = []
-    for start, y, ok in ctx.blocks():
-        count = ok.size
-        u = _path_death_uniforms(cfg.seed, start, count)
-        tau = _sample_death_times(spec, t0, u)
-
+    def reduce(start, log_y, ok):
+        tau = _sample_death_times(spec, t0, _path_death_uniforms(cfg.seed, start, ok.size))
+        rows = np.nonzero(tau <= spec.horizon)[0]
+        y_died = np.exp(log_y[rows])  # taken before _node_sum overwrites log_y
         with np.errstate(invalid="ignore", divide="ignore"):
-            f = hval * crra_utility(ctx.rates.consumption * y, gamma)
-            prefix = np.concatenate(
-                [np.zeros((count, 1)), np.cumsum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)],
-                axis=1,
-            )
-            j = prefix[:, -1] + n_weight * h_T * crra_utility(y[:, -1], gamma)
+            j = _node_sum(log_y, ctx.gamma, weights, offset)
+            if rows.size:
+                j[rows] = _died_samples(ctx, hval, tau[rows], y_died)
+        return j[ok]
 
-            died = tau <= spec_T
-            if np.any(died):
-                rows = np.nonzero(died)[0]
-                tau_d = tau[rows]
-                k = np.minimum(((tau_d - t0) / ctx.h).astype(int), ctx.n_steps - 1)
-                frac = (tau_d - times[k]) / ctx.h
-                # geometric interpolation keeps Y positive between nodes
-                y_tau = y[rows, k] ** (1.0 - frac) * y[rows, k + 1] ** frac
-                rates_tau = feedback_rates(spec, ctx.a_curve(tau_d), tau_d)
-                c_tau = rates_tau.consumption * y_tau
-                z_tau = rates_tau.bequest * y_tau
-                f_tau = np.asarray(spec.discount.value(tau_d - t0)) * crra_utility(c_tau, gamma)
-                j_cons = prefix[rows, k] + 0.5 * (f[rows, k] + f_tau) * (tau_d - times[k])
-                legacy_w = np.asarray(spec.hbar_value(tau_d - t0), dtype=float)
-                j[rows] = j_cons + legacy_w * crra_utility(z_tau, gamma)
-        samples.append(j[ok])
-    samples = np.concatenate(samples)
+    samples = np.concatenate(ctx.map_blocks(reduce))
     _rejected_fraction(samples.size, cfg.paths)
     return _report_from_samples(samples)
+
+
+def _died_samples(ctx: _SimContext, hval: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Samples of the paths ``y`` that die at ``tau <= T``.
+
+    Consumption utility discounted by h up to tau (the grid's trapezoid sum
+    plus a last partial panel) and the weighted legacy utility at tau.
+    """
+    spec, t0, h, gamma = ctx.spec, ctx.t0, ctx.h, ctx.gamma
+    f = hval * crra_utility(ctx.rates.consumption * y, gamma)
+    prefix = np.concatenate(
+        [np.zeros((y.shape[0], 1)), np.cumsum(0.5 * h * (f[:, :-1] + f[:, 1:]), axis=1)], axis=1
+    )
+    rows = np.arange(y.shape[0])
+    k = np.minimum(((tau - t0) / h).astype(int), ctx.n_steps - 1)
+    frac = (tau - ctx.times[k]) / h
+    # geometric interpolation keeps Y positive between nodes
+    y_tau = y[rows, k] ** (1.0 - frac) * y[rows, k + 1] ** frac
+    rates_tau = feedback_rates(spec, ctx.a_curve(tau), tau)
+    f_tau = np.asarray(spec.discount.value(tau - t0)) * crra_utility(rates_tau.consumption * y_tau, gamma)
+    j_cons = prefix[rows, k] + 0.5 * (f[rows, k] + f_tau) * (tau - ctx.times[k])
+    legacy_w = np.asarray(spec.hbar_value(tau - t0), dtype=float)
+    return j_cons + legacy_w * crra_utility(rates_tau.bequest * y_tau, gamma)
 
 
 def verify_fixed_point(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> FixedPointReport:

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
 and enforces the stated tolerance and runtime budget.  The heavy Monte
-Carlo criteria use 1e5 paths and take a couple of minutes in total.
+Carlo criteria use 1e5 paths and take about 11 s in total on 2 cores.
 """
 
 import math

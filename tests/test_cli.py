@@ -8,6 +8,7 @@ import re
 import string
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -644,6 +645,26 @@ def test_exit_1_on_scheme_breakdown(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "increase N" in capsys.readouterr().err
+
+
+def test_exit_1_on_overflow_without_numpy_warning(tmp_path, capsys):
+    # a(t) grows like e^(24.4 (T - t)) and leaves the double range
+    text = EXP1_TEXT
+    for old, new in (
+        ("horizon = 1.0", "horizon = 40.0"),
+        ("market.sigma = 0.2", "market.sigma = 0.01"),
+        ("mortality.lambda0 = 0.02", "mortality.lambda0 = 0"),
+        ("insurance.payout.value = 50", "insurance.payout.value = inf"),
+        ("preferences.gamma = -1", "preferences.gamma = 0.5"),
+        ("grid.N = 200", "grid.N = 4000"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--no-svg"]) == 1
+    assert "overflow: the iterate is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Seeded Monte Carlo: determinism, estimator agreement, sampling laws."""
 
+import dataclasses
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from tcpolicy import (
     PreferenceParams,
     ValidationError,
 )
-from tcpolicy.closed_form import b_function
+from tcpolicy.closed_form import a_log, b_function
 from tcpolicy.ie_solver import solve_a
+from tcpolicy.model import crra_utility, kernel_Q, kernel_q
+from tcpolicy.policy import feedback_rates
 from tcpolicy.simulate import (
     EULER,
     EXACT_Y,
@@ -66,11 +70,33 @@ def _same_ensemble(e1, e2):
     ids=["kernel", "mortality", "wealth"],
 )
 def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch, run, same):
+    # neither the block size nor the number of worker threads moves a bit of
+    # any path's sample; a short switch interval makes the threads interleave
     a_curve, b_curve = exp1_solution
+    samples = []
+    report = sim_module._report_from_samples
+    monkeypatch.setattr(sim_module, "_report_from_samples", lambda s: samples.append(s) or report(s))
     base = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
     monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 37)
-    chunked = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
-    assert same(base, chunked)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sim_module, "_WORKERS", workers)
+            chunked = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
+            assert same(base, chunked), f"{workers} workers"
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(samples[0], s) for s in samples[1:])
+
+
+def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeypatch):
+    a_curve, b_curve = exp1_solution
+    monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 16)
+    ctx = sim_module._SimContext(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(64, 1, 0.1))
+    with np.errstate(over="raise"):
+        states = ctx.map_blocks(lambda start, log_y, ok: np.geterr()["over"])
+    assert states == ["raise"] * 4
 
 
 def test_path_normals_are_per_path_substreams():
@@ -308,6 +334,127 @@ def test_stderr_scales_with_paths(exp1_spec, exp1_solution):
     r1 = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(8000, 77, 2e-3))
     r2 = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(16000, 77, 2e-3))
     assert 1.3 <= r1.std_error / r2.std_error <= 1.5
+
+
+# Reference estimators: the utilities evaluated at every node, then a pairwise
+# trapezoid sum.  The node-weight estimators must match them per sample.
+
+
+def _reference_kernel_samples(spec, ctx, y, alive):
+    t0, gamma, rates = ctx.t0, ctx.gamma, ctx.rates
+    Qv = np.asarray(kernel_Q(spec, ctx.times, t0), dtype=float)
+    qv = np.asarray(kernel_q(spec, ctx.times, t0), dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = Qv * crra_utility(rates.consumption * y, gamma) + qv * crra_utility(rates.bequest * y, gamma)
+        j = np.sum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)
+        j += spec.prefs.n * Qv[-1] * crra_utility(y[:, -1], gamma)
+    return j[alive]
+
+
+def _reference_mortality_samples(spec, ctx, y, alive, seed):
+    t0, gamma, times = ctx.t0, ctx.gamma, ctx.times
+    hval = np.asarray(spec.discount.value(times - t0), dtype=float)
+    h_T = float(spec.discount.value(spec.horizon - t0))
+    tau = _sample_death_times(spec, t0, _path_death_uniforms(seed, 0, y.shape[0]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = hval * crra_utility(ctx.rates.consumption * y, gamma)
+        prefix = np.concatenate(
+            [np.zeros((y.shape[0], 1)), np.cumsum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)], axis=1
+        )
+        j = prefix[:, -1] + spec.prefs.n * h_T * crra_utility(y[:, -1], gamma)
+        rows = np.nonzero(tau <= spec.horizon)[0]
+        tau_d = tau[rows]
+        k = np.minimum(((tau_d - t0) / ctx.h).astype(int), ctx.n_steps - 1)
+        frac = (tau_d - times[k]) / ctx.h
+        y_tau = y[rows, k] ** (1.0 - frac) * y[rows, k + 1] ** frac
+        rates_tau = feedback_rates(spec, ctx.a_curve(tau_d), tau_d)
+        f_tau = np.asarray(spec.discount.value(tau_d - t0)) * crra_utility(rates_tau.consumption * y_tau, gamma)
+        j_cons = prefix[rows, k] + 0.5 * (f[rows, k] + f_tau) * (tau_d - times[k])
+        legacy_w = np.asarray(spec.hbar_value(tau_d - t0), dtype=float)
+        j[rows] = j_cons + legacy_w * crra_utility(rates_tau.bequest * y_tau, gamma)
+    return j[alive], rows.size
+
+
+def _reference_paths(ctx, cfg):
+    normals = _path_normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
+    if cfg.scheme == EULER:
+        return ctx.euler_block(normals)
+    w = np.concatenate(
+        [np.zeros((cfg.paths, 1)), np.cumsum(normals, axis=1) * math.sqrt(ctx.h)], axis=1
+    )
+    y = np.exp(math.log(ctx.y0) + ctx.log_drift_prefix + ctx.kappa * w)
+    return y, np.ones(cfg.paths, dtype=bool)
+
+
+def _log_utility_case(exp1_spec):
+    spec = dataclasses.replace(exp1_spec, prefs=dataclasses.replace(exp1_spec.prefs, gamma=0.0))
+    nodes = np.linspace(0.0, spec.horizon, 11)
+    a_nodes = [a_log(spec, t) for t in nodes]
+    return spec, lambda t: np.interp(t, nodes, a_nodes), b_function(spec)
+
+
+def _equivalence_case(name, exp1_spec, experiment_spec):
+    if name == "log_utility":
+        return (*_log_utility_case(exp1_spec), SimConfig(paths=5000, seed=21, dt=2e-3), ("kernel",))
+    if name == "euler_rejected":
+        # a Merton fraction of 87.5 and coarse steps: some Euler paths cross
+        # the floor, and the survivors' utilities stay moderate
+        spec = dataclasses.replace(exp1_spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.02))
+        a_curve = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        b_curve = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+        cfg = SimConfig(paths=1000, seed=2, dt=0.1, scheme=EULER)
+        return spec, a_curve, b_curve, cfg, ("kernel", "mortality")
+    spec = exp1_spec if name == "exp1" else experiment_spec
+    grid = solve_a(spec, 400)
+    cfg = SimConfig(paths=5000, seed=21, dt=2e-3 if name == "exp1" else 8e-3)
+    return spec, grid.a_curve, b_function(spec), cfg, ("kernel", "mortality")
+
+
+@pytest.mark.parametrize("name", ["exp1", "experiment", "log_utility", "euler_rejected"])
+def test_node_weight_estimators_match_per_node_formulas(exp1_spec, experiment_spec, monkeypatch, name):
+    spec, a_curve, b_curve, cfg, estimators = _equivalence_case(name, exp1_spec, experiment_spec)
+    captured = []
+    report = sim_module._report_from_samples
+    monkeypatch.setattr(sim_module, "_report_from_samples", lambda s: captured.append(s) or report(s))
+    ctx = sim_module._SimContext(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    y, alive = _reference_paths(ctx, cfg)
+    if cfg.scheme == EXACT_Y:
+        assert np.array_equal(np.exp(ctx.path_block(0, cfg.paths)[0]), y)  # the paths are unchanged
+    else:
+        assert 0.0 < alive.mean() < 1.0
+    expected = {"kernel": _reference_kernel_samples(spec, ctx, y, alive)}
+    expected["mortality"], died = _reference_mortality_samples(spec, ctx, y, alive, cfg.seed)
+    assert died > 0
+    run = {"kernel": estimate_J_kernel, "mortality": estimate_J_mortality}
+    for estimator in estimators:
+        captured.clear()
+        if cfg.scheme == EULER:
+            with pytest.warns(UserWarning, match="rejection"):
+                run[estimator](spec, a_curve, b_curve, 0.0, 1.0, cfg)
+        else:
+            run[estimator](spec, a_curve, b_curve, 0.0, 1.0, cfg)
+        (got,) = captured
+        ref = expected[estimator]
+        assert got.shape == ref.shape and np.all(np.isfinite(ref))
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, estimator
+
+
+@pytest.mark.parametrize("name, dt", [("exp1", 1e-3), ("experiment", 4e-3)])
+def test_kernel_mean_matches_moment_oracle(exp1_spec, experiment_spec, name, dt):
+    # Under exact_y, log Y_k is normal with mean log y0 + D_k and variance
+    # kappa^2 tau_k, so E[Y_k^gamma] = y0^gamma exp(gamma D_k + gamma^2 kappa^2 tau_k / 2)
+    # and the estimator's mean is the node-weighted sum of these moments.
+    spec = exp1_spec if name == "exp1" else experiment_spec
+    grid = solve_a(spec, 1000)
+    b = b_function(spec)
+    cfg = SimConfig(100_000, 20240901, dt)
+    ctx = sim_module._SimContext(spec, grid.a_curve, b, 0.0, 1.0, cfg)
+    weights, offset = sim_module._kernel_weights(ctx)
+    g, tau = ctx.gamma, ctx.times - ctx.t0
+    moments = ctx.y0**g * np.exp(g * ctx.log_drift_prefix + 0.5 * g * g * ctx.kappa**2 * tau)
+    oracle = offset + weights @ moments
+    est = estimate_J_kernel(spec, grid.a_curve, b, 0.0, 1.0, cfg)
+    assert abs(est.mean - oracle) <= 3.0 * est.std_error, (est.mean, oracle, est.std_error)
 
 
 def test_fixed_point_smoke(exp1_spec, exp1_solution):
