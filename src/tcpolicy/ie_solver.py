@@ -18,10 +18,14 @@ criterion carries ``(a/m(0))^(gamma/(gamma-1))`` rather than the bare
 power of a; w = 1 whenever m(0) = 1.  The scheme marches from T down to 0
 with step ``epsilon = -T/N``, discretizing the memory integral by a
 Riemann sum over the already-computed nodes; it is first-order accurate
-in 1/N.  On the uniform grid L factors into lag-only tables times
-node-only weights kept in log space, so step n is two (2 x n) mat-vecs
-without allocation: O(N^2) flops in total, and long horizons neither
-underflow nor overflow the exponential factors.
+in 1/N.  On the uniform grid L factors into two lag-only kernels times
+node-only weights kept in log space, so long horizons neither underflow
+nor overflow the exponential factors.  A kernel that is a sum of K
+exponentials (exponential, two-rate mixture, and hyperbolic through a
+quadrature of its Laplace-type integral) is carried by K recursive states,
+so a solve costs O(N K); a kernel part that vanishes on the grid is not
+computed at all; the rest (a tapering Pareto weight, the affine-exponential
+family) keep a lag table read by a (2 x n) mat-vec at step n, O(N^2).
 
 Also here: a-priori comparison bounds sandwiching a(t) between two
 Bernoulli-ODE envelopes, and an empirical convergence report.  The march
@@ -103,7 +107,7 @@ class SolutionGrid:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed node and lag tables
+# Memory parts and the scheme tables
 # ---------------------------------------------------------------------------
 
 # The node weights f and g are stored relative to e^ref, and ref moves to
@@ -112,11 +116,51 @@ class SolutionGrid:
 _MAX_LOG_DRIFT = 100.0
 
 
+class _LagTable:
+    """A memory part kept as the lag table ``[k, d k]`` of its kernel k at
+    lags 1, 2, ..., stored reversed so that step n reads the contiguous tail
+    of length n against the node weights added so far: O(n) per step."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = np.ascontiguousarray(rows[:, :0:-1])
+        self.nodes = np.empty(rows.shape[1])
+
+    def sums(self, n: int) -> list:
+        return (self.rows[:, -n:] @ self.nodes[:n]).tolist()
+
+    def add(self, n: int, x: float) -> None:
+        self.nodes[n] = x
+
+    def rescale(self, n: int, shift: float) -> None:
+        self.nodes[:n] *= shift
+
+
+class _ExponentialSum:
+    """A memory part whose kernel is ``sum_i w_i e^(-r_i lag)``: one state
+    per term, ``S_i(n) = e^(-r_i step) (S_i(n-1) + x_{n-1})``, so step n
+    costs O(K).  With ``d = k'/k - c`` the rows are ``[w, w (-r - c)]``."""
+
+    def __init__(self, w: np.ndarray, r: np.ndarray, c: float, step: float):
+        self.rows = np.stack([w, w * (-r - c)])
+        self.decay = np.exp(-r * step)
+        self.state = np.zeros(r.size)
+
+    def sums(self, n: int) -> list:
+        return (self.rows @ self.state).tolist()
+
+    def add(self, n: int, x: float) -> None:
+        self.state += x
+        self.state *= self.decay
+
+    def rescale(self, n: int, shift: float) -> None:
+        self.state *= shift
+
+
 class _SchemeTables:
-    """Node- and lag-indexed tables and the node-weight buffers of one march.
+    """Node tables and the two memory parts of one march.
 
     On the uniform grid ``s - t`` between nodes is a whole number of steps,
-    so the memory kernel factors into lag-only tables times node-only
+    so the memory kernel factors into lag-only kernels times node-only
     weights.  With ``k = n - j``, ``e = Psi - Lambda`` (``Psi = int_0^t (K +
     gamma eta/l)``, Lambda the integrated hazard; kept in log space and
     offset so that e = 0 at t = T), ``d = h'/h - h'/h(0)`` and ``dbar =
@@ -126,83 +170,104 @@ class _SchemeTables:
                               e^(e_j - e_n) A_j/A_n.
 
     h'/h(0) cancels in each difference; measuring from it makes d vanish
-    exactly for an exponential kernel, so the memory term is exactly zero
-    where the kernel is, instead of the rounding residue of sums as large
-    as e^(e_j - e_n).  The lag tables ``[h, d h]`` and ``[hbar, dbar hbar]``
-    are stored reversed, so step n reads the contiguous tail of length n.
-    The legacy-weight table stops one lag short of T: a lag of exactly T
-    never occurs inside the march, and a tapering Pareto weight may be
-    singular there.
+    exactly for an exponential kernel.  The h part sums ``[h, d h]`` against
+    ``f_j = e^(e_j - ref) a_j^(g/(g-1)) A_j`` and the hbar part sums ``[hbar,
+    dbar hbar]`` against ``g_j = lambda_j f_j``.  A part whose offsets (d;
+    d and dbar) or whose hazard vanish on the grid contributes exactly 0
+    and is skipped; otherwise it is an exponential sum when the kernel has
+    one and a lag table when it has not.  The legacy-weight table stops one
+    lag short of T: a lag of exactly T never occurs inside the march, and a
+    tapering Pareto weight may be singular there.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
         T = spec.horizon
         prefs, ins = spec.prefs, spec.insurance
-        self.gamma = prefs.gamma
-        self.pow_ratio = self.gamma / (self.gamma - 1.0)
-        self.pow_inv = 1.0 / (self.gamma - 1.0)
-        self.K = constant_K(spec.market, self.gamma)
-        self.eta = ins.eta
+        gamma = self.gamma = prefs.gamma
+        self.pow_ratio = gamma / (gamma - 1.0)
+        self.pow_inv = 1.0 / (gamma - 1.0)
+        K = constant_K(spec.market, gamma)
         self.epsilon = -T / N
         # legacy-kernel scaling from U((a/m)^(1/(g-1)) Y); both equal 1 at m(0) = 1
-        self.lam_weight = legacy_hazard_weight(prefs)
-        self.q_weight = self.lam_weight / prefs.m0
+        lam_weight = legacy_hazard_weight(prefs)
+        self.q_weight = lam_weight / prefs.m0
 
         self.times = np.linspace(T, 0.0, N + 1)
         lags = np.linspace(0.0, T, N + 1)  # k * T/N
+        step = T / N
 
-        self.h_log = np.asarray(spec.discount.log_derivative(lags), dtype=float)
-        h_val = np.asarray(spec.discount.value(lags), dtype=float)
-        hbar_log = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float)
-        hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
-        self.d = self.h_log - self.h_log[0]
-        dbar = hbar_log - self.h_log[0]
-        # lags N..1 and N-1..1
-        self.h_lags = np.ascontiguousarray(np.stack([h_val, self.d * h_val])[:, :0:-1])
-        self.hbar_lags = np.ascontiguousarray(np.stack([hbar_val, dbar * hbar_val])[:, :0:-1])
+        h_log = np.asarray(spec.discount.log_derivative(lags), dtype=float)
+        c = float(h_log[0])
+        d = h_log - c
+        dbar = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float) - c
+        lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
+        self.h_part = self.hbar_part = None
+        if np.any(d):
+            terms = spec.discount.exponential_sum(T, step)
+            if terms is None:
+                h_val = np.asarray(spec.discount.value(lags), dtype=float)
+                self.h_part = _LagTable(np.stack([h_val, d * h_val]))
+            else:
+                self.h_part = _ExponentialSum(*terms, c, step)
+        if (np.any(d) or np.any(dbar)) and np.any(lam):
+            terms = spec.hbar_exponential_sum(step)
+            if terms is None:
+                hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
+                self.hbar_part = _LagTable(np.stack([hbar_val, dbar * hbar_val]))
+            else:
+                self.hbar_part = _ExponentialSum(*terms, c, step)
+        self.parts = [part for part in (self.h_part, self.hbar_part) if part is not None]
 
-        self.lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
-        self.M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
-        self.inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
-        psi = self.K * self.times + self.gamma * self.eta * np.asarray(
-            ins.payout.integrated_inverse(self.times), dtype=float
-        )
+        M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
+        inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
+        psi = K * self.times + gamma * ins.eta * np.asarray(ins.payout.integrated_inverse(self.times), dtype=float)
         e = psi - np.asarray(spec.mortality.cumulative(self.times), dtype=float)
-        self.e = e - e[0]  # only differences of e enter; e = 0 at t = T
-
-        # node weights, relative to e^ref and filled one node at a time
-        self.f = np.empty(N)
-        self.g = np.empty(N)
+        # per-node tables seen through memoryviews, whose items are Python
+        # floats: the march reads them one at a time, and numpy scalars would
+        # cost about 3x as much per read
+        self.coef = memoryview(gamma * M - lam_weight * lam - 1.0)
+        self.drift = memoryview(lam - h_log - K - gamma * ins.eta * inv_l)
+        self.M = memoryview(M)
+        self.lam = memoryview(lam)
+        self.d = memoryview(d)
+        self.e = memoryview(e - e[0])  # only differences of e enter; e = 0 at t = T
         self.ref = 0.0
 
     def record(self, n: int, a_pow_n: float, A_n: float) -> None:
-        """Store the node weights ``f_n = e^(e_n - ref) a_n^(g/(g-1)) A_n``
-        and ``g_n = lambda_n f_n``, first rescaling the stored ones if ref
-        has to move (see ``_MAX_LOG_DRIFT``); nodes come in order 0, 1, ...
+        """Add node n to the memory parts: ``f_n = e^(e_n - ref)
+        a_n^(g/(g-1)) A_n`` and ``g_n = lambda_n f_n``, first rescaling what
+        they hold if ref has to move (see ``_MAX_LOG_DRIFT``); nodes come in
+        order 0, 1, ...
         """
         log_scale = self.e[n] + math.log(A_n)
         if abs(log_scale - self.ref) > _MAX_LOG_DRIFT:
             shift = math.exp(self.ref - log_scale)
-            self.f[:n] *= shift
-            self.g[:n] *= shift
+            for part in self.parts:
+                part.rescale(n, shift)
             self.ref = log_scale
-        self.f[n] = math.exp(log_scale - self.ref) * a_pow_n
-        self.g[n] = self.lam[n] * self.f[n]
+        f_n = math.exp(log_scale - self.ref) * a_pow_n
+        if self.h_part is not None:
+            self.h_part.add(n, f_n)
+        if self.hbar_part is not None:
+            self.hbar_part.add(n, self.lam[n] * f_n)
 
     def memory(self, n: int, A_n: float) -> float:
         """``sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n`` over j = 0..n-1, from
-        the weights recorded for those nodes: two (2 x n) mat-vecs."""
-        if n == 0:
+        the nodes recorded so far."""
+        if n == 0 or not self.parts:
             return 0.0
-        hf, dhf = self.h_lags[:, -n:] @ self.f[:n]
-        hg, dhg = self.hbar_lags[:, -n:] @ self.g[:n]
         d_n = self.d[n]
-        bracket = d_n * hf - dhf + self.q_weight * (d_n * hg - dhg)
+        bracket = 0.0
+        if self.h_part is not None:
+            hf, dhf = self.h_part.sums(n)
+            bracket = d_n * hf - dhf
+        if self.hbar_part is not None:
+            hg, dhg = self.hbar_part.sums(n)
+            bracket += self.q_weight * (d_n * hg - dhg)
         return bracket / math.exp(self.e[n] + math.log(A_n) - self.ref)
 
     def rhs(self, n: int, a_n: float, a_pow_n: float, memory: float) -> float:
-        drift = self.lam[n] - self.h_log[n] - self.K - self.gamma * self.eta * self.inv_l[n]
-        local = (self.gamma * self.M[n] - self.lam_weight * self.lam[n] - 1.0) * a_pow_n + drift * a_n
+        local = self.coef[n] * a_pow_n + self.drift[n] * a_n
         return local - self.epsilon * memory
 
 
@@ -218,39 +283,52 @@ def _check_preconditions(spec: ModelSpec, N: int) -> None:
         )
 
 
+def _power(x: float, y: float) -> float:
+    """``x ** y`` for x > 0, inf where the power overflows (as in numpy)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     """March the explicit scheme backward from a(T) = n, A(T) = 1.
 
     Refuses to run when the positivity assumption fails; raises
     :class:`SchemeBreakdownError` if an iterate leaves the positive cone or
-    overflows.  Step n costs two (2 x n) mat-vecs of the lag tables against
-    node weights filled one node per step, so a solve is O(N^2) flops with
-    no per-step array allocation.
+    overflows.  Step n updates K states per exponential-sum memory part and
+    reads n lags per lag-table part, so a solve costs O(N K) for kernels
+    that are sums of K exponentials (exponential, two-rate mixture,
+    hyperbolic) and O(N^2) only where a lag table is left (a tapering Pareto
+    weight, the affine-exponential family); a part that vanishes costs
+    nothing.  No step allocates an array.
     """
     _check_preconditions(spec, N)
     tab = _SchemeTables(spec, N)
-    eps = tab.epsilon
+    eps, gamma, M = tab.epsilon, tab.gamma, tab.M
 
     a = np.empty(N + 1)
     A = np.empty(N + 1)
-    a[0] = spec.prefs.n
-    A[0] = 1.0
+    a_n = a[0] = float(spec.prefs.n)
+    A_n = A[0] = 1.0
     # an overflow shows as a non-finite iterate, which the breakdown test
     # below reports; one errstate per step would cost about 35 ms at N = 1.6e4
     with np.errstate(over="ignore"):
         for n in range(N):
-            a_pow = a[n] ** tab.pow_ratio
-            memory = tab.memory(n, A[n])
-            tab.record(n, a_pow, A[n])
-            a[n + 1] = a[n] + eps * tab.rhs(n, a[n], a_pow, memory)
-            A[n + 1] = A[n] - tab.gamma * eps * a[n] ** tab.pow_inv * tab.M[n] * A[n]
-            if not (0.0 < a[n + 1] < math.inf and 0.0 < A[n + 1] < math.inf):
-                finite = math.isfinite(a[n + 1]) and math.isfinite(A[n + 1])
+            a_pow = _power(a_n, tab.pow_ratio)
+            memory = tab.memory(n, A_n)
+            tab.record(n, a_pow, A_n)
+            a_next = a_n + eps * tab.rhs(n, a_n, a_pow, memory)
+            A_next = A_n - gamma * eps * _power(a_n, tab.pow_inv) * M[n] * A_n
+            if not (0.0 < a_next < math.inf and 0.0 < A_next < math.inf):
+                finite = math.isfinite(a_next) and math.isfinite(A_next)
                 raise SchemeBreakdownError(
                     f"scheme breakdown at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
-                    f"a = {a[n + 1]:.6g}, A = {A[n + 1]:.6g}; "
+                    f"a = {a_next:.6g}, A = {A_next:.6g}; "
                     + ("increase N" if finite else "overflow: the iterate is not finite")
                 )
+            a_n = a[n + 1] = a_next
+            A_n = A[n + 1] = A_next
     return SolutionGrid(times=tab.times, a_values=a, A_values=A, N=N, epsilon=eps)
 
 

@@ -74,12 +74,16 @@ def _check_nonnegative_time(t) -> np.ndarray | float:
 # Discount kernels
 # ---------------------------------------------------------------------------
 
+# log of the relative size of each dropped tail of a quadrature sum
+_LOG_TAIL = math.log(1e-17)
+
 
 class DiscountKernel:
     """Discount function ``h`` with ``h(0) = 1``, positive and non-increasing.
 
     Subclasses implement ``value`` and ``log_derivative`` (that is ``h'/h``),
-    both accepting scalars or arrays of nonnegative times.
+    both accepting scalars or arrays of nonnegative times.  Those that are
+    sums of exponentials also implement ``exponential_sum``.
     """
 
     def value(self, t):
@@ -87,6 +91,11 @@ class DiscountKernel:
 
     def log_derivative(self, t):
         raise NotImplementedError
+
+    def exponential_sum(self, horizon: float, step: float):
+        """Arrays ``(w, r)`` with ``h(t) = sum_i w_i e^(-r_i t)`` to double
+        precision for t in [step, horizon], or None when h has no such form."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,9 @@ class Exponential(DiscountKernel):
     def log_derivative(self, t):
         t = _check_nonnegative_time(t)
         return np.full_like(np.asarray(t, dtype=float), -self.rho) if np.ndim(t) else -self.rho
+
+    def exponential_sum(self, horizon: float, step: float):
+        return np.array([1.0]), np.array([self.rho])
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,22 @@ class Hyperbolic(DiscountKernel):
         t = _check_nonnegative_time(t)
         return -self.k2 / (1.0 + self.k1 * np.asarray(t, dtype=float))
 
+    def exponential_sum(self, horizon: float, step: float):
+        """Trapezoid nodes of ``(1 + k1 t)^(-p) = Gamma(p)^(-1) int exp(p x -
+        e^x (1 + k1 t)) dx`` with p = k2/k1 (Beylkin & Monzon 2005): node x
+        gives ``r = k1 e^x``.  The x-step is 0.25 up to p = 1 and shrinks as
+        p^(-1/3) beyond, where the integrand grows off the real axis (at a
+        fixed 0.25 the fit error is 5e-14 at p = 3 and 1e-4 at p = 30).  The
+        nodes dropped left of ``x_lo`` sum to under 1e-17 of h(horizon), and
+        those right of ``x_hi`` to about 1e-17 of h(step) or less.
+        """
+        p = self.k2 / self.k1
+        dx = 0.25 / max(1.0, p) ** (1.0 / 3.0)
+        x_lo = (_LOG_TAIL + math.lgamma(p + 1.0)) / p - math.log1p(self.k1 * horizon)
+        x_hi = math.log(2.0 * p - 4.0 * _LOG_TAIL) - math.log1p(self.k1 * step)
+        x = x_lo + dx * np.arange(math.ceil((x_hi - x_lo) / dx) + 1)
+        return dx * np.exp(p * x - np.exp(x) - math.lgamma(p)), self.k1 * np.exp(x)
+
 
 @dataclass(frozen=True)
 class SumOfExponentials(DiscountKernel):
@@ -158,6 +186,9 @@ class SumOfExponentials(DiscountKernel):
         t = np.asarray(_check_nonnegative_time(t), dtype=float)
         num = -self.weight * self.r1 * np.exp(-self.r1 * t) - (1.0 - self.weight) * self.r2 * np.exp(-self.r2 * t)
         return num / self.value(t)
+
+    def exponential_sum(self, horizon: float, step: float):
+        return np.array([self.weight, 1.0 - self.weight]), np.array([self.r1, self.r2])
 
 
 @dataclass(frozen=True)
@@ -465,6 +496,14 @@ class ModelSpec:
     def hbar_log_derivative(self, t):
         """``(m h_hat)'/(m h_hat) = m'/m + h_hat'/h_hat``."""
         return self.prefs.m_weight.log_derivative(t) + self.prefs.bequest_discount.log_derivative(t)
+
+    def hbar_exponential_sum(self, step: float):
+        """``(w, r)`` of ``m h_hat`` as in ``DiscountKernel.exponential_sum``;
+        None unless m is constant and h_hat has such a form."""
+        if not isinstance(self.prefs.m_weight, ConstantWeight):
+            return None
+        terms = self.prefs.bequest_discount.exponential_sum(self.horizon, step)
+        return None if terms is None else (self.prefs.m0 * terms[0], terms[1])
 
 
 # ---------------------------------------------------------------------------

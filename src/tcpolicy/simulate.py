@@ -296,8 +296,14 @@ def _report_from_samples(samples: np.ndarray) -> EstimateReport:
     n = samples.size
     if n == 0:
         return EstimateReport(mean=float("nan"), std_error=float("inf"), paths_used=0)
-    mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    # np.std squares the deviations, which overflow for samples beyond about
+    # 1e154; such samples are scaled by a power of two first, which is exact
+    exp2 = int(np.frexp(max(samples.max(), -samples.min()))[1])
+    if exp2 <= 256:
+        exp2 = 0
+    scaled = np.ldexp(samples, -exp2) if exp2 else samples
+    mean = float(np.ldexp(np.mean(scaled), exp2))
+    se = float(np.ldexp(np.std(scaled, ddof=1), exp2) / math.sqrt(n)) if n > 1 else float("inf")
     return EstimateReport(mean=mean, std_error=se, paths_used=n)
 
 

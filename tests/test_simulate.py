@@ -4,6 +4,7 @@ import dataclasses
 import math
 import operator
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -189,18 +190,62 @@ def test_martingale_of_raw_increments():
     assert np.all(np.abs(means - 1.0) <= 3.0 * ses)
 
 
-def test_euler_rejection_counted_and_warned(exp1_spec):
-    # an artificially tiny value coefficient forces huge consumption and
-    # drives shifted wealth through the floor
-    a_curve = lambda t: np.full_like(np.asarray(t, dtype=float), 1e-8)
+def _constant_curves(a):
+    a_curve = lambda t: np.full_like(np.asarray(t, dtype=float), a)
     b_curve = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    return a_curve, b_curve
+
+
+def test_euler_rejection_counted_and_warned(exp1_spec):
+    # a Merton fraction of 87.5 and coarse steps: a few percent of the
+    # Euler paths cross the floor
+    spec = dataclasses.replace(exp1_spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.02))
+    a_curve, b_curve = _constant_curves(1.0)
+    cfg = SimConfig(paths=1000, seed=2, dt=0.1, scheme=EULER)
+    with pytest.warns(UserWarning, match="rejection"):
+        ens = simulate_wealth(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    assert 0.01 < ens.rejected_fraction < 0.99
+    with pytest.warns(UserWarning, match="rejection"):
+        est = estimate_J_kernel(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    assert est.paths_used == int(ens.alive.sum()) > 0
+    assert est.paths_used == round((1.0 - ens.rejected_fraction) * cfg.paths)
+    assert math.isfinite(est.mean) and 0.0 < est.std_error < math.inf
+
+
+def test_euler_all_paths_rejected(exp1_spec):
+    # an artificially tiny value coefficient forces huge consumption and
+    # drives shifted wealth through the floor on every path
+    a_curve, b_curve = _constant_curves(1e-8)
     cfg = SimConfig(paths=200, seed=2, dt=5e-3, scheme=EULER)
     with pytest.warns(UserWarning, match="rejection"):
         ens = simulate_wealth(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
-    assert ens.rejected_fraction > 0.5
+    assert ens.rejected_fraction == 1.0 and not ens.alive.any()
     with pytest.warns(UserWarning, match="rejection"):
         est = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
-    assert est.paths_used == int(round((1.0 - ens.rejected_fraction) * cfg.paths))
+    assert est.paths_used == 0 and math.isnan(est.mean) and est.std_error == math.inf
+
+
+def test_standard_error_scales_exactly():
+    samples = np.random.default_rng(5).normal(-3.0, 2.0, 1000)
+    base = sim_module._report_from_samples(samples)
+    big = sim_module._report_from_samples(samples * 2.0**600)  # squares beyond the double range
+    assert math.isfinite(big.std_error)
+    assert big.std_error == base.std_error * 2.0**600
+    assert big.mean == base.mean * 2.0**600
+
+
+def test_euler_huge_samples_give_finite_standard_error(exp1_spec):
+    # a = 2.8e-5 just above the all-rejected range: surviving paths give
+    # samples near 1e301, whose squares overflow unless scaled first
+    a_curve, b_curve = _constant_curves(2.8e-5)
+    cfg = SimConfig(paths=1000, seed=2, dt=5e-3, scheme=EULER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(UserWarning, match="rejection"):
+            est = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    assert est.paths_used > 0
+    assert 1e250 < abs(est.mean) < math.inf
+    assert 0.0 < est.std_error < math.inf
 
 
 # ---------------------------------------------------------------------------
