@@ -7,7 +7,6 @@ point by seeded Monte Carlo simulation.
 """
 
 from .closed_form import (
-    StationaryParams,
     StationarySolution,
     a_exponential,
     a_log,
@@ -21,7 +20,6 @@ from .ie_solver import (
     SolutionGrid,
     a_priori_bounds,
     convergence_report,
-    rhs_derivative,
     solve_a,
 )
 from .model import (

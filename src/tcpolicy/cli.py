@@ -44,9 +44,6 @@ from .model import (
 
 __all__ = ["main", "run", "parse_config", "serialize_config", "emit_csv", "emit_svg_plot", "ConfigError", "RunConfig"]
 
-COMMANDS = ("solve", "policies", "simulate", "stationary", "converge", "hump")
-
-
 class ConfigError(ValidationError):
     """Malformed or inconsistent run configuration."""
 
@@ -464,29 +461,7 @@ def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_stationary(rc: RunConfig, out: Path, svg: bool) -> None:
-    spec = rc.spec
-    if not isinstance(spec.mortality, ConstantHazard):
-        raise ConfigError("stationary: requires constant mortality")
-    if not isinstance(spec.prefs.m_weight, ConstantWeight):
-        raise ConfigError("stationary: requires a constant Pareto weight")
-    if not isinstance(spec.insurance.payout, ConstantPayout):
-        raise ConfigError("stationary: requires a constant payout ratio")
-    if not isinstance(spec.discount, Exponential) or not isinstance(
-        spec.prefs.bequest_discount, Exponential
-    ):
-        raise ConfigError("stationary: requires exponential discount kernels")
-    params = closed_form.StationaryParams(
-        hazard_rate=spec.mortality.lambda0,
-        r1=spec.discount.rho,
-        r2=spec.prefs.bequest_discount.rho,
-        m=spec.prefs.m0,
-        payout=spec.insurance.payout.payout,
-        eta=spec.insurance.eta,
-        income=spec.insurance.income,
-        gamma=spec.prefs.gamma,
-        market=spec.market,
-    )
-    sol = closed_form.solve_stationary(params)
+    sol = closed_form.solve_stationary(rc.spec)
     emit_csv(
         [(sol.a, sol.b, sol.x, sol.alpha1, sol.alpha2, sol.beta, sol.tc1, sol.tc2)],
         ["a", "b", "x", "alpha1", "alpha2", "beta", "tc1", "tc2"],
@@ -550,7 +525,7 @@ def main(argv=None) -> int:
         prog="tcpolicy",
         description="Time-consistent investment, consumption and life-insurance policies",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides output.directory)")
     parser.add_argument("--no-svg", action="store_true", help="suppress SVG artifacts")

@@ -3,7 +3,11 @@
 These serve both as first-class outputs (the human-capital floor ``b``, the
 exponential-discounting and log-utility value coefficients, the stationary
 infinite-horizon constants) and as independent oracles for the backward
-integral-equation solver.
+integral-equation solver.  Every function here takes the same
+:class:`~tcpolicy.model.ModelSpec` as the backward scheme; those that solve
+a special case refuse a spec outside it.  :func:`exponential_applies` is
+the one test of the exponential case, shared with the solver's convergence
+report.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ConstantHazard,
     ConstantPayout,
     ConstantWeight,
     Exponential,
-    MarketParams,
     ModelSpec,
     ValidationError,
     constant_K,
@@ -30,9 +34,9 @@ from .model import (
 __all__ = [
     "solve_b",
     "b_function",
+    "exponential_applies",
     "a_exponential",
     "a_log",
-    "StationaryParams",
     "StationarySolution",
     "solve_stationary",
 ]
@@ -40,12 +44,13 @@ __all__ = [
 _SIMPSON_PANELS = 10_000
 
 
-def _composite_simpson(f, lo: float, hi: float, panels: int = _SIMPSON_PANELS) -> float:
+def _composite_simpson(f, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    x = np.linspace(lo, hi, 2 * panels + 1)
+    x = np.linspace(lo, hi, 2 * _SIMPSON_PANELS + 1)
     y = np.asarray(f(x), dtype=float)
-    return (hi - lo) / (6.0 * panels) * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
+    weighted = y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum()
+    return (hi - lo) / (6.0 * _SIMPSON_PANELS) * weighted
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +127,38 @@ def b_function(spec: ModelSpec, N: int = 4096):
 # ---------------------------------------------------------------------------
 
 
+def exponential_applies(spec: ModelSpec) -> bool:
+    """True when ``h`` and ``h_hat`` are exponential with the same rate and
+    the Pareto weight is constant: the case :func:`a_exponential` solves."""
+    h, hhat = spec.discount, spec.prefs.bequest_discount
+    return (
+        isinstance(h, Exponential)
+        and isinstance(hhat, Exponential)
+        and h.rho == hhat.rho
+        and isinstance(spec.prefs.m_weight, ConstantWeight)
+    )
+
+
 def a_exponential(spec: ModelSpec, t: float) -> float:
     """Value coefficient under exponential discounting, by quadrature.
 
-    Requires ``h`` and ``h_hat`` exponential with the same rate and a
-    constant Pareto weight; in that regime the equilibrium coincides with
-    the pre-commitment optimum and a(t) has the explicit form
+    Requires :func:`exponential_applies`; in that regime the equilibrium
+    coincides with the pre-commitment optimum and a(t) has the explicit form
 
         a(t) = [ n^(1/(1-g)) e^(k(T)) + int_t^T (1+w lam-g M)/(1-g) e^(k(u)) du ]^(1-g)
 
     with ``k(u) = int_t^u (K + g eta/l - rho - lam) / (1-g)`` and the
     legacy-kernel weight ``w = m^(1/(1-g))`` (= 1 for the unit weight).
     """
-    h, hhat = spec.discount, spec.prefs.bequest_discount
-    if not (isinstance(h, Exponential) and isinstance(hhat, Exponential) and h.rho == hhat.rho):
-        raise ValidationError("a_exponential: requires h = h_hat exponential with one rate")
-    if not isinstance(spec.prefs.m_weight, ConstantWeight):
-        raise ValidationError("a_exponential: requires a constant Pareto weight")
+    if not exponential_applies(spec):
+        raise ValidationError(
+            "a_exponential: requires h = h_hat exponential with one rate and a constant Pareto weight"
+        )
     if not 0.0 <= t <= spec.horizon:
         raise ValidationError("a_exponential: t outside [0, T]")
 
     gamma = spec.prefs.gamma
-    rho = h.rho
+    rho = spec.discount.rho
     eta = spec.insurance.eta
     K = constant_K(spec.market, gamma)
     one_mg = 1.0 - gamma
@@ -192,38 +207,6 @@ def a_log(spec: ModelSpec, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class StationaryParams:
-    """Constant-coefficient infinite-horizon instance.
-
-    The two kernels are pure exponentials: the consumption kernel decays at
-    ``lambda + r1`` and the legacy kernel carries weight ``m lambda`` and
-    decays at ``lambda + r2``.
-    """
-
-    hazard_rate: float
-    r1: float
-    r2: float
-    m: float
-    payout: float
-    eta: float
-    income: float
-    gamma: float
-    market: MarketParams
-
-    def __post_init__(self):
-        if not self.hazard_rate > 0:
-            raise ValidationError("StationaryParams: hazard_rate must be > 0")
-        if not self.payout > 0:
-            raise ValidationError("StationaryParams: payout must be > 0")
-        if not self.m > 0:
-            raise ValidationError("StationaryParams: m must be > 0")
-        if not self.gamma < 1:
-            raise ValidationError("StationaryParams: gamma must be < 1")
-        if self.eta <= 0 or self.income < 0:
-            raise ValidationError("StationaryParams: eta must be > 0 and income >= 0")
-
-
-@dataclass(frozen=True)
 class StationarySolution:
     """Constant value coefficient and derived quantities.
 
@@ -251,14 +234,28 @@ class StationaryInfeasibleError(ValidationError):
     """No root satisfies both transversality conditions."""
 
 
-def _stationary_pieces(p: StationaryParams):
-    inv_l = 0.0 if math.isinf(p.payout) else 1.0 / p.payout
-    K = constant_K(p.market, p.gamma)
-    alpha1 = p.hazard_rate + p.r1 - K - p.gamma * p.eta * inv_l
-    alpha2 = p.hazard_rate + p.r2 - K - p.gamma * p.eta * inv_l
-    m_pow = p.m ** (1.0 / (1.0 - p.gamma))
+def _check_stationary(spec: ModelSpec) -> None:
+    if not isinstance(spec.mortality, ConstantHazard):
+        raise ValidationError("stationary: requires constant mortality")
+    if not isinstance(spec.prefs.m_weight, ConstantWeight):
+        raise ValidationError("stationary: requires a constant Pareto weight")
+    if not isinstance(spec.insurance.payout, ConstantPayout):
+        raise ValidationError("stationary: requires a constant payout ratio")
+    if not (isinstance(spec.discount, Exponential) and isinstance(spec.prefs.bequest_discount, Exponential)):
+        raise ValidationError("stationary: requires exponential discount kernels")
+    if not spec.mortality.lambda0 > 0:
+        raise ValidationError("stationary: requires lambda0 > 0")
+
+
+def _stationary_pieces(spec: ModelSpec):
+    lam, gamma = spec.mortality.lambda0, spec.prefs.gamma
+    inv_l = spec.insurance.payout.inverse(0.0)
+    K = constant_K(spec.market, gamma)
+    alpha1 = lam + spec.discount.rho - K - gamma * spec.insurance.eta * inv_l
+    alpha2 = lam + spec.prefs.bequest_discount.rho - K - gamma * spec.insurance.eta * inv_l
+    m_pow = legacy_hazard_weight(spec.prefs)
     beta = 1.0 + m_pow * inv_l
-    legacy_weight = p.hazard_rate * m_pow
+    legacy_weight = lam * m_pow
     return inv_l, alpha1, alpha2, beta, legacy_weight
 
 
@@ -307,10 +304,15 @@ def _quadratic_root(gb, alpha1, alpha2, legacy_weight):
     return feasible[0]
 
 
-def solve_stationary(p: StationaryParams) -> StationarySolution:
+def solve_stationary(spec: ModelSpec) -> StationarySolution:
     """Solve the stationary fixed-point equation and transversality check.
 
-    Clearing the denominators of the equation in
+    The stationary case is the constant-coefficient spec: constant hazard
+    ``lambda0 > 0``, exponential ``h`` and ``h_hat`` (the consumption kernel
+    decays at ``lambda + rho``, the legacy kernel carries weight ``m lambda``
+    and decays at ``lambda + rho_hat``), and constant m and payout; any other
+    spec is refused with :class:`ValidationError`.  The horizon and ``n``
+    do not enter.  Clearing the denominators of the equation in
     :class:`StationarySolution` gives one quadratic in x for every m and
     gamma (linear when ``gamma beta = 0``).  A root is accepted when
     ``x > 0``, both transversality values are strictly positive and the
@@ -319,20 +321,22 @@ def solve_stationary(p: StationaryParams) -> StationarySolution:
     adds when ``alpha1 = alpha2``.  No accepted root, or two, raises
     :class:`StationaryInfeasibleError`.  ``b = i / (r + eta/l)``.
     """
-    inv_l, alpha1, alpha2, beta, legacy_weight = _stationary_pieces(p)
-    gb = p.gamma * beta
+    _check_stationary(spec)
+    inv_l, alpha1, alpha2, beta, legacy_weight = _stationary_pieces(spec)
+    gamma, income = spec.prefs.gamma, spec.insurance.income
+    gb = gamma * beta
     x = _quadratic_root(gb, alpha1, alpha2, legacy_weight)
 
-    b_rate = p.market.r + p.eta * inv_l
-    if b_rate <= 0.0 and p.income > 0.0:
+    b_rate = spec.market.r + spec.insurance.eta * inv_l
+    if b_rate <= 0.0 and income > 0.0:
         raise StationaryInfeasibleError("b = i/(r + eta/l) requires r + eta/l > 0")
-    b = p.income / b_rate if p.income > 0.0 else 0.0
+    b = income / b_rate if income > 0.0 else 0.0
 
     res = abs(_residual(alpha1, alpha2, gb, legacy_weight, x))
     tc1 = alpha1 + gb * x
     tc2 = alpha2 + gb * x
     return StationarySolution(
-        a=x ** (1.0 - p.gamma),
+        a=x ** (1.0 - gamma),
         b=b,
         x=x,
         alpha1=alpha1,

@@ -27,11 +27,17 @@ so a solve costs O(N K); a kernel part that vanishes on the grid is not
 computed at all; the rest (a tapering Pareto weight, the affine-exponential
 family) keep a lag table read by a (2 x n) mat-vec at step n, O(N^2).
 
+:func:`solve_a` is the only code that drives the scheme tables; the
+discrete derivative at node n is the march's own step quotient
+``(a_(n+1) - a_n) / epsilon``.
+
 Also here: a-priori comparison bounds sandwiching a(t) between two
-Bernoulli-ODE envelopes, and an empirical convergence report.  The march
-is inherently sequential and single-threaded with a fixed summation
-order, so results are bit-reproducible; solved grids are immutable and
-freely shareable across threads.
+Bernoulli-ODE envelopes, and an empirical convergence report, which takes
+the closed form as truth where :func:`closed_form.exponential_applies`
+holds and a 4x refinement otherwise.  The march is inherently sequential
+and single-threaded with a fixed summation order, so results are
+bit-reproducible; solved grids are immutable and freely shareable across
+threads.
 """
 
 from __future__ import annotations
@@ -43,8 +49,6 @@ import numpy as np
 
 from . import closed_form
 from .model import (
-    ConstantWeight,
-    Exponential,
     ModelSpec,
     ValidationError,
     check_assumption_a1,
@@ -60,7 +64,6 @@ __all__ = [
     "AssumptionViolatedError",
     "SchemeBreakdownError",
     "solve_a",
-    "rhs_derivative",
     "convergence_report",
     "a_priori_bounds",
 ]
@@ -332,27 +335,6 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     return SolutionGrid(times=tab.times, a_values=a, A_values=A, N=N, epsilon=eps)
 
 
-def rhs_derivative(spec: ModelSpec, grid: SolutionGrid, n: int) -> float:
-    """Discretized right-hand side a'(t_n) given the populated grid.
-
-    The memory integral is the Riemann sum ``-eps sum_j L(t_j, t_n) ...``
-    over the nodes already computed (t_j > t_n), the same sum the march
-    takes; n = N is outside the march (it needs the legacy weight at lag T).
-    """
-    if not 0 <= n < grid.N:
-        raise ValidationError(f"rhs_derivative: index {n} outside 0..{grid.N - 1}")
-    a, A = grid.a_values, grid.A_values
-    if np.any(a[: n + 1] <= 0.0) or np.any(A[: n + 1] <= 0.0):
-        raise SchemeBreakdownError("rhs_derivative: non-positive grid values")
-    _check_preconditions(spec, grid.N)
-    tab = _SchemeTables(spec, grid.N)
-    with np.errstate(over="ignore"):
-        a_pow = a[: n + 1] ** tab.pow_ratio
-        for j in range(n):
-            tab.record(j, a_pow[j], A[j])
-        return tab.rhs(n, a[n], a_pow[n], tab.memory(n, A[n]))
-
-
 # ---------------------------------------------------------------------------
 # Convergence report
 # ---------------------------------------------------------------------------
@@ -370,16 +352,6 @@ class ConvergenceReport:
     err_fine: float
     ratio: float
     reference: str
-
-
-def _closed_form_applies(spec: ModelSpec) -> bool:
-    h, hh = spec.discount, spec.prefs.bequest_discount
-    return (
-        isinstance(h, Exponential)
-        and isinstance(hh, Exponential)
-        and h.rho == hh.rho
-        and isinstance(spec.prefs.m_weight, ConstantWeight)
-    )
 
 
 def _max_err_vs_closed_form(spec: ModelSpec, N: int) -> float:
@@ -403,7 +375,7 @@ def convergence_report(spec: ModelSpec, N: int) -> ConvergenceReport:
     """
     if N < 4:
         raise ValidationError("convergence_report: N must be >= 4")
-    if _closed_form_applies(spec):
+    if closed_form.exponential_applies(spec):
         err_coarse = _max_err_vs_closed_form(spec, N)
         err_fine = _max_err_vs_closed_form(spec, 2 * N)
         reference = "closed_form"
@@ -464,15 +436,18 @@ class BoundsReport:
         return out if np.ndim(t) else float(out)
 
 
-def a_priori_bounds(spec: ModelSpec, grid_points: int = 10_000) -> BoundsReport:
+_BOUNDS_GRID_POINTS = 10_000
+
+
+def a_priori_bounds(spec: ModelSpec) -> BoundsReport:
     """Grid-search the comparison constants and build the envelope curves.
 
     Refuses when C1 < 0 (the positivity assumption fails and a(t) may hit
     zero).  The legacy-weight log-derivative is scanned on [0, T) since a
     tapering Pareto weight is singular at T itself.
     """
-    t_closed = np.linspace(0.0, spec.horizon, grid_points)
-    t_open = np.linspace(0.0, spec.horizon, grid_points, endpoint=False)
+    t_closed = np.linspace(0.0, spec.horizon, _BOUNDS_GRID_POINTS)
+    t_open = np.linspace(0.0, spec.horizon, _BOUNDS_GRID_POINTS, endpoint=False)
     gamma = spec.prefs.gamma
     K = constant_K(spec.market, gamma)
 

@@ -568,7 +568,10 @@ def legacy_hazard_weight(prefs: PreferenceParams) -> float:
     return prefs.m0 ** (1.0 / (1.0 - prefs.gamma))
 
 
-def check_assumption_a1(spec: ModelSpec, grid_n: int = 2001) -> A1Check:
+_A1_GRID_POINTS = 2001
+
+
+def check_assumption_a1(spec: ModelSpec) -> A1Check:
     """Grid-evaluate ``1 - gamma M(t) + m(0)^(1/(1-gamma)) lambda(t)``.
 
     A negative minimum means the consumption coefficient can drive a(t) to
@@ -576,9 +579,7 @@ def check_assumption_a1(spec: ModelSpec, grid_n: int = 2001) -> A1Check:
     Pareto weight this is exactly ``1 - gamma M + lambda``; it holds for
     any gamma <= 0.
     """
-    if grid_n < 2:
-        raise ValidationError("check_assumption_a1: grid_n must be >= 2")
-    t = np.linspace(0.0, spec.horizon, grid_n)
+    t = np.linspace(0.0, spec.horizon, _A1_GRID_POINTS)
     vals = (
         1.0
         - spec.prefs.gamma * weight_M(spec.prefs, spec.insurance, t)

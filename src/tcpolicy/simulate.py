@@ -380,7 +380,9 @@ def _sample_death_times(spec: ModelSpec, t0: float, u: np.ndarray) -> np.ndarray
 
     Solves ``Lambda(tau) = Lambda(t0) + E`` with E ~ Exp(1) using the
     closed-form integrated hazard (linear or quadratic); tau = inf when
-    the hazard is identically zero.
+    the hazard is identically zero, and where the target exceeds
+    ``lambda0^2 / (2 |lambda1|)``, the most a decreasing hazard
+    (lambda1 < 0) ever integrates to.
     """
     e = -np.log(u)
     target = spec.mortality.cumulative(t0) + e
@@ -391,7 +393,7 @@ def _sample_death_times(spec: ModelSpec, t0: float, u: np.ndarray) -> np.ndarray
             return np.full_like(u, np.inf)
         return target / lam0
     disc = lam0 * lam0 + 2.0 * lam1 * target
-    return (-lam0 + np.sqrt(disc)) / lam1
+    return np.where(disc >= 0.0, (-lam0 + np.sqrt(np.maximum(disc, 0.0))) / lam1, np.inf)
 
 
 def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> EstimateReport:

@@ -24,7 +24,6 @@ from tcpolicy import (
     ModelSpec,
     PreferenceParams,
 )
-from tcpolicy.closed_form import StationaryParams
 
 
 @pytest.fixture(scope="session")
@@ -99,17 +98,22 @@ def log_spec(market):
     )
 
 
+def make_stationary_spec(market, lam, r1, r2, m, payout, gamma, eta=1.0, income=0.0):
+    """The constant-coefficient spec that solve_stationary takes: hazard lam,
+    discount rates r1 (own) and r2 (bequest), Pareto weight m, payout l."""
+    return ModelSpec(
+        market=market,
+        mortality=ConstantHazard(lam),
+        discount=Exponential(r1),
+        prefs=PreferenceParams(
+            gamma=gamma, n=1.0, m_weight=ConstantWeight(m), bequest_discount=Exponential(r2)
+        ),
+        insurance=InsuranceIncomeSpec(payout=ConstantPayout(payout), eta=eta, income=income),
+        horizon=1.0,
+    )
+
+
 @pytest.fixture(scope="session")
 def stationary_fixture(market):
     # r1 = r2 = 0.1 collapses the fixed-point equation to a linear one
-    return StationaryParams(
-        hazard_rate=0.02,
-        r1=0.1,
-        r2=0.1,
-        m=1.0,
-        payout=50.0,
-        eta=1.0,
-        income=0.0,
-        gamma=-1.0,
-        market=market,
-    )
+    return make_stationary_spec(market, lam=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, gamma=-1.0)

@@ -354,6 +354,17 @@ def test_readme_lists_every_family_key():
     assert not missing
 
 
+def test_readme_library_block_runs():
+    # the documented API, run as written (1e5 Monte Carlo paths, about 3.5 s)
+    root = Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"^## Library\n\n```python\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[0]]
+    result = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 # ---------------------------------------------------------------------------
 # CSV / SVG emission
 # ---------------------------------------------------------------------------
@@ -558,6 +569,51 @@ def test_stationary_equal_rates_spurious_root(tmp_path, capsys, payout, gamma, s
         rows = list(csv.reader(fh))
     # alpha = 0.005 + 0.005 + 0.080625 + 0.02, x = alpha/(1 + lambda - gamma beta)
     assert float(rows[1][0]) == pytest.approx((0.110625 / 2.025) ** 2, rel=1e-12)
+
+
+_STATIONARY_REFUSALS = [
+    pytest.param(
+        "mortality.family = constant\n",
+        "mortality.family = affine\nmortality.lambda1 = 0.001\n",
+        "constant mortality",
+        id="affine-mortality",
+    ),
+    pytest.param("mortality.lambda0 = 0.02", "mortality.lambda0 = 0", "lambda0 > 0", id="zero-hazard"),
+    pytest.param(
+        "preferences.m.family = constant\npreferences.m.value = 1.0\n",
+        "preferences.m.family = log_taper\n",
+        "a constant Pareto weight",
+        id="log-taper-weight",
+    ),
+    pytest.param(
+        "insurance.payout.family = constant\ninsurance.payout.value = 50\n",
+        "insurance.payout.family = inverse_hazard\n",
+        "a constant payout ratio",
+        id="inverse-hazard-payout",
+    ),
+    pytest.param(
+        "discount.family = exponential\ndiscount.rho = 0.1\n",
+        "discount.family = hyperbolic\ndiscount.k1 = 5\ndiscount.h1_target = 0.3\n",
+        "exponential discount kernels",
+        id="hyperbolic-discount",
+    ),
+    pytest.param(
+        "discount.rho = 0.1\n",
+        "discount.rho = 0.1\nbequest_discount.family = hyperbolic\nbequest_discount.k1 = 5\n"
+        "bequest_discount.h1_target = 0.3\n",
+        "exponential discount kernels",
+        id="hyperbolic-bequest-discount",
+    ),
+]
+
+
+@pytest.mark.parametrize("old, new, message", _STATIONARY_REFUSALS)
+def test_stationary_refuses_non_stationary_model(tmp_path, capsys, old, new, message):
+    assert EXP1_TEXT.count(old) == 1
+    cfg = _write(tmp_path, EXP1_TEXT.replace(old, new))
+    assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "o"), "--no-svg"]) == 2
+    assert capsys.readouterr().err == f"refused: stationary: requires {message}\n"
+    assert not (tmp_path / "o" / "stationary.csv").exists()
 
 
 def test_cli_import_skips_scipy_optimize():

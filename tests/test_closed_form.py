@@ -1,5 +1,6 @@
 """Closed forms: income floor b, exponential/log value coefficients, stationary case."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from tcpolicy import (
     Exponential,
     Hyperbolic,
     InsuranceIncomeSpec,
+    InverseHazardPayout,
     MarketParams,
     ModelSpec,
     PreferenceParams,
@@ -26,7 +28,6 @@ from tcpolicy import (
     kernel_q,
 )
 from tcpolicy.closed_form import (
-    StationaryParams,
     a_exponential,
     a_log,
     b_function,
@@ -35,6 +36,8 @@ from tcpolicy.closed_form import (
 )
 from tcpolicy.closed_form import StationaryInfeasibleError
 from tcpolicy.model import legacy_hazard_weight, weight_M
+
+from conftest import make_stationary_spec
 
 
 def _with_income(spec, income, payout=None):
@@ -111,6 +114,46 @@ def test_b_time_varying_rate_simpson(experiment_spec):
     rate = spec.market.r + spec.insurance.eta * spec.mortality.rate(t[1:-1])
     residual = spec.insurance.income + bp - rate * b_asc[1:-1]
     assert np.max(np.abs(residual)) < 1e-3  # O(h^2) difference error dominates
+
+
+@st.composite
+def _income_specs(draw):
+    """Income > 0 with a constant or actuarial payout.  The hazard never
+    decreases, so the discount rate r + eta/l(t) never does either, and
+    (r + eta/l) b <= i keeps b non-increasing in t."""
+    r = draw(st.floats(-0.05, 0.1))
+    market = MarketParams(r=r, alpha=r + draw(st.floats(0.01, 0.2)), sigma=draw(st.floats(0.1, 0.5)))
+    mortality = draw(
+        st.builds(ConstantHazard, st.floats(0.0, 0.5))
+        | st.builds(AffineHazard, st.floats(0.0, 0.1), st.floats(0.0, 0.05))
+    )
+    payout = draw(
+        st.builds(ConstantPayout, st.floats(0.5, 100.0))
+        | st.just(ConstantPayout(math.inf))
+        | st.just(InverseHazardPayout(mortality))
+    )
+    insurance = InsuranceIncomeSpec(payout=payout, eta=draw(st.floats(0.1, 2.0)), income=draw(st.floats(0.01, 5.0)))
+    h = Exponential(0.1)
+    prefs = PreferenceParams(gamma=-1.0, n=1.0, m_weight=ConstantWeight(1.0), bequest_discount=h)
+    return ModelSpec(market, mortality, h, prefs, insurance, draw(st.floats(0.1, 50.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_income_specs(), N=st.integers(2, 2000))
+def test_b_vanishes_at_T_nonnegative_and_non_increasing(spec, N):
+    # where (r + eta/l)(T - t) is large, b has settled at i/(r + eta/l) and
+    # its steps are rounding noise, about R ulp of b from the factor e^R(t)
+    # (R = int_0^t (r + eta/l), up to 140 here; a rise of 4.7 ulp was seen
+    # at R = 44), so a rise of at most 1e-13 of b counts as flat
+    rel = 1e-13
+    b_nodes = solve_b(spec, N)  # t decreasing from T to 0
+    assert b_nodes[0] == 0.0
+    assert np.all(b_nodes >= 0.0) and np.all(np.diff(b_nodes) >= -rel * b_nodes[1:])
+    b = b_function(spec)
+    t = np.linspace(0.0, spec.horizon, 1001)
+    b_t = b(t)
+    assert b(spec.horizon) == 0.0
+    assert np.all(b_t >= 0.0) and np.all(np.diff(b_t) <= rel * b_t[1:])
 
 
 def test_b_requires_two_steps(exp1_spec):
@@ -282,36 +325,36 @@ def test_stationary_equal_rates_closed_form(stationary_fixture):
 
 def test_stationary_residual_recomputed(stationary_fixture):
     sol = solve_stationary(stationary_fixture)
-    gb = stationary_fixture.gamma * sol.beta
-    lw = stationary_fixture.hazard_rate * stationary_fixture.m ** (1.0 / (1.0 - stationary_fixture.gamma))
+    prefs = stationary_fixture.prefs
+    gb = prefs.gamma * sol.beta
+    lw = stationary_fixture.mortality.lambda0 * prefs.m0 ** (1.0 / (1.0 - prefs.gamma))
     res = abs(1.0 / sol.x - 1.0 / (sol.alpha1 + gb * sol.x) - lw / (sol.alpha2 + gb * sol.x))
     assert res < 1e-10
 
 
 def test_stationary_income_floor(market):
-    p = StationaryParams(
-        hazard_rate=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, eta=1.0, income=1.0,
-        gamma=-1.0, market=market,
-    )
-    sol = solve_stationary(p)
+    spec = make_stationary_spec(market, lam=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, gamma=-1.0, income=1.0)
+    sol = solve_stationary(spec)
     assert sol.b == pytest.approx(1.0 / 0.07, rel=1e-12)
 
 
-def _stationary_alphas(p):
-    inv_l = 1.0 / p.payout
-    K = constant_K(p.market, p.gamma)
+def _stationary_alphas(spec):
+    lam, gamma, eta = spec.mortality.lambda0, spec.prefs.gamma, spec.insurance.eta
+    inv_l = 1.0 / spec.insurance.payout.payout
+    K = constant_K(spec.market, gamma)
     return (
-        p.hazard_rate + p.r1 - K - p.gamma * p.eta * inv_l,
-        p.hazard_rate + p.r2 - K - p.gamma * p.eta * inv_l,
+        lam + spec.discount.rho - K - gamma * eta * inv_l,
+        lam + spec.prefs.bequest_discount.rho - K - gamma * eta * inv_l,
     )
 
 
-def _brentq_stationary_x(p):
+def _brentq_stationary_x(spec):
     # reference: bracket the first sign change of the uncleared equation on
     # the interval where both transversality values are positive, then brentq
-    alpha1, alpha2 = _stationary_alphas(p)
-    w = p.hazard_rate * p.m ** (1.0 / (1.0 - p.gamma))
-    gb = p.gamma * (1.0 + p.m ** (1.0 / (1.0 - p.gamma)) / p.payout)
+    alpha1, alpha2 = _stationary_alphas(spec)
+    gamma, m = spec.prefs.gamma, spec.prefs.m0
+    w = spec.mortality.lambda0 * m ** (1.0 / (1.0 - gamma))
+    gb = gamma * (1.0 + m ** (1.0 / (1.0 - gamma)) / spec.insurance.payout.payout)
 
     def g(x):
         return 1.0 / x - 1.0 / (alpha1 + gb * x) - w / (alpha2 + gb * x)
@@ -344,12 +387,9 @@ _STATIONARY_CASES = [
 
 @pytest.mark.parametrize("lam, r1, r2, m, payout, gamma", _STATIONARY_CASES)
 def test_stationary_quadratic_matches_brentq(market, lam, r1, r2, m, payout, gamma):
-    p = StationaryParams(
-        hazard_rate=lam, r1=r1, r2=r2, m=m, payout=payout, eta=1.0, income=0.0,
-        gamma=gamma, market=market,
-    )
-    sol = solve_stationary(p)
-    x_ref = _brentq_stationary_x(p)
+    spec = make_stationary_spec(market, lam, r1, r2, m, payout, gamma)
+    sol = solve_stationary(spec)
+    x_ref = _brentq_stationary_x(spec)
     assert sol.x == pytest.approx(x_ref, rel=1e-13)
     assert sol.a == pytest.approx(x_ref ** (1.0 - gamma), rel=1e-13)
 
@@ -357,37 +397,27 @@ def test_stationary_quadratic_matches_brentq(market, lam, r1, r2, m, payout, gam
 def test_stationary_two_feasible_roots_refused(market):
     # gamma > 0 with m != 1: both roots of the quadratic satisfy the
     # equation and transversality, so no single stationary value exists
-    p = StationaryParams(
-        hazard_rate=0.005, r1=0.3, r2=0.05, m=4.0, payout=5.0, eta=1.0, income=0.0,
-        gamma=0.3, market=market,
-    )
+    spec = make_stationary_spec(market, lam=0.005, r1=0.3, r2=0.05, m=4.0, payout=5.0, gamma=0.3)
     with pytest.raises(StationaryInfeasibleError, match="multiple"):
-        solve_stationary(p)
+        solve_stationary(spec)
 
 
 def test_stationary_distinct_rates_and_weight(market):
-    p = StationaryParams(
-        hazard_rate=0.03, r1=0.08, r2=0.12, m=4.0, payout=20.0, eta=1.0, income=0.5,
-        gamma=-1.0, market=market,
-    )
-    sol = solve_stationary(p)
+    spec = make_stationary_spec(market, lam=0.03, r1=0.08, r2=0.12, m=4.0, payout=20.0, gamma=-1.0, income=0.5)
+    sol = solve_stationary(spec)
     assert sol.residual < 1e-10
     assert sol.tc_holds
     # defining function strictly monotone on the feasible interval
-    gb = p.gamma * sol.beta
+    gb = spec.prefs.gamma * sol.beta
     upper = min(sol.alpha1, sol.alpha2) / (-gb)
     xs = np.linspace(upper * 1e-6, upper * (1 - 1e-6), 1000)
-    lw = p.hazard_rate * p.m ** 0.5
+    lw = spec.mortality.lambda0 * spec.prefs.m0**0.5
     g = 1.0 / xs - 1.0 / (sol.alpha1 + gb * xs) - lw / (sol.alpha2 + gb * xs)
     assert np.all(np.diff(g) < 0.0)
 
 
 def test_stationary_log_branch(market):
-    p = StationaryParams(
-        hazard_rate=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, eta=1.0, income=0.0,
-        gamma=0.0, market=market,
-    )
-    sol = solve_stationary(p)
+    sol = solve_stationary(make_stationary_spec(market, lam=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, gamma=0.0))
     assert sol.residual < 1e-12
     assert sol.tc_holds
     # gamma beta = 0: 1/x = 1/alpha1 + lambda m/alpha2
@@ -398,12 +428,9 @@ def test_stationary_log_branch(market):
 def test_stationary_infeasible(market):
     # gamma in (0,1) pushes K above lambda + r_j: alpha_j < 0 with
     # gamma*beta > 0 leaves g(x) < 0 on the whole feasible ray
-    p = StationaryParams(
-        hazard_rate=0.005, r1=0.005, r2=0.005, m=1.0, payout=1e12, eta=1.0, income=0.0,
-        gamma=0.5, market=market,
-    )
+    spec = make_stationary_spec(market, lam=0.005, r1=0.005, r2=0.005, m=1.0, payout=1e12, gamma=0.5)
     with pytest.raises(StationaryInfeasibleError):
-        solve_stationary(p)
+        solve_stationary(spec)
 
 
 _REPRO_MARKET = MarketParams(r=0.05, alpha=0.12, sigma=0.2)
@@ -411,44 +438,41 @@ _rates = st.floats(0.001, 0.5)
 
 
 @st.composite
-def _stationary_params(draw):
+def _stationary_specs(draw):
     r1 = draw(_rates)
-    return StationaryParams(
-        hazard_rate=draw(_rates),
-        r1=r1,
-        r2=draw(st.one_of(st.just(r1), _rates)),
-        m=draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0))),
-        payout=draw(st.one_of(st.just(math.inf), st.floats(0.5, 100.0))),
-        eta=draw(st.floats(0.1, 2.0)),
-        income=draw(st.floats(0.0, 2.0)),
-        gamma=draw(st.one_of(st.just(0.0), st.floats(-10.0, 0.95))),
-        market=MarketParams(
-            r=draw(st.floats(0.001, 0.1)), alpha=draw(st.floats(0.11, 0.3)), sigma=draw(st.floats(0.1, 0.5))
-        ),
+    lam = draw(_rates)
+    r2 = draw(st.one_of(st.just(r1), _rates))
+    m = draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0)))
+    payout = draw(st.one_of(st.just(math.inf), st.floats(0.5, 100.0)))
+    eta = draw(st.floats(0.1, 2.0))
+    income = draw(st.floats(0.0, 2.0))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(-10.0, 0.95)))
+    market = MarketParams(
+        r=draw(st.floats(0.001, 0.1)), alpha=draw(st.floats(0.11, 0.3)), sigma=draw(st.floats(0.1, 0.5))
     )
+    return make_stationary_spec(market, lam, r1, r2, m, payout, gamma, eta=eta, income=income)
 
 
-@given(p=_stationary_params())
+@given(spec=_stationary_specs())
 @example(
-    p=StationaryParams(
-        hazard_rate=0.005, r1=0.005, r2=0.005, m=1.0, payout=50.0, eta=1.0, income=1.0,
-        gamma=-1.0, market=_REPRO_MARKET,
+    spec=make_stationary_spec(
+        _REPRO_MARKET, lam=0.005, r1=0.005, r2=0.005, m=1.0, payout=50.0, gamma=-1.0, income=1.0
     )
 )
 @example(
-    p=StationaryParams(
-        hazard_rate=0.005, r1=0.005, r2=0.005, m=1.0, payout=20.0, eta=1.0, income=1.0,
-        gamma=0.3, market=_REPRO_MARKET,
+    spec=make_stationary_spec(
+        _REPRO_MARKET, lam=0.005, r1=0.005, r2=0.005, m=1.0, payout=20.0, gamma=0.3, income=1.0
     )
 )
 @settings(max_examples=400, deadline=None)
-def test_stationary_root_properties(p):
-    alpha1, alpha2 = _stationary_alphas(p)
+def test_stationary_root_properties(spec):
+    alpha1, alpha2 = _stationary_alphas(spec)
+    gamma = spec.prefs.gamma
     try:
-        sol = solve_stationary(p)
+        sol = solve_stationary(spec)
     except StationaryInfeasibleError:
         sol = None
-    if p.gamma <= 0.0:
+    if gamma <= 0.0:
         # the equation is monotone on the transversality region, which is
         # non-empty exactly when both alphas are positive
         assert (sol is not None) == (min(alpha1, alpha2) > 0.0)
@@ -456,14 +480,12 @@ def test_stationary_root_properties(p):
         return
     assert sol.tc1 > 0.0 and sol.tc2 > 0.0
     assert sol.x * sol.residual <= 1e-9
-    if p.r1 == p.r2:
-        w = p.hazard_rate * p.m ** (1.0 / (1.0 - p.gamma))
-        assert sol.x == pytest.approx(alpha1 / (1.0 + w - p.gamma * sol.beta), rel=1e-12)
+    if spec.discount.rho == spec.prefs.bequest_discount.rho:
+        w = spec.mortality.lambda0 * spec.prefs.m0 ** (1.0 / (1.0 - gamma))
+        assert sol.x == pytest.approx(alpha1 / (1.0 + w - gamma * sol.beta), rel=1e-12)
 
 
-def test_stationary_parameter_validation(market):
-    with pytest.raises(ValidationError):
-        StationaryParams(
-            hazard_rate=0.0, r1=0.1, r2=0.1, m=1.0, payout=50.0, eta=1.0, income=0.0,
-            gamma=-1.0, market=market,
-        )
+def test_stationary_parameter_validation(stationary_fixture):
+    spec = dataclasses.replace(stationary_fixture, mortality=ConstantHazard(0.0))
+    with pytest.raises(ValidationError, match="stationary: requires lambda0 > 0"):
+        solve_stationary(spec)

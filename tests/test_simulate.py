@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tcpolicy import (
+    AffineHazard,
     ConstantHazard,
     ConstantPayout,
     ConstantWeight,
@@ -372,6 +373,22 @@ def test_kernel_and_mortality_agree_on_experiment(experiment_spec):
     jm = estimate_J_mortality(experiment_spec, grid.a_curve, b, 0.0, 1.0, cfg)
     combined = math.hypot(jk.std_error, jm.std_error)
     assert abs(jk.mean - jm.mean) <= 3.0 * combined
+
+
+@pytest.mark.parametrize("hazard, horizon", [(AffineHazard(0.05, -0.01), 1.0), (AffineHazard(0.4, -0.1), 4.0)])
+def test_kernel_and_mortality_agree_under_decreasing_hazard(exp1_spec, hazard, horizon):
+    # a decreasing hazard integrates to at most lambda0^2 / (2 |lambda1|)
+    # (0.125 and 0.8 here): a path whose Exp(1) draw lies above (88% and
+    # 45% of them) never dies; the second hazard falls to 0 at T
+    spec = dataclasses.replace(exp1_spec, mortality=hazard, horizon=horizon)
+    grid = solve_a(spec, 400)
+    b = b_function(spec)
+    cfg = SimConfig(paths=20_000, seed=3, dt=4e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jk = estimate_J_kernel(spec, grid.interpolate, b, 0.0, 1.0, cfg)
+        jm = estimate_J_mortality(spec, grid.interpolate, b, 0.0, 1.0, cfg)
+    assert abs(jk.mean - jm.mean) <= 3.0 * math.hypot(jk.std_error, jm.std_error)
 
 
 def test_stderr_scales_with_paths(exp1_spec, exp1_solution):
