@@ -437,6 +437,8 @@ def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
     grid = ie_solver.solve_a(spec, rc.grid_n)
     b_curve = closed_form.b_function(spec, rc.grid_n)
     report = simulate.verify_fixed_point(spec, grid.interpolate, b_curve, rc.t0, rc.x0, rc.mc)
+    # the second estimator of J, reported only: it reuses the paths of the first
+    jm = simulate.estimate_J_mortality(spec, grid.interpolate, b_curve, rc.t0, rc.x0, rc.mc)
     emit_csv(
         [
             (
@@ -446,15 +448,18 @@ def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
                 report.j_estimate.mean,
                 report.j_estimate.std_error,
                 report.z_score,
+                jm.mean,
+                jm.std_error,
             )
         ],
-        ["t0", "x0", "v", "j_mean", "j_stderr", "z"],
+        ["t0", "x0", "v", "j_mean", "j_stderr", "z", "jm_mean", "jm_stderr"],
         out / "fixedpoint.csv",
     )
     print(
         f"fixed point at (t0={rc.t0}, x0={rc.x0}): v={report.v_value:.8g} "
         f"j={report.j_estimate.mean:.8g} +- {report.j_estimate.std_error:.3g} "
-        f"z={report.z_score:.3f} ({'pass' if report.passed else 'FAIL'})"
+        f"z={report.z_score:.3f} ({'pass' if report.passed else 'FAIL'}); "
+        f"mortality j={jm.mean:.8g} +- {jm.std_error:.3g}"
     )
     if not report.passed:
         raise VerificationFailed(f"fixed-point check failed (z = {report.z_score:.3f})")

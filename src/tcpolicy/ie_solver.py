@@ -421,8 +421,13 @@ class BoundsReport:
         w_T = self.terminal ** (1.0 / one_mg)
         if c_lin == 0.0:
             return w_T - c_const * tau / one_mg
+        # (w_T + c/l) e^x - c/l written with expm1, so that w(T) = w_T
+        # exactly and nothing cancels when |l| is small against |c|
+        x = -c_lin * tau / one_mg
         with np.errstate(over="ignore"):
-            return (w_T + c_const / c_lin) * np.exp(-c_lin * tau / one_mg) - c_const / c_lin
+            if c_const == 0.0:
+                return w_T * np.exp(x)  # 0 * expm1(x) would be NaN where it overflows
+            return w_T * np.exp(x) + c_const / c_lin * np.expm1(x)
 
     def lower_curve(self, t):
         w = np.maximum(self._w_backward(self.c0, -self.c1, t), 0.0)

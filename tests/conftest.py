@@ -24,6 +24,14 @@ from tcpolicy import (
     ModelSpec,
     PreferenceParams,
 )
+from tcpolicy import simulate
+
+
+@pytest.fixture(autouse=True)
+def _fresh_monte_carlo_samples():
+    # every test computes its Monte Carlo samples itself, none reads the
+    # samples that an earlier test left in the estimators' memo
+    simulate._last_samples = None
 
 
 @pytest.fixture(scope="session")

@@ -495,9 +495,13 @@ def test_simulate_command(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
     with open(out / "fixedpoint.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t0", "x0", "v", "j_mean", "j_stderr", "z"]
+    assert rows[0] == ["t0", "x0", "v", "j_mean", "j_stderr", "z", "jm_mean", "jm_stderr"]
     assert len(rows) == 2
-    assert "fixed point" in capsys.readouterr().out
+    # the two estimators of J agree within Monte Carlo error
+    j, j_se, jm, jm_se = (float(rows[1][i]) for i in (3, 4, 6, 7))
+    assert abs(j - jm) <= 3.0 * math.hypot(j_se, jm_se)
+    out_text = capsys.readouterr().out
+    assert "fixed point" in out_text and f"mortality j={jm:.8g}" in out_text
 
 
 def test_simulate_exit_3_without_evidence(tmp_path, capsys):
@@ -507,7 +511,7 @@ def test_simulate_exit_3_without_evidence(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 3
     with open(out / "fixedpoint.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1][5] == "nan"
+    assert rows[1][5] == "nan" and rows[1][7] == "inf"
     captured = capsys.readouterr()
     assert "FAIL" in captured.out and "failed" in captured.err
 

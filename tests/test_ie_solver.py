@@ -33,6 +33,7 @@ from tcpolicy.cli import parse_config
 from tcpolicy.closed_form import a_exponential
 from tcpolicy.ie_solver import (
     AssumptionViolatedError,
+    BoundsReport,
     SchemeBreakdownError,
     _ExponentialSum,
     _LagTable,
@@ -554,6 +555,23 @@ def test_bounds_terminal_value(exp1_spec):
     rep = a_priori_bounds(exp1_spec)
     assert rep.lower_curve(exp1_spec.horizon) == pytest.approx(1.0, rel=1e-12)
     assert rep.upper_curve(exp1_spec.horizon) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_bounds_small_linear_coefficient_does_not_cancel():
+    # |l| = 1e-12 against |c| = 1: (w_T + c/l) e^x - c/l would lose about
+    # 12 digits; the curves must still end at n and follow the l -> 0 line
+    gamma, n, T = -3.0, 0.76, 2.448
+    rep = BoundsReport(
+        c0=1e-12, c1=1.0, d0=1e-12, d1=1.0, rho=0.0, rho_prime=0.0, terminal=n, gamma=gamma, horizon=T
+    )
+    ulp = math.ulp(n)
+    assert abs(rep.lower_curve(T) - n) <= 4 * ulp
+    assert abs(rep.upper_curve(T) - n) <= 4 * ulp
+    # at l = 0 both curves are w(t) = w_T + c1 (T - t)/(1 - gamma) with c1 = d1 = 1
+    tau = 1.0
+    line = (n ** (1.0 / (1.0 - gamma)) + tau / (1.0 - gamma)) ** (1.0 - gamma)
+    assert rep.lower_curve(T - tau) == pytest.approx(line, rel=1e-10)
+    assert rep.upper_curve(T - tau) == pytest.approx(line, rel=1e-10)
 
 
 def test_bounds_contain_solution(exp1_spec):

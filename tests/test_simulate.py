@@ -58,6 +58,7 @@ CFG = SimConfig(paths=8000, seed=424242, dt=2e-3)
 def test_estimates_bit_identical_across_runs(exp1_spec, exp1_solution):
     a_curve, b_curve = exp1_solution
     r1 = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
+    sim_module._last_samples = None  # the second run recomputes every path
     r2 = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
     assert r1 == r2
 
@@ -85,6 +86,7 @@ def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 3):
             monkeypatch.setattr(sim_module, "_WORKERS", workers)
+            sim_module._last_samples = None  # recompute at this block size and thread count
             chunked = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
             assert same(base, chunked), f"{workers} workers"
     finally:
@@ -99,6 +101,88 @@ def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeyp
     with np.errstate(over="raise"):
         states = ctx.map_blocks(lambda start, log_y, ok: np.geterr()["over"])
     assert states == ["raise"] * 4
+
+
+# ---------------------------------------------------------------------------
+# One pass for both estimators
+# ---------------------------------------------------------------------------
+
+
+def _count_normal_draws(monkeypatch):
+    """Patch ``_path_normals`` to count its calls; returns the counter list."""
+    calls = []
+    draw = sim_module._path_normals
+    monkeypatch.setattr(sim_module, "_path_normals", lambda *args: calls.append(args) or draw(*args))
+    return calls
+
+
+def test_kernel_and_mortality_draw_each_block_once(exp1_spec, exp1_solution, monkeypatch):
+    a_curve, b_curve = exp1_solution
+    monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 100)
+    calls = _count_normal_draws(monkeypatch)
+    cfg = SimConfig(paths=450, seed=9, dt=1e-2)
+    estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    estimate_J_mortality(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    assert sorted(start for _, start, _, _ in calls) == [0, 100, 200, 300, 400]
+    # the bound method compares equal to itself under another name
+    grid = solve_a(exp1_spec, 1000)
+    assert grid.interpolate == grid.a_curve
+    calls.clear()
+    verify_fixed_point(exp1_spec, grid.a_curve, b_curve, 0.0, 1.0, cfg)
+    estimate_J_mortality(exp1_spec, grid.interpolate, b_curve, 0.0, 1.0, cfg)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("scheme", [EXACT_Y, EULER])
+@pytest.mark.parametrize("first", ["kernel", "mortality"])
+def test_memo_hit_equals_fresh_pass(exp1_spec, exp1_solution, scheme, first):
+    a_curve, b_curve = exp1_solution
+    cfg = SimConfig(paths=2000, seed=17, dt=5e-3, scheme=scheme)
+    run = {"kernel": estimate_J_kernel, "mortality": estimate_J_mortality}
+    second = "mortality" if first == "kernel" else "kernel"
+    run[first](exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    hit = run[second](exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    sim_module._last_samples = None
+    fresh = run[second](exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    assert hit == fresh and hit.paths_used == cfg.paths
+
+
+def test_memo_misses_on_any_key_change(exp1_spec, exp1_solution, monkeypatch):
+    a_curve, b_curve = exp1_solution
+    cfg = SimConfig(paths=300, seed=4, dt=1e-2)
+    base = (exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    other_spec = dataclasses.replace(exp1_spec, mortality=ConstantHazard(0.03))
+    same_values = lambda t: a_curve(t)  # another object with the same values
+    changes = ({"seed": 5}, {"paths": 301}, {"dt": 2e-2}, {"scheme": EULER})
+    variants = [base[:5] + (dataclasses.replace(cfg, **change),) for change in changes]
+    variants += [
+        (exp1_spec, a_curve, b_curve, 0.1, 1.0, cfg),
+        (exp1_spec, a_curve, b_curve, 0.0, 1.5, cfg),
+        (other_spec, a_curve, b_curve, 0.0, 1.0, cfg),
+        (exp1_spec, same_values, b_curve, 0.0, 1.0, cfg),
+        (exp1_spec, a_curve, lambda t: b_curve(t), 0.0, 1.0, cfg),
+    ]
+    calls = _count_normal_draws(monkeypatch)
+    for args in variants:
+        estimate_J_kernel(*base)
+        calls.clear()
+        estimate_J_mortality(*base)
+        assert not calls  # the control: equal arguments hit
+        estimate_J_mortality(*args)
+        assert calls, args
+
+
+def test_memo_hit_still_warns_on_euler_rejection(exp1_spec, monkeypatch):
+    spec = dataclasses.replace(exp1_spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.02))
+    a_curve, b_curve = _constant_curves(1.0)
+    cfg = SimConfig(paths=1000, seed=2, dt=0.1, scheme=EULER)
+    with pytest.warns(UserWarning, match="rejection"):
+        jk = estimate_J_kernel(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    calls = _count_normal_draws(monkeypatch)
+    with pytest.warns(UserWarning, match="rejection"):
+        jm = estimate_J_mortality(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    assert not calls
+    assert jm.paths_used == jk.paths_used < cfg.paths
 
 
 def test_path_normals_are_per_path_substreams():
