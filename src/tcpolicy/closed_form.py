@@ -253,9 +253,8 @@ def _stationary_pieces(spec: ModelSpec):
     K = constant_K(spec.market, gamma)
     alpha1 = lam + spec.discount.rho - K - gamma * spec.insurance.eta * inv_l
     alpha2 = lam + spec.prefs.bequest_discount.rho - K - gamma * spec.insurance.eta * inv_l
-    m_pow = legacy_hazard_weight(spec.prefs)
-    beta = 1.0 + m_pow * inv_l
-    legacy_weight = lam * m_pow
+    beta = weight_M(spec.prefs, spec.insurance, 0.0)
+    legacy_weight = lam * legacy_hazard_weight(spec.prefs)
     return inv_l, alpha1, alpha2, beta, legacy_weight
 
 

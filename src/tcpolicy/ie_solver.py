@@ -19,13 +19,16 @@ power of a; w = 1 whenever m(0) = 1.  The scheme marches from T down to 0
 with step ``epsilon = -T/N``, discretizing the memory integral by a
 Riemann sum over the already-computed nodes; it is first-order accurate
 in 1/N.  On the uniform grid L factors into two lag-only kernels times
-node-only weights kept in log space, so long horizons neither underflow
-nor overflow the exponential factors.  A kernel that is a sum of K
-exponentials (exponential, two-rate mixture, and hyperbolic through a
-quadrature of its Laplace-type integral) is carried by K recursive states,
-so a solve costs O(N K); a kernel part that vanishes on the grid is not
-computed at all; the rest (a tapering Pareto weight, the affine-exponential
-family) keep a lag table read by a (2 x n) mat-vec at step n, O(N^2).
+node-only weights kept in log space, and the march carries log A rather
+than A, so long horizons neither underflow nor overflow the exponential
+factors.  A kernel that is a sum of K exponentials (exponential, two-rate
+mixture, and hyperbolic through a quadrature of its Laplace-type
+integral) is carried by K recursive states, so a solve costs O(N K); a
+kernel part that vanishes on the grid is not computed at all; the rest (a
+tapering Pareto weight, the affine-exponential family) keep a lag table
+read by a (2 x n) mat-vec at step n, O(N^2).  Each step takes one CRRA
+power, the consumption rate ``a^(1/(gamma-1))``, and one exp of the
+node's log-scale.
 
 :func:`solve_a` is the only code that drives the scheme tables; the
 discrete derivative at node n is the march's own step quotient
@@ -82,8 +85,10 @@ class SolutionGrid:
     """Backward grid ``t_n = T - n T/N`` with the a- and A-iterates.
 
     ``times`` decreases from T to 0; ``a_values[0] = n`` and
-    ``A_values[0] = 1`` hold bit-exactly.  The three arrays are made
-    read-only in place at construction.
+    ``A_values[0] = 1`` hold bit-exactly.  The march carries log A;
+    ``A_values`` is its exp, which may underflow to 0 on long horizons
+    without affecting a.  The three arrays are made read-only in place at
+    construction.
     """
 
     times: np.ndarray
@@ -175,7 +180,8 @@ class _SchemeTables:
     h'/h(0) cancels in each difference; measuring from it makes d vanish
     exactly for an exponential kernel.  The h part sums ``[h, d h]`` against
     ``f_j = e^(e_j - ref) a_j^(g/(g-1)) A_j`` and the hbar part sums ``[hbar,
-    dbar hbar]`` against ``g_j = lambda_j f_j``.  A part whose offsets (d;
+    dbar hbar]`` against ``g_j = q_weight lambda_j f_j``; ``parts`` pairs each
+    kept part with its per-node multiplier of f.  A part whose offsets (d;
     d and dbar) or whose hazard vanish on the grid contributes exactly 0
     and is skipped; otherwise it is an exponential sum when the kernel has
     one and a lag table when it has not.  The legacy-weight table stops one
@@ -187,13 +193,12 @@ class _SchemeTables:
         T = spec.horizon
         prefs, ins = spec.prefs, spec.insurance
         gamma = self.gamma = prefs.gamma
-        self.pow_ratio = gamma / (gamma - 1.0)
         self.pow_inv = 1.0 / (gamma - 1.0)
         K = constant_K(spec.market, gamma)
         self.epsilon = -T / N
         # legacy-kernel scaling from U((a/m)^(1/(g-1)) Y); both equal 1 at m(0) = 1
         lam_weight = legacy_hazard_weight(prefs)
-        self.q_weight = lam_weight / prefs.m0
+        q_weight = lam_weight / prefs.m0
 
         self.times = np.linspace(T, 0.0, N + 1)
         lags = np.linspace(0.0, T, N + 1)  # k * T/N
@@ -204,22 +209,23 @@ class _SchemeTables:
         d = h_log - c
         dbar = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float) - c
         lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
-        self.h_part = self.hbar_part = None
+        self.parts = []
         if np.any(d):
             terms = spec.discount.exponential_sum(T, step)
             if terms is None:
                 h_val = np.asarray(spec.discount.value(lags), dtype=float)
-                self.h_part = _LagTable(np.stack([h_val, d * h_val]))
+                part = _LagTable(np.stack([h_val, d * h_val]))
             else:
-                self.h_part = _ExponentialSum(*terms, c, step)
+                part = _ExponentialSum(*terms, c, step)
+            self.parts.append((part, memoryview(np.ones(N + 1))))
         if (np.any(d) or np.any(dbar)) and np.any(lam):
             terms = spec.hbar_exponential_sum(step)
             if terms is None:
                 hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
-                self.hbar_part = _LagTable(np.stack([hbar_val, dbar * hbar_val]))
+                part = _LagTable(np.stack([hbar_val, dbar * hbar_val]))
             else:
-                self.hbar_part = _ExponentialSum(*terms, c, step)
-        self.parts = [part for part in (self.h_part, self.hbar_part) if part is not None]
+                part = _ExponentialSum(*terms, c, step)
+            self.parts.append((part, memoryview(q_weight * lam)))
 
         M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
         inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
@@ -231,47 +237,34 @@ class _SchemeTables:
         self.coef = memoryview(gamma * M - lam_weight * lam - 1.0)
         self.drift = memoryview(lam - h_log - K - gamma * ins.eta * inv_l)
         self.M = memoryview(M)
-        self.lam = memoryview(lam)
         self.d = memoryview(d)
         self.e = memoryview(e - e[0])  # only differences of e enter; e = 0 at t = T
         self.ref = 0.0
 
-    def record(self, n: int, a_pow_n: float, A_n: float) -> None:
-        """Add node n to the memory parts: ``f_n = e^(e_n - ref)
-        a_n^(g/(g-1)) A_n`` and ``g_n = lambda_n f_n``, first rescaling what
-        they hold if ref has to move (see ``_MAX_LOG_DRIFT``); nodes come in
-        order 0, 1, ...
+    def step(self, n: int, a_pow_n: float, log_A_n: float) -> float:
+        """``sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n`` over j = 0..n-1, then
+        node n added to the parts: ``f_n = e^(e_n - ref) a_n^(g/(g-1)) A_n``
+        times its per-node multiplier.  ref moves to node n first if it has
+        drifted (see ``_MAX_LOG_DRIFT``); nodes come in order 0, 1, ...
         """
-        log_scale = self.e[n] + math.log(A_n)
+        if not self.parts:
+            return 0.0
+        log_scale = self.e[n] + log_A_n
         if abs(log_scale - self.ref) > _MAX_LOG_DRIFT:
             shift = math.exp(self.ref - log_scale)
-            for part in self.parts:
+            for part, _ in self.parts:
                 part.rescale(n, shift)
             self.ref = log_scale
-        f_n = math.exp(log_scale - self.ref) * a_pow_n
-        if self.h_part is not None:
-            self.h_part.add(n, f_n)
-        if self.hbar_part is not None:
-            self.hbar_part.add(n, self.lam[n] * f_n)
-
-    def memory(self, n: int, A_n: float) -> float:
-        """``sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n`` over j = 0..n-1, from
-        the nodes recorded so far."""
-        if n == 0 or not self.parts:
-            return 0.0
+        scale = math.exp(log_scale - self.ref)
+        f_n = scale * a_pow_n
         d_n = self.d[n]
         bracket = 0.0
-        if self.h_part is not None:
-            hf, dhf = self.h_part.sums(n)
-            bracket = d_n * hf - dhf
-        if self.hbar_part is not None:
-            hg, dhg = self.hbar_part.sums(n)
-            bracket += self.q_weight * (d_n * hg - dhg)
-        return bracket / math.exp(self.e[n] + math.log(A_n) - self.ref)
-
-    def rhs(self, n: int, a_n: float, a_pow_n: float, memory: float) -> float:
-        local = self.coef[n] * a_pow_n + self.drift[n] * a_n
-        return local - self.epsilon * memory
+        for part, weight in self.parts:
+            if n:
+                k, dk = part.sums(n)
+                bracket += d_n * k - dk
+            part.add(n, weight[n] * f_n)
+        return bracket / scale
 
 
 def _check_preconditions(spec: ModelSpec, N: int) -> None:
@@ -308,30 +301,33 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     """
     _check_preconditions(spec, N)
     tab = _SchemeTables(spec, N)
-    eps, gamma, M = tab.epsilon, tab.gamma, tab.M
+    eps, gamma, pow_inv = tab.epsilon, tab.gamma, tab.pow_inv
+    coef, drift, M = tab.coef, tab.drift, tab.M
 
     a = np.empty(N + 1)
-    A = np.empty(N + 1)
+    log_A = np.empty(N + 1)
     a_n = a[0] = float(spec.prefs.n)
-    A_n = A[0] = 1.0
+    log_A_n = log_A[0] = 0.0
     # an overflow shows as a non-finite iterate, which the breakdown test
     # below reports; one errstate per step would cost about 35 ms at N = 1.6e4
     with np.errstate(over="ignore"):
         for n in range(N):
-            a_pow = _power(a_n, tab.pow_ratio)
-            memory = tab.memory(n, A_n)
-            tab.record(n, a_pow, A_n)
-            a_next = a_n + eps * tab.rhs(n, a_n, a_pow, memory)
-            A_next = A_n - gamma * eps * _power(a_n, tab.pow_inv) * M[n] * A_n
-            if not (0.0 < a_next < math.inf and 0.0 < A_next < math.inf):
-                finite = math.isfinite(a_next) and math.isfinite(A_next)
+            rate = _power(a_n, pow_inv)  # the consumption rate a^(1/(g-1))
+            a_pow = a_n * rate
+            memory = tab.step(n, a_pow, log_A_n)
+            a_next = a_n + eps * (coef[n] * a_pow + drift[n] * a_n - eps * memory)
+            # A_(n+1) = A_n (1 - decay)
+            decay = gamma * eps * rate * M[n]
+            if not (0.0 < a_next < math.inf and -math.inf < decay < 1.0):
+                finite = math.isfinite(a_next) and math.isfinite(decay)
                 raise SchemeBreakdownError(
                     f"scheme breakdown at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
-                    f"a = {a_next:.6g}, A = {A_next:.6g}; "
+                    f"a = {a_next:.6g}, A = {_power(math.e, log_A_n) * (1.0 - decay):.6g}; "
                     + ("increase N" if finite else "overflow: the iterate is not finite")
                 )
             a_n = a[n + 1] = a_next
-            A_n = A[n + 1] = A_next
+            log_A_n = log_A[n + 1] = log_A_n + math.log1p(-decay)
+        A = np.exp(log_A)
     return SolutionGrid(times=tab.times, a_values=a, A_values=A, N=N, epsilon=eps)
 
 

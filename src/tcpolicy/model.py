@@ -542,10 +542,9 @@ def constant_K(market: MarketParams, gamma: float) -> float:
 
 
 def weight_M(prefs: PreferenceParams, insurance: InsuranceIncomeSpec, z):
-    """Outflow multiplier ``M(z) = 1 + 1/(m^(1/(gamma-1)) l(z))`` with m = m(0)."""
+    """Outflow multiplier ``M(z) = 1 + m^(1/(1-gamma))/l(z)`` with m = m(0)."""
     inv_l = insurance.payout.inverse(z)
-    m_factor = prefs.m0 ** (1.0 / (prefs.gamma - 1.0))
-    out = 1.0 + np.asarray(inv_l, dtype=float) / m_factor
+    out = 1.0 + legacy_hazard_weight(prefs) * np.asarray(inv_l, dtype=float)
     return out if np.ndim(inv_l) else float(out)
 
 
@@ -558,8 +557,9 @@ class A1Check:
 
 
 def legacy_hazard_weight(prefs: PreferenceParams) -> float:
-    """Constant ``m(0)^(1/(1-gamma))`` multiplying the hazard in the
-    consumption coefficient.
+    """The constant ``w = m(0)^(1/(1-gamma))``: it multiplies the hazard in
+    the consumption coefficient and ``1/l`` in M, and the consumption rate
+    to give the bequest rate.
 
     It comes from the legacy utility evaluated at the equilibrium bequest
     ``(a/m)^(1/(gamma-1)) (x + b)`` together with the ``m(0) lambda`` mass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, ValidationError, crra_utility
+from .model import ModelSpec, ValidationError, crra_utility, legacy_hazard_weight
 
 __all__ = [
     "PolicyTriple",
@@ -94,10 +94,11 @@ class FeedbackRates:
 def feedback_rates(spec: ModelSpec, a, t) -> FeedbackRates:
     """The feedback map at times ``t`` given the value coefficients ``a = a(t)``."""
     gamma, market = spec.prefs.gamma, spec.market
+    consumption = _crra_rate(a, gamma)
     return FeedbackRates(
         merton=market.mu / (market.sigma**2 * (1.0 - gamma)),
-        consumption=_crra_rate(a, gamma),
-        bequest=_crra_rate(np.asarray(a, dtype=float) / spec.prefs.m0, gamma),
+        consumption=consumption,
+        bequest=legacy_hazard_weight(spec.prefs) * consumption,
         inv_l=np.asarray(spec.insurance.payout.inverse(t), dtype=float),
         eta=spec.insurance.eta,
     )

@@ -29,7 +29,6 @@ import contextvars
 import math
 import os
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -231,29 +230,25 @@ class _SimContext:
         y, alive = self.euler_block(normals)
         return np.log(y, out=y), alive
 
-    def map_blocks(self, reduce) -> list:
-        """``reduce(start, log_y, alive)`` of every block of paths, in path order.
+    def map_blocks(self, reduce) -> None:
+        """``reduce(start, log_y, alive)`` on every block of paths.
 
-        Each block is built and reduced on one worker thread, at most one
-        block per worker in flight, in a copy of the caller's context (so
-        numpy's error state carries over).  ``reduce`` may overwrite
-        ``log_y``; it must not call the module's kernel functions, which
-        belong to the calling thread.
+        Each block is built and reduced on one worker thread, so at most one
+        block per worker is in flight, in a copy of the caller's context (so
+        numpy's error state carries over).  ``reduce`` writes its results
+        into the caller's arrays and may overwrite ``log_y``; it must not
+        call the module's kernel functions, which belong to the calling
+        thread.
         """
         def work(start, count):
-            return reduce(start, *self.path_block(start, count))
+            reduce(start, *self.path_block(start, count))
 
         paths = self.cfg.paths
         ranges = [(start, min(_BLOCK_PATHS, paths - start)) for start in range(0, paths, _BLOCK_PATHS)]
-        workers = min(_WORKERS, len(ranges))
-        results, pending = [], deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start, count in ranges:
-                if len(pending) == workers:
-                    results.append(pending.popleft().result())
-                pending.append(pool.submit(contextvars.copy_context().run, work, start, count))
-            results.extend(f.result() for f in pending)
-        return results
+        with ThreadPoolExecutor(max_workers=min(_WORKERS, len(ranges))) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, work, start, count) for start, count in ranges]
+            for future in futures:
+                future.result()
 
 
 # ---------------------------------------------------------------------------

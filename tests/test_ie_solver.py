@@ -247,9 +247,30 @@ def test_memory_part_representations(config, h_part, hbar_part):
         spec = _mixed_kernel_spec()
     else:
         spec = parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
-    tab = _SchemeTables(spec, 100)
-    for part, kind in ((tab.h_part, h_part), (tab.hbar_part, hbar_part)):
-        assert type(part) is kind if kind else part is None
+    N = 100
+    tab = _SchemeTables(spec, N)
+    T, step = spec.horizon, spec.horizon / N
+    lags = np.linspace(0.0, T, N + 1)
+    c = float(spec.discount.log_derivative(0.0))
+    q_lam = legacy_hazard_weight(spec.prefs) / spec.prefs.m0 * spec.mortality.rate(tab.times)
+    # what each part would be built from, and its per-node multiplier
+    expected = []
+    if h_part is _LagTable:
+        h_val = spec.discount.value(lags)
+        expected.append((_LagTable(np.stack([h_val, np.array(tab.d) * h_val])), np.ones(N + 1)))
+    elif h_part is _ExponentialSum:
+        expected.append((_ExponentialSum(*spec.discount.exponential_sum(T, step), c, step), np.ones(N + 1)))
+    if hbar_part is _LagTable:
+        hbar_val = spec.hbar_value(lags[:N])
+        dbar = spec.hbar_log_derivative(lags[:N]) - c
+        expected.append((_LagTable(np.stack([hbar_val, dbar * hbar_val])), q_lam))
+    elif hbar_part is _ExponentialSum:
+        expected.append((_ExponentialSum(*spec.hbar_exponential_sum(step), c, step), q_lam))
+    assert len(tab.parts) == len(expected)
+    for (part, weight), (want, want_weight) in zip(tab.parts, expected):
+        assert type(part) is type(want)
+        assert np.array_equal(part.rows, want.rows)
+        assert np.array_equal(np.array(weight), want_weight)
 
 
 def test_exponential_d_weights_exactly_zero():
@@ -390,6 +411,20 @@ def test_long_horizon_hyperbolic_inside_envelopes(exp1_spec):
     assert np.all(grid.a_values <= rep.upper_curve(grid.times) + tol)
 
 
+def test_long_horizon_A_underflow_leaves_a_unchanged():
+    # hump_k5_n10 at hazard 1: A(0) underflows the double range at T = 2000.
+    # The march depends only on T - t, so doubling T at the same step must
+    # repeat the shorter march node for node, and a(0) may move only by the
+    # plateau's own drift (3.8e-4).  Carried as a value, A sticks at the
+    # subnormal 2e-323 and a(0) comes out 18% high.
+    spec = parse_config((CONFIGS / "hump_k5_n10.cfg").read_text()).spec
+    spec = dataclasses.replace(spec, mortality=ConstantHazard(1.0))
+    short = solve_a(dataclasses.replace(spec, horizon=1000.0), 4000)
+    long = solve_a(dataclasses.replace(spec, horizon=2000.0), 8000)
+    assert np.max(np.abs(long.a_values[:4001] / short.a_values - 1.0)) <= 1e-12
+    assert abs(long.a_values[-1] / short.a_values[-1] - 1.0) <= 1e-3
+
+
 def test_nonfinite_iterate_reported_as_overflow():
     # gamma = 0.5 with a tiny volatility: K = 24.5, so a(t) grows like
     # e^(24.4 (T - t)) and leaves the double range well before t = 0
@@ -462,11 +497,9 @@ def test_exponential_kernel_degeneracy(exp1_spec):
     N = 200
     grid = solve_a(exp1_spec, N)
     tab = _SchemeTables(exp1_spec, N)
-    a_pow = grid.a_values ** tab.pow_ratio
-    sums = []
-    for n in range(N):
-        sums.append(tab.memory(n, grid.A_values[n]))
-        tab.record(n, a_pow[n], grid.A_values[n])
+    a_pow = grid.a_values ** (tab.gamma / (tab.gamma - 1.0))
+    log_A = np.log(grid.A_values)
+    sums = [tab.step(n, a_pow[n], log_A[n]) for n in range(N)]
     assert all(value == 0.0 for value in sums)
 
 
@@ -476,15 +509,17 @@ def test_experiment_h_part_vanishes(experiment_spec):
     N = 200
     grid = solve_a(experiment_spec, N)
     tab = _SchemeTables(experiment_spec, N)
-    assert tab.h_part is None and isinstance(tab.hbar_part, _LagTable)
+    ((hbar_part, _),) = tab.parts
+    assert isinstance(hbar_part, _LagTable) and hbar_part.rows.shape == (2, N - 1)  # lags 1..N-1
     lags = np.linspace(0.0, experiment_spec.horizon, N + 1)
     h_val = experiment_spec.discount.value(lags)
     part = _LagTable(np.stack([h_val, np.array(tab.d) * h_val]))
+    a_pow = grid.a_values ** (tab.gamma / (tab.gamma - 1.0))
     for n in range(N):
         if n > 0:
             hf, dhf = part.sums(n)
             assert tab.d[n] * hf - dhf == 0.0
-        part.add(n, grid.a_values[n] ** tab.pow_ratio * grid.A_values[n])
+        part.add(n, a_pow[n] * grid.A_values[n])
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,13 @@ def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeyp
     a_curve, b_curve = exp1_solution
     monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 16)
     ctx = sim_module._SimContext(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(64, 1, 0.1))
+    states = [None] * 4
+
+    def reduce(start, log_y, ok):
+        states[start // 16] = np.geterr()["over"]
+
     with np.errstate(over="raise"):
-        states = ctx.map_blocks(lambda start, log_y, ok: np.geterr()["over"])
+        ctx.map_blocks(reduce)
     assert states == ["raise"] * 4
 
 
