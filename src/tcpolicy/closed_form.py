@@ -7,7 +7,8 @@ integral-equation solver.  Every function here takes the same
 :class:`~tcpolicy.model.ModelSpec` as the backward scheme; those that solve
 a special case refuse a spec outside it.  :func:`exponential_applies` is
 the one test of the exponential case, shared with the solver's convergence
-report.
+report.  ``b``, the exponential ``a`` and the log ``a`` share one quadrature,
+the backward march of :func:`_backward_linear`.
 """
 
 from __future__ import annotations
@@ -44,13 +45,23 @@ __all__ = [
 _SIMPSON_PANELS = 10_000
 
 
-def _composite_simpson(f, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    x = np.linspace(lo, hi, 2 * _SIMPSON_PANELS + 1)
-    y = np.asarray(f(x), dtype=float)
-    weighted = y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum()
-    return (hi - lo) / (6.0 * _SIMPSON_PANELS) * weighted
+def _backward_linear(times, kappa, source, w_T: float) -> np.ndarray:
+    """``w(t) = e^(-kappa(t)) [w_T e^(kappa(T)) + int_t^T source e^kappa]`` at
+    ``times``, which decrease from T; ``kappa`` and ``source`` are vectorized.
+
+    Each step adds one Simpson panel with its midpoint, ``w_(n+1) =
+    e^(kappa_n - kappa_(n+1)) w_n + int_(t_(n+1))^(t_n) source e^(kappa - kappa_(n+1))``,
+    so each exponent spans one panel and grows with its width, not with T.
+    """
+    mids = 0.5 * (times[:-1] + times[1:])
+    k_nodes, g_nodes, g_mids = kappa(times), source(times), source(mids)
+    carry = np.exp(k_nodes[:-1] - k_nodes[1:])
+    inner = np.exp(kappa(mids) - k_nodes[1:])
+    panels = (times[:-1] - times[1:]) / 6.0 * (g_nodes[1:] + 4.0 * g_mids * inner + g_nodes[:-1] * carry)
+    w = [w_T]
+    for c, p in zip(carry.tolist(), panels.tolist()):
+        w.append(c * w[-1] + p)
+    return np.array(w)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +92,9 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
     it solves ``i + b' - (r + eta/l) b = 0`` with ``b(T) = 0``, i.e.
     ``b(s) = int_s^T i exp(-int_s^u (r + eta/l)) du``.  Constant ``i`` and
     ``eta/l`` give the exact exponential form; an actuarial payout makes
-    ``eta/l`` time varying and the integral is done by composite Simpson
-    on the solver grid.
+    ``eta/l`` time varying and the integral is marched back from T one
+    Simpson panel of the solver grid at a time, so that b stays finite
+    however large ``int_0^T (r + eta/l)`` grows.
     """
     if N < 2:
         raise ValidationError("solve_b: N must be >= 2")
@@ -91,17 +103,11 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
         return _exact_b(spec, times)
     income, eta = spec.insurance.income, spec.insurance.eta
 
-    # R(t) = int_0^t (r + eta/l); b(t) = e^{R(t)} int_t^T i e^{-R(u)} du
-    def big_r(t):
-        return spec.market.r * t + eta * spec.insurance.payout.integrated_inverse(t)
+    # kappa = -R with R(t) = int_0^t (r + eta/l)
+    def kappa(t):
+        return -(spec.market.r * t + eta * spec.insurance.payout.integrated_inverse(t))
 
-    mids = 0.5 * (times[:-1] + times[1:])
-    g_nodes = income * np.exp(-big_r(times))
-    g_mids = income * np.exp(-big_r(mids))
-    widths = times[:-1] - times[1:]
-    panels = widths / 6.0 * (g_nodes[1:] + 4.0 * g_mids + g_nodes[:-1])
-    integral = np.concatenate([[0.0], np.cumsum(panels)])
-    return np.exp(big_r(times)) * integral
+    return _backward_linear(times, kappa, lambda t: np.full_like(t, income), 0.0)
 
 
 def b_function(spec: ModelSpec, N: int = 4096):
@@ -139,7 +145,7 @@ def exponential_applies(spec: ModelSpec) -> bool:
     )
 
 
-def a_exponential(spec: ModelSpec, t: float) -> float:
+def a_exponential(spec: ModelSpec, t):
     """Value coefficient under exponential discounting, by quadrature.
 
     Requires :func:`exponential_applies`; in that regime the equilibrium
@@ -149,37 +155,35 @@ def a_exponential(spec: ModelSpec, t: float) -> float:
 
     with ``k(u) = int_t^u (K + g eta/l - rho - lam) / (1-g)`` and the
     legacy-kernel weight ``w = m^(1/(1-g))`` (= 1 for the unit weight).
+    ``t`` is a time or an array of times; one backward march serves them
+    all, on the requested times merged with ``_SIMPSON_PANELS`` equal
+    panels from the earliest of them to T.
     """
     if not exponential_applies(spec):
         raise ValidationError(
             "a_exponential: requires h = h_hat exponential with one rate and a constant Pareto weight"
         )
-    if not 0.0 <= t <= spec.horizon:
+    t_req = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t_req) & (t_req <= spec.horizon)):
         raise ValidationError("a_exponential: t outside [0, T]")
 
     gamma = spec.prefs.gamma
-    rho = spec.discount.rho
-    eta = spec.insurance.eta
     K = constant_K(spec.market, gamma)
     one_mg = 1.0 - gamma
-    il_t = spec.insurance.payout.integrated_inverse(t)
-    lam_int_t = spec.mortality.cumulative(t)
-
-    def exponent(u):
-        il = spec.insurance.payout.integrated_inverse(u) - il_t
-        lam_int = spec.mortality.cumulative(u) - lam_int_t
-        return ((K - rho) * (u - t) + gamma * eta * il - lam_int) / one_mg
-
     lam_weight = legacy_hazard_weight(spec.prefs)
 
-    def integrand(u):
-        lam = spec.mortality.rate(u)
-        Mv = weight_M(spec.prefs, spec.insurance, u)
-        return (1.0 + lam_weight * lam - gamma * Mv) / one_mg * np.exp(exponent(u))
+    def kappa(u):
+        eta_il = spec.insurance.eta * spec.insurance.payout.integrated_inverse(u)
+        return ((K - spec.discount.rho) * u + gamma * eta_il - spec.mortality.cumulative(u)) / one_mg
 
-    bracket = spec.prefs.n ** (1.0 / one_mg) * math.exp(exponent(spec.horizon))
-    bracket += _composite_simpson(integrand, t, spec.horizon)
-    return bracket**one_mg
+    def source(u):
+        lam = spec.mortality.rate(u)
+        return (1.0 + lam_weight * lam - gamma * weight_M(spec.prefs, spec.insurance, u)) / one_mg
+
+    ascending = np.union1d(t_req, np.linspace(t_req.min(), spec.horizon, _SIMPSON_PANELS + 1))
+    w = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))[::-1]
+    a = w[np.searchsorted(ascending, t_req)] ** one_mg
+    return a if np.ndim(t) else float(a)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +198,12 @@ def a_log(spec: ModelSpec, t: float) -> float:
     if not 0.0 <= t <= spec.horizon:
         raise ValidationError("a_log: t outside [0, T]")
 
-    def integrand(s):
+    def source(s):
         return kernel_Q(spec, s, t) + kernel_q(spec, s, t)
 
+    times = np.linspace(spec.horizon, t, _SIMPSON_PANELS + 1)
     boundary = spec.prefs.n * kernel_Q(spec, spec.horizon, t)
-    return _composite_simpson(integrand, t, spec.horizon) + boundary
+    return float(_backward_linear(times, np.zeros_like, source, 0.0)[-1] + boundary)
 
 
 # ---------------------------------------------------------------------------

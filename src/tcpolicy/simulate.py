@@ -26,6 +26,7 @@ mortality estimate with equal arguments draw each path's normals once.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import warnings
@@ -340,23 +341,16 @@ def _kernel_weights(ctx: _SimContext) -> tuple[np.ndarray, float]:
     return _node_weights(ctx, ((Qv, rates.consumption), (qv, rates.bequest)), ctx.spec.prefs.n * Qv[-1])
 
 
-# ``(key, (kernel, mortality))`` of the last ``_samples`` call, read once and
-# replaced whole, so concurrent callers at worst recompute
-_last_samples: tuple | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _samples(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only kernel and mortality samples of the used paths, from one pass.
 
     The samples are a bit-reproducible function of the arguments, so the
-    last call's are kept and returned again for a key that compares ``==``.
-    That is identity for functions and bound methods: ``a_curve`` and
-    ``b_curve`` are taken to be pure.  The memo holds 2 x paths doubles.
+    last call's are kept and returned again for arguments that hash and
+    compare ``==`` alike.  That is identity for functions and bound methods:
+    ``a_curve`` and ``b_curve`` are taken to be pure.  The memo holds
+    2 x paths doubles.
     """
-    global _last_samples
-    key, last = (spec, a_curve, b_curve, t0, x0, cfg), _last_samples
-    if last is not None and last[0] == key:
-        return last[1]
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     k_weights, k_offset = _kernel_weights(ctx)
     hval = np.asarray(spec.discount.value(ctx.times - t0), dtype=float)
@@ -391,7 +385,6 @@ def _samples(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> tuple[np.ndarray
     result = (kernel[used], mortality[used])
     for samples in result:
         samples.flags.writeable = False
-    _last_samples = (key, result)
     return result
 
 

@@ -7,6 +7,7 @@ factory reproduces the consumption-hump setting.
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +27,14 @@ from tcpolicy import (
 )
 from tcpolicy import simulate
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 @pytest.fixture(autouse=True)
 def _fresh_monte_carlo_samples():
     # every test computes its Monte Carlo samples itself, none reads the
     # samples that an earlier test left in the estimators' memo
-    simulate._last_samples = None
+    simulate._samples.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -125,3 +128,22 @@ def make_stationary_spec(market, lam, r1, r2, m, payout, gamma, eta=1.0, income=
 def stationary_fixture(market):
     # r1 = r2 = 0.1 collapses the fixed-point equation to a linear one
     return make_stationary_spec(market, lam=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, gamma=-1.0)
+
+
+def long_income_config_text():
+    """configs/experiment.cfg at T = 400 with the hazard 0.005 + 0.01 t,
+    income 1, a constant Pareto weight and N = 4000.  Under the actuarial
+    payout ``int_0^T (r + eta/l)`` reaches 822, beyond the range of exp."""
+    changes = {
+        "horizon": "400",
+        "mortality.lambda1": "0.01",
+        "income.rate": "1",
+        "preferences.m.family": "constant",
+        "grid.N": "4000",
+    }
+    lines = []
+    for line in (CONFIGS / "experiment.cfg").read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        if key != "preferences.m.eps":
+            lines.append(f"{key} = {changes[key]}" if key in changes else line)
+    return "\n".join(lines) + "\n"

@@ -48,6 +48,8 @@ from tcpolicy.model import (
 from tcpolicy.policy import policy_at
 from tcpolicy.simulate import EULER, EXACT_Y, SimConfig
 
+from conftest import long_income_config_text
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 EXP1_TEXT = """\
@@ -455,6 +457,18 @@ def test_solve_reproducible_bytes(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+
+
+def test_solve_long_horizon_income_b_finite(tmp_path):
+    # exp(int_0^T (r + eta/l)) exceeds the double range here; every b that
+    # solve writes must still be a finite number
+    cfg = _write(tmp_path, long_income_config_text())
+    out = tmp_path / "long"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
+    with open(out / "solution.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    b = np.array([float(r[3]) for r in rows[1:]])
+    assert b.size == 4001 and np.all(np.isfinite(b))
 
 
 def test_no_svg_flag(tmp_path):

@@ -34,10 +34,11 @@ from tcpolicy.closed_form import (
     solve_b,
     solve_stationary,
 )
+from tcpolicy.cli import parse_config
 from tcpolicy.closed_form import StationaryInfeasibleError
 from tcpolicy.model import legacy_hazard_weight, weight_M
 
-from conftest import make_stationary_spec
+from conftest import long_income_config_text, make_stationary_spec
 
 
 def _with_income(spec, income, payout=None):
@@ -142,9 +143,9 @@ def _income_specs(draw):
 @given(spec=_income_specs(), N=st.integers(2, 2000))
 def test_b_vanishes_at_T_nonnegative_and_non_increasing(spec, N):
     # where (r + eta/l)(T - t) is large, b has settled at i/(r + eta/l) and
-    # its steps are rounding noise, about R ulp of b from the factor e^R(t)
-    # (R = int_0^t (r + eta/l), up to 140 here; a rise of 4.7 ulp was seen
-    # at R = 44), so a rise of at most 1e-13 of b counts as flat
+    # its steps are rounding noise of a few ulp (in 3000 random draws at
+    # most 2 ulp of b at the nodes and 6 between them), so a rise of at most
+    # 1e-13 of b counts as flat
     rel = 1e-13
     b_nodes = solve_b(spec, N)  # t decreasing from T to 0
     assert b_nodes[0] == 0.0
@@ -154,6 +155,39 @@ def test_b_vanishes_at_T_nonnegative_and_non_increasing(spec, N):
     b_t = b(t)
     assert b(spec.horizon) == 0.0
     assert np.all(b_t >= 0.0) and np.all(np.diff(b_t) <= rel * b_t[1:])
+
+
+def _absolute_exponent_b(spec, N):
+    """b as ``e^(R(t)) int_t^T i e^(-R(u)) du`` with cumulative Simpson
+    panels on the solver grid: the absolute exponents e^(+-R) overflow once
+    R = int_0^t (r + eta/l) passes about 709."""
+    times = np.linspace(spec.horizon, 0.0, N + 1)
+
+    def big_r(t):
+        return spec.market.r * t + spec.insurance.eta * spec.insurance.payout.integrated_inverse(t)
+
+    mids = 0.5 * (times[:-1] + times[1:])
+    g_nodes = spec.insurance.income * np.exp(-big_r(times))
+    g_mids = spec.insurance.income * np.exp(-big_r(mids))
+    panels = (times[:-1] - times[1:]) / 6.0 * (g_nodes[1:] + 4.0 * g_mids + g_nodes[:-1])
+    return np.exp(big_r(times)) * np.concatenate([[0.0], np.cumsum(panels)])
+
+
+def test_b_long_horizon_stays_finite():
+    # R(T) = 822 at T = 400 with the hazard 0.005 + 0.01 t and l = 1/lambda:
+    # the absolute-exponent form gives nan for t >= 371.4 (287 of 4001
+    # nodes); the backward march stays finite and agrees where that form is
+    # finite (6.4e-15 measured)
+    spec = parse_config(long_income_config_text()).spec
+    N = 4000
+    b = solve_b(spec, N)
+    assert np.all(np.isfinite(b)) and b[0] == 0.0 and np.all(b[1:] > 0.0)
+    assert np.all(np.isfinite(b_function(spec, N)(np.linspace(0.0, spec.horizon, 1001))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _absolute_exponent_b(spec, N)
+    finite = np.isfinite(ref)
+    assert np.count_nonzero(~finite) == 287
+    assert np.max(np.abs(b[finite] / ref[finite] - 1.0)) <= 1e-13
 
 
 def test_b_requires_two_steps(exp1_spec):
@@ -179,6 +213,30 @@ def test_a_exponential_constant_coefficient_oracle(exp1_spec):
         tau = exp1_spec.horizon - t
         bracket = math.exp(nu * tau) + c * (math.exp(nu * tau) - 1.0) / nu
         assert a_exponential(exp1_spec, t) == pytest.approx(bracket**2, rel=1e-10)
+    # one call at the nodes of an N = 1000 grid: the rounding of the 1e4-step
+    # march measures 5.9e-13
+    tau = exp1_spec.horizon - np.linspace(exp1_spec.horizon, 0.0, 1001)
+    exact = (np.exp(nu * tau) + c * np.expm1(nu * tau) / nu) ** 2
+    got = a_exponential(exp1_spec, exp1_spec.horizon - tau)
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-12
+
+
+def _constant_m(spec, m0):
+    return dataclasses.replace(spec, prefs=dataclasses.replace(spec.prefs, m_weight=ConstantWeight(m0)))
+
+
+@pytest.mark.parametrize("case", ["exp1", "experiment"])
+def test_a_exponential_array_equals_scalar_calls(exp1_spec, experiment_spec, case):
+    # unsorted, repeated and end-point times, in a 2-D array; each scalar
+    # call marches its own 1e4 panels from t, the array call one grid for all
+    spec = exp1_spec if case == "exp1" else _constant_m(experiment_spec, 2.0)
+    T = spec.horizon
+    times = np.array([[0.8 * T, 0.0, T], [0.25 * T, 0.8 * T, T / 3.0]])
+    got = a_exponential(spec, times)
+    assert got.shape == times.shape
+    scalar = np.array([[a_exponential(spec, float(t)) for t in row] for row in times])
+    assert np.max(np.abs(got / scalar - 1.0)) <= 1e-12
+    assert got[0, 2] == scalar[0, 2]  # a(T) = n from both
 
 
 def test_a_exponential_value_at_zero(exp1_spec):
@@ -222,6 +280,8 @@ def test_a_exponential_vs_ode_oracle(experiment_spec):
 def test_a_exponential_refusals(exp1_spec, market):
     with pytest.raises(ValidationError):
         a_exponential(exp1_spec, -0.1)
+    with pytest.raises(ValidationError):
+        a_exponential(exp1_spec, np.array([0.5, exp1_spec.horizon + 0.1]))
     hyp = Hyperbolic(k1=5.0, k2=3.0)
     spec = ModelSpec(
         market=market,

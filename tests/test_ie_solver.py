@@ -29,6 +29,7 @@ from tcpolicy import (
     constant_K,
     weight_M,
 )
+from tcpolicy import closed_form
 from tcpolicy.cli import parse_config
 from tcpolicy.closed_form import a_exponential
 from tcpolicy.ie_solver import (
@@ -83,14 +84,14 @@ def test_solution_grid_arrays_read_only(exp1_spec):
 
 def test_exp1_matches_closed_form(exp1_spec):
     grid = solve_a(exp1_spec, 500)
-    ref = np.array([a_exponential(exp1_spec, t) for t in grid.times])
+    ref = a_exponential(exp1_spec, grid.times)
     assert np.max(np.abs(grid.a_values - ref) / ref) < 5e-3
 
 
 def test_no_insurance_matches_closed_form(market):
     spec = _no_insurance_spec(market)
     grid = solve_a(spec, 500)
-    ref = np.array([a_exponential(spec, t) for t in grid.times])
+    ref = a_exponential(spec, grid.times)
     assert np.max(np.abs(grid.a_values - ref) / ref) < 5e-3
 
 
@@ -320,8 +321,11 @@ def _marches(draw):
     Pareto weight, and a grid of at most 400 steps, each at most 0.05 long
     and at most 0.05 over the largest discount rate and over the rate
     |gamma| M n^(1/(gamma-1)) at which A starts to decay (the explicit step
-    is stable; a larger step on A inflates the ratios A_j/A_n of the memory
-    term until a turns negative)."""
+    is stable), and fine enough that the error (step/2) int rate^2 of log A,
+    taken at that rate, is at most 0.1: a larger error on A inflates the
+    ratios A_j/A_n of the memory term until a turns negative.  With that
+    rate as a_decay the bound is N >= 5 (T a_decay)^2, so at most 400 steps
+    need T a_decay <= sqrt(80)."""
     discount = draw(_KERNELS)
     bequest = draw(st.just(discount) | _KERNELS)
     r = draw(_between(0.0, 0.08))
@@ -338,11 +342,12 @@ def _marches(draw):
     M = 1.0 + payout.inverse(0.0) * (38.0 if m0 is None else m0) ** (1.0 / (1.0 - gamma))
     a_decay = abs(gamma) * M * n ** (1.0 / (gamma - 1.0))
     rate = max(1.0, -discount.log_derivative(0.0), -bequest.log_derivative(0.0), a_decay)
-    horizon = draw(_between(0.5, 20.0)) / rate
+    horizon = min(draw(_between(0.5, 20.0)) / rate, math.sqrt(80.0) / a_decay)
     m_weight = LogTaperWeight(horizon) if m0 is None else ConstantWeight(m0)
     prefs = PreferenceParams(gamma=gamma, n=n, m_weight=m_weight, bequest_discount=bequest)
     spec = ModelSpec(market, mortality, discount, prefs, insurance, horizon)
-    return spec, draw(st.integers(min(400, max(50, math.ceil(20.0 * horizon * rate))), 400))
+    n_min = max(50, math.ceil(20.0 * horizon * rate), math.ceil(5.0 * (horizon * a_decay) ** 2))
+    return spec, draw(st.integers(min(400, n_min), 400))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -371,6 +376,25 @@ def test_march_matches_per_pair_sum_property(case):
         assert np.all(grid.a_values <= rep.upper_curve(grid.times) + tol)
 
 
+def test_march_breaks_down_when_log_A_error_is_large():
+    # a draw that bounding step x rate alone admits: a two-rate kernel with
+    # a non-decaying tail of weight 1e-5 while A falls to e^-13.7, so the
+    # memory term's ratios A_j/A_n reach 1e6.  At N = 382 the error
+    # (step/2) int rate^2 of log A is about 0.3 and a turns negative; at the
+    # N >= 5 (T a_decay)^2 that bounds it by 0.1 the march solves
+    kernel = SumOfExponentials(0.99999, 1.263, 0.0)
+    prefs = PreferenceParams(gamma=-1.95, n=5.62, m_weight=ConstantWeight(1.0), bequest_discount=kernel)
+    market = MarketParams(r=0.04, alpha=0.12, sigma=0.2)
+    insurance = InsuranceIncomeSpec(payout=ConstantPayout(math.inf))
+    spec = ModelSpec(market, ConstantHazard(0.046), kernel, prefs, insurance, 14.37)
+    a_decay = 1.95 * 5.62 ** (1.0 / (-1.95 - 1.0))
+    assert check_assumption_a1(spec).holds and 382 >= 20.0 * 14.37 * max(1.263, a_decay)
+    with pytest.raises(SchemeBreakdownError, match="increase N"):
+        solve_a(spec, 382)
+    grid = solve_a(spec, math.ceil(5.0 * (14.37 * a_decay) ** 2))
+    assert np.all(grid.a_values > 0.0) and np.all(grid.A_values > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Long horizons: the exponential factors stay in log space
 # ---------------------------------------------------------------------------
@@ -396,7 +420,7 @@ def test_long_horizon_matches_closed_form(exp1_spec, horizon, hazard):
     spec = _long_horizon(exp1_spec, horizon, hazard)
     N = 4000
     grid = solve_a(spec, N)
-    ref = np.array([a_exponential(spec, t) for t in grid.times])
+    ref = a_exponential(spec, grid.times)
     assert np.max(np.abs(grid.a_values - ref) / ref) <= 0.3 * horizon / N
     assert np.all(grid.A_values > 0.0)
 
@@ -551,6 +575,14 @@ def test_convergence_first_order_exp1(exp1_spec):
     report = convergence_report(exp1_spec, 125)
     assert report.reference == "closed_form"
     assert 1.6 <= report.ratio <= 2.4
+
+
+def test_convergence_evaluates_the_oracle_once_per_grid(exp1_spec, monkeypatch):
+    sizes = []
+    oracle = closed_form.a_exponential
+    monkeypatch.setattr(closed_form, "a_exponential", lambda spec, t: sizes.append(np.size(t)) or oracle(spec, t))
+    convergence_report(exp1_spec, 125)
+    assert sizes == [126, 251]
 
 
 def test_convergence_self_reference(experiment_spec):

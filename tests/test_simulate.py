@@ -58,7 +58,7 @@ CFG = SimConfig(paths=8000, seed=424242, dt=2e-3)
 def test_estimates_bit_identical_across_runs(exp1_spec, exp1_solution):
     a_curve, b_curve = exp1_solution
     r1 = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
-    sim_module._last_samples = None  # the second run recomputes every path
+    sim_module._samples.cache_clear()  # the second run recomputes every path
     r2 = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
     assert r1 == r2
 
@@ -86,7 +86,7 @@ def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 3):
             monkeypatch.setattr(sim_module, "_WORKERS", workers)
-            sim_module._last_samples = None  # recompute at this block size and thread count
+            sim_module._samples.cache_clear()  # recompute at this block size and thread count
             chunked = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
             assert same(base, chunked), f"{workers} workers"
     finally:
@@ -147,7 +147,7 @@ def test_memo_hit_equals_fresh_pass(exp1_spec, exp1_solution, scheme, first):
     second = "mortality" if first == "kernel" else "kernel"
     run[first](exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     hit = run[second](exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
-    sim_module._last_samples = None
+    sim_module._samples.cache_clear()
     fresh = run[second](exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     assert hit == fresh and hit.paths_used == cfg.paths
 
