@@ -171,6 +171,8 @@ def _parse_family(cfg: _Config, section: str, default=_REQUIRED, **context):
     family = cfg.take(f"{section}.family", known, default)
     if family == "hyperbolic" and cfg.has(f"{section}.h1_target"):
         # h(1) = h1_target is another way to give k2
+        if cfg.has(f"{section}.k2"):
+            raise ConfigError(f"{cfg._source}: '{section}.k2' and '{section}.h1_target' both give k2; keep one")
         k1 = cfg.take(f"{section}.k1", _to_float)
         return Hyperbolic.from_unit_value(k1, cfg.take(f"{section}.h1_target", _to_float))
     cls, keys = table[family]
@@ -299,10 +301,6 @@ def serialize_config(rc: RunConfig) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, str):
-        if any(c in value for c in ",\"\n"):
-            return '"' + value.replace('"', '""') + '"'
-        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"

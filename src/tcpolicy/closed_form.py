@@ -25,6 +25,7 @@ from .model import (
     Exponential,
     ModelSpec,
     ValidationError,
+    a1_margin,
     constant_K,
     kernel_Q,
     kernel_q,
@@ -170,15 +171,13 @@ def a_exponential(spec: ModelSpec, t):
     gamma = spec.prefs.gamma
     K = constant_K(spec.market, gamma)
     one_mg = 1.0 - gamma
-    lam_weight = legacy_hazard_weight(spec.prefs)
 
     def kappa(u):
         eta_il = spec.insurance.eta * spec.insurance.payout.integrated_inverse(u)
         return ((K - spec.discount.rho) * u + gamma * eta_il - spec.mortality.cumulative(u)) / one_mg
 
     def source(u):
-        lam = spec.mortality.rate(u)
-        return (1.0 + lam_weight * lam - gamma * weight_M(spec.prefs, spec.insurance, u)) / one_mg
+        return a1_margin(spec, u) / one_mg
 
     ascending = np.union1d(t_req, np.linspace(t_req.min(), spec.horizon, _SIMPSON_PANELS + 1))
     w = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))[::-1]

@@ -54,6 +54,7 @@ from . import closed_form
 from .model import (
     ModelSpec,
     ValidationError,
+    a1_margin,
     check_assumption_a1,
     constant_K,
     legacy_hazard_weight,
@@ -73,7 +74,7 @@ __all__ = [
 
 
 class AssumptionViolatedError(ValidationError):
-    """The positivity assumption on 1 - gamma M + lambda fails; refusing."""
+    """A1 fails: the margin ``1 + w lambda - gamma M``, ``w = m(0)^(1/(1-gamma))``, is negative; refusing."""
 
 
 class SchemeBreakdownError(RuntimeError):
@@ -180,13 +181,15 @@ class _SchemeTables:
     h'/h(0) cancels in each difference; measuring from it makes d vanish
     exactly for an exponential kernel.  The h part sums ``[h, d h]`` against
     ``f_j = e^(e_j - ref) a_j^(g/(g-1)) A_j`` and the hbar part sums ``[hbar,
-    dbar hbar]`` against ``g_j = q_weight lambda_j f_j``; ``parts`` pairs each
+    dbar hbar]`` against ``g_j = q_weight lambda_j f_j``, where ``q_weight =
+    w/m(0)`` and ``w = m(0)^(1/(1-gamma))``; ``parts`` pairs each
     kept part with its per-node multiplier of f.  A part whose offsets (d;
     d and dbar) or whose hazard vanish on the grid contributes exactly 0
     and is skipped; otherwise it is an exponential sum when the kernel has
     one and a lag table when it has not.  The legacy-weight table stops one
     lag short of T: a lag of exactly T never occurs inside the march, and a
-    tapering Pareto weight may be singular there.
+    tapering Pareto weight may be singular there.  The local coefficient
+    ``coef`` of ``a^(g/(g-1))`` is minus the A1 margin ``1 + w lambda - gamma M``.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -196,10 +199,6 @@ class _SchemeTables:
         self.pow_inv = 1.0 / (gamma - 1.0)
         K = constant_K(spec.market, gamma)
         self.epsilon = -T / N
-        # legacy-kernel scaling from U((a/m)^(1/(g-1)) Y); both equal 1 at m(0) = 1
-        lam_weight = legacy_hazard_weight(prefs)
-        q_weight = lam_weight / prefs.m0
-
         self.times = np.linspace(T, 0.0, N + 1)
         lags = np.linspace(0.0, T, N + 1)  # k * T/N
         step = T / N
@@ -209,23 +208,25 @@ class _SchemeTables:
         d = h_log - c
         dbar = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float) - c
         lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
+        # the legacy-kernel scaling w/m(0) from U((a/m)^(1/(g-1)) Y); 1 at m(0) = 1
+        q_weight = legacy_hazard_weight(prefs) / prefs.m0
         self.parts = []
-        if np.any(d):
-            terms = spec.discount.exponential_sum(T, step)
-            if terms is None:
-                h_val = np.asarray(spec.discount.value(lags), dtype=float)
-                part = _LagTable(np.stack([h_val, d * h_val]))
-            else:
-                part = _ExponentialSum(*terms, c, step)
-            self.parts.append((part, memoryview(np.ones(N + 1))))
-        if (np.any(d) or np.any(dbar)) and np.any(lam):
-            terms = spec.hbar_exponential_sum(step)
-            if terms is None:
-                hbar_val = np.asarray(spec.hbar_value(lags[:N]), dtype=float)
-                part = _LagTable(np.stack([hbar_val, dbar * hbar_val]))
-            else:
-                part = _ExponentialSum(*terms, c, step)
-            self.parts.append((part, memoryview(q_weight * lam)))
+        # per part: (kept, exponential-sum terms, lag values, offsets, per-node
+        # multiplier); the terms and values are computed for a kept part only
+        for kept, terms_of, values_of, offset, weight in (
+            (np.any(d), lambda: spec.discount.exponential_sum(T, step),
+             lambda: spec.discount.value(lags), d, np.ones(N + 1)),
+            ((np.any(d) or np.any(dbar)) and np.any(lam), lambda: spec.hbar_exponential_sum(step),
+             lambda: spec.hbar_value(lags[:N]), dbar, q_weight * lam),
+        ):
+            if kept:
+                terms = terms_of()
+                if terms is None:
+                    values = np.asarray(values_of(), dtype=float)
+                    part = _LagTable(np.stack([values, offset * values]))
+                else:
+                    part = _ExponentialSum(*terms, c, step)
+                self.parts.append((part, memoryview(weight)))
 
         M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
         inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
@@ -234,7 +235,7 @@ class _SchemeTables:
         # per-node tables seen through memoryviews, whose items are Python
         # floats: the march reads them one at a time, and numpy scalars would
         # cost about 3x as much per read
-        self.coef = memoryview(gamma * M - lam_weight * lam - 1.0)
+        self.coef = memoryview(-a1_margin(spec, self.times))
         self.drift = memoryview(lam - h_log - K - gamma * ins.eta * inv_l)
         self.M = memoryview(M)
         self.d = memoryview(d)
@@ -350,17 +351,12 @@ class ConvergenceReport:
     reference: str
 
 
-def _max_err_vs_closed_form(spec: ModelSpec, N: int) -> float:
+def _max_err(spec: ModelSpec, N: int, exact: bool) -> float:
+    """Max-node error of the solve at N against the closed form (``exact``)
+    or against a solve at 4N, whose every 4th node is a coarse node."""
     grid = solve_a(spec, N)
-    ref = closed_form.a_exponential(spec, grid.times)
+    ref = closed_form.a_exponential(spec, grid.times) if exact else solve_a(spec, 4 * N).a_values[::4]
     return float(np.max(np.abs(grid.a_values - ref)))
-
-
-def _max_err_vs_refined(spec: ModelSpec, N: int) -> float:
-    grid = solve_a(spec, N)
-    fine = solve_a(spec, 4 * N)
-    # the coarse nodes are every 4th fine node
-    return float(np.max(np.abs(grid.a_values - fine.a_values[::4])))
 
 
 def convergence_report(spec: ModelSpec, N: int) -> ConvergenceReport:
@@ -371,16 +367,12 @@ def convergence_report(spec: ModelSpec, N: int) -> ConvergenceReport:
     """
     if N < 4:
         raise ValidationError("convergence_report: N must be >= 4")
-    if closed_form.exponential_applies(spec):
-        err_coarse = _max_err_vs_closed_form(spec, N)
-        err_fine = _max_err_vs_closed_form(spec, 2 * N)
-        reference = "closed_form"
-    else:
-        err_coarse = _max_err_vs_refined(spec, N)
-        err_fine = _max_err_vs_refined(spec, 2 * N)
-        reference = "self_4x"
+    exact = closed_form.exponential_applies(spec)
+    err_coarse, err_fine = _max_err(spec, N, exact), _max_err(spec, 2 * N, exact)
     ratio = err_coarse / err_fine if err_fine > 0.0 else float("inf")
-    return ConvergenceReport(err_coarse=err_coarse, err_fine=err_fine, ratio=ratio, reference=reference)
+    return ConvergenceReport(
+        err_coarse=err_coarse, err_fine=err_fine, ratio=ratio, reference="closed_form" if exact else "self_4x"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +445,7 @@ def a_priori_bounds(spec: ModelSpec) -> BoundsReport:
     K = constant_K(spec.market, gamma)
 
     lam = np.asarray(spec.mortality.rate(t_closed), dtype=float)
-    lam_w = legacy_hazard_weight(spec.prefs) * lam
-    Mv = np.asarray(weight_M(spec.prefs, spec.insurance, t_closed), dtype=float)
+    margin = a1_margin(spec, t_closed)
     rho = max(
         float(np.max(np.abs(spec.discount.log_derivative(t_closed)))),
         float(np.max(np.abs(spec.hbar_log_derivative(t_open)))),
@@ -463,12 +454,12 @@ def a_priori_bounds(spec: ModelSpec) -> BoundsReport:
         np.max(np.abs(gamma * spec.insurance.eta * np.asarray(spec.insurance.payout.inverse(t_closed))))
     )
 
-    c1 = float(np.min(1.0 - gamma * Mv + lam_w))
+    c1 = float(np.min(margin))
     if c1 < 0.0:
         raise AssumptionViolatedError(f"a_priori_bounds: C1 = {c1:.6g} < 0; a(t) may reach zero")
     c0 = float(np.max(lam)) + 3.0 * rho - K + rho_prime
     d0 = float(np.max(lam)) + K + 3.0 * rho + rho_prime
-    d1 = float(np.max(1.0 + lam_w - gamma * Mv))
+    d1 = float(np.max(margin))
     return BoundsReport(
         c0=c0,
         c1=c1,

@@ -48,6 +48,7 @@ __all__ = [
     "kernel_q",
     "constant_K",
     "weight_M",
+    "a1_margin",
     "check_assumption_a1",
     "legacy_hazard_weight",
     "crra_utility",
@@ -550,7 +551,7 @@ def weight_M(prefs: PreferenceParams, insurance: InsuranceIncomeSpec, z):
 
 @dataclass(frozen=True)
 class A1Check:
-    """Result of the positivity check on ``1 - gamma M(t) + lambda(t)``."""
+    """Result of the positivity check on the A1 margin (:func:`a1_margin`)."""
 
     holds: bool
     min_value: float
@@ -568,24 +569,28 @@ def legacy_hazard_weight(prefs: PreferenceParams) -> float:
     return prefs.m0 ** (1.0 / (1.0 - prefs.gamma))
 
 
+def a1_margin(spec: ModelSpec, t):
+    """The A1 margin ``1 + w lambda(t) - gamma M(t)``, ``w = m(0)^(1/(1-gamma))``.
+
+    A1 asks it to be nonnegative on [0, T].  It is also minus the march's
+    local coefficient, C1 (min) and D1 (max) of the a-priori envelopes and,
+    over 1 - gamma, the source of the exponential closed form.
+    """
+    w = legacy_hazard_weight(spec.prefs)
+    return 1.0 + w * spec.mortality.rate(t) - spec.prefs.gamma * weight_M(spec.prefs, spec.insurance, t)
+
+
 _A1_GRID_POINTS = 2001
 
 
 def check_assumption_a1(spec: ModelSpec) -> A1Check:
-    """Grid-evaluate ``1 - gamma M(t) + m(0)^(1/(1-gamma)) lambda(t)``.
+    """Grid-evaluate :func:`a1_margin` on [0, T].
 
     A negative minimum means the consumption coefficient can drive a(t) to
-    zero, in which case the backward solver refuses to run.  With the unit
-    Pareto weight this is exactly ``1 - gamma M + lambda``; it holds for
+    zero, in which case the backward solver refuses to run; A1 holds for
     any gamma <= 0.
     """
-    t = np.linspace(0.0, spec.horizon, _A1_GRID_POINTS)
-    vals = (
-        1.0
-        - spec.prefs.gamma * weight_M(spec.prefs, spec.insurance, t)
-        + legacy_hazard_weight(spec.prefs) * spec.mortality.rate(t)
-    )
-    m = float(np.min(vals))
+    m = float(np.min(a1_margin(spec, np.linspace(0.0, spec.horizon, _A1_GRID_POINTS))))
     return A1Check(holds=m >= 0.0, min_value=m)
 
 

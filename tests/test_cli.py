@@ -165,6 +165,21 @@ def test_hyperbolic_h1_target():
     assert rc.spec.discount == Hyperbolic.from_unit_value(5.0, 0.3)
 
 
+@pytest.mark.parametrize("section", ["discount", "bequest_discount"])
+def test_hyperbolic_k2_and_h1_target_refused(tmp_path, capsys, section):
+    # both keys give k2: the refusal names the two, not "unknown key" on k2
+    keys = f"{section}.family = hyperbolic\n{section}.k1 = 5\n{section}.k2 = 2\n{section}.h1_target = 0.3\n"
+    if section == "discount":
+        text = EXP1_TEXT.replace("discount.family = exponential\ndiscount.rho = 0.1\n", keys)
+    else:
+        text = EXP1_TEXT + keys
+    cfg = _write(tmp_path, text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--no-svg"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{section}.k2'" in err and f"'{section}.h1_target'" in err
+    assert "unknown key" not in err
+
+
 def test_bequest_kernel_defaults_to_discount():
     rc = parse_config(EXP1_TEXT)
     assert rc.spec.prefs.bequest_discount == rc.spec.discount

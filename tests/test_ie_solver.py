@@ -413,16 +413,43 @@ def _long_horizon(spec, horizon, hazard, discount=None):
 
 @pytest.mark.parametrize("horizon, hazard", [(400.0, 2.0), (1000.0, 1.0), (400.0, 4.0)])
 def test_long_horizon_matches_closed_form(exp1_spec, horizon, hazard):
-    # Lambda(T) = 800, 1000, 1600: e^(-Lambda) underflows.  At hazard 4 the
-    # node weights' exponent e + log A spans about 1345, more than the double
-    # range, so they must be rescaled during the march.  The first-order
-    # error measures 0.13, 0.07 and 0.21 T/N.
+    # Lambda(T) = 800, 1000, 1600: e^(-Lambda) underflows.  exp1 keeps no
+    # memory part, so no node weight is formed and none is rescaled here
+    # (see test_lag_table_rescaled_on_long_horizon).  The first-order error
+    # measures 0.13, 0.07 and 0.21 T/N.
     spec = _long_horizon(exp1_spec, horizon, hazard)
     N = 4000
     grid = solve_a(spec, N)
     ref = a_exponential(spec, grid.times)
     assert np.max(np.abs(grid.a_values - ref) / ref) <= 0.3 * horizon / N
     assert np.all(grid.A_values > 0.0)
+
+
+def test_lag_table_rescaled_on_long_horizon(market, monkeypatch):
+    # a tapering Pareto weight keeps the hbar part as a lag table; at hazard
+    # 2 over T = 100 its node weights' exponent e + log A drifts past
+    # _MAX_LOG_DRIFT, so the table is rescaled during the march
+    h = Exponential(0.1)
+    spec = ModelSpec(
+        market=market,
+        mortality=ConstantHazard(2.0),
+        discount=h,
+        prefs=PreferenceParams(gamma=-1.0, n=1.0, m_weight=LogTaperWeight(100.0), bequest_discount=h),
+        insurance=InsuranceIncomeSpec(payout=ConstantPayout(math.inf)),
+        horizon=100.0,
+    )
+    calls = []
+    rescale = _LagTable.rescale
+    monkeypatch.setattr(_LagTable, "rescale", lambda self, n, shift: calls.append(n) or rescale(self, n, shift))
+    N = 2000
+    grid = solve_a(spec, N)
+    assert calls
+    ref_a, ref_A = _per_pair_march(spec, N)
+    # measured 2.1e-16 for a and 3.1e-13 for A: the reference multiplies A
+    # in value space, one rounding per step over 2000 steps (4.4e-13), where
+    # the march adds log1p terms
+    assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
+    assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-12
 
 
 def test_long_horizon_hyperbolic_inside_envelopes(exp1_spec):
@@ -639,6 +666,20 @@ def test_bounds_small_linear_coefficient_does_not_cancel():
     line = (n ** (1.0 / (1.0 - gamma)) + tau / (1.0 - gamma)) ** (1.0 - gamma)
     assert rep.lower_curve(T - tau) == pytest.approx(line, rel=1e-10)
     assert rep.upper_curve(T - tau) == pytest.approx(line, rel=1e-10)
+
+
+def test_bounds_constant_only_and_linear_only_envelopes():
+    # the c_lin == 0 and c_const == 0 branches of the backward integration
+    gamma, n, T = -1.0, 2.0, 3.0
+    t = np.linspace(0.0, T, 7)
+    tau = T - t
+    no_c0 = BoundsReport(c0=0.0, c1=0.5, d0=0.3, d1=2.0, rho=0.0, rho_prime=0.0, terminal=n, gamma=gamma, horizon=T)
+    lower = (n ** (1.0 / (1.0 - gamma)) + 0.5 * tau / (1.0 - gamma)) ** (1.0 - gamma)
+    # measured at most 4.4e-16 (2 ulp) relative
+    assert np.max(np.abs(no_c0.lower_curve(t) / lower - 1.0)) <= 1e-15
+    no_c1 = BoundsReport(c0=0.4, c1=0.0, d0=0.3, d1=0.0, rho=0.0, rho_prime=0.0, terminal=n, gamma=gamma, horizon=T)
+    assert np.max(np.abs(no_c1.lower_curve(t) / (n * np.exp(-0.4 * tau)) - 1.0)) <= 1e-15
+    assert np.max(np.abs(no_c1.upper_curve(t) / (n * np.exp(0.3 * tau)) - 1.0)) <= 1e-15
 
 
 def test_bounds_contain_solution(exp1_spec):

@@ -1,6 +1,7 @@
 """Primitive kernels, survival law, and derived constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tcpolicy import (
     Exponential,
     Hyperbolic,
     InsuranceIncomeSpec,
+    InverseHazardPayout,
     LogTaperWeight,
     MarketParams,
     ModelSpec,
@@ -30,7 +32,7 @@ from tcpolicy import (
     survival,
     weight_M,
 )
-from tcpolicy.model import legacy_hazard_weight
+from tcpolicy.model import a1_margin, legacy_hazard_weight
 
 ALL_KERNELS = [
     Exponential(rho=0.1),
@@ -230,6 +232,29 @@ def test_weight_M_values():
 def test_assumption_a1_holds_for_nonpositive_gamma(exp1_spec, experiment_spec):
     assert check_assumption_a1(exp1_spec).holds
     assert check_assumption_a1(experiment_spec).holds
+
+
+def test_a1_margin_is_the_checked_quantity(experiment_spec):
+    # the tapering weight makes w = m(0)^(1/2) != 1 and l = 1/lambda varies
+    spec = experiment_spec
+    t = np.linspace(0.0, spec.horizon, 2001)
+    w = legacy_hazard_weight(spec.prefs)
+    expected = 1.0 + w * spec.mortality.rate(t) - spec.prefs.gamma * weight_M(spec.prefs, spec.insurance, t)
+    margin = a1_margin(spec, t)
+    assert np.array_equal(margin, expected)
+    assert check_assumption_a1(spec).min_value == float(np.min(margin))
+    scalar = a1_margin(spec, 1.5)
+    assert isinstance(scalar, float) and scalar == margin[750]
+
+
+def test_inverse_hazard_payout_infinite_where_hazard_vanishes():
+    payout = InverseHazardPayout(AffineHazard(0.0, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = payout.value(np.array([0.0, 1.0, 2.0]))
+        scalar = payout.value(1.0)
+    assert values.tolist() == [math.inf, 100.0, 50.0]
+    assert isinstance(scalar, float) and scalar == 100.0
 
 
 def test_assumption_a1_actuarial_payout(market):

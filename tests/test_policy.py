@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcpolicy import ValidationError
+from tcpolicy import (
+    AffineHazard,
+    ConstantWeight,
+    Exponential,
+    InsuranceIncomeSpec,
+    InverseHazardPayout,
+    ModelSpec,
+    PreferenceParams,
+    ValidationError,
+)
 from tcpolicy.closed_form import b_function
 from tcpolicy.ie_solver import solve_a
 from tcpolicy.policy import (
@@ -122,6 +131,21 @@ def test_legacy_of_equilibrium_premium(exp1_spec, exp1_curves):
 def test_legacy_no_insurance_zero_premium(log_spec):
     # infinite payout with zero premium contributes nothing
     assert legacy(log_spec, 0.3, 2.0, 0.0) == 2.0
+
+
+def test_legacy_under_inverse_hazard_payout(market):
+    # l(t) = 1/(0.01 t): l(2) = 50, and l(0) = inf, where a zero premium adds nothing
+    hazard = AffineHazard(0.0, 0.01)
+    spec = ModelSpec(
+        market=market,
+        mortality=hazard,
+        discount=Exponential(0.1),
+        prefs=PreferenceParams(gamma=-1.0, n=1.0, m_weight=ConstantWeight(1.0), bequest_discount=Exponential(0.1)),
+        insurance=InsuranceIncomeSpec(payout=InverseHazardPayout(hazard)),
+        horizon=4.0,
+    )
+    assert legacy(spec, 2.0, 1.0, 0.5) == 26.0
+    assert legacy(spec, 0.0, 1.0, 0.0) == 1.0
 
 
 def test_value_function_examples():
