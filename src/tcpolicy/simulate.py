@@ -21,6 +21,12 @@ two row-wise mat-vecs on its log-wealth paths.  Both estimators come from
 this one pass: the kernel and mortality samples of the last
 ``(spec, a_curve, b_curve, t0, x0, cfg)`` are kept, so a kernel and a
 mortality estimate with equal arguments draw each path's normals once.
+
+The normals are Philox uniforms mapped by ``scipy.special.ndtri``, the
+package's only use of scipy.  scipy.special is imported when a pass first
+needs it, on the calling thread before any worker starts: no command
+without a Monte Carlo pass loads scipy, and no worker thread imports a
+module.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import ModelSpec, ValidationError, crra_utility, kernel_Q, kernel_q, weight_M
 from .policy import feedback_rates, value_function
@@ -125,6 +130,8 @@ def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.
     Brownian stream, where bpp = ceil(n_steps/4) blocks of four draws, so
     a path's increments depend only on (seed, path index).
     """
+    from scipy.special import ndtri  # loaded by map_blocks before its workers start
+
     blocks_per_path = (n_steps + 3) // 4
     bg = np.random.Philox(key=_stream_key(seed, _STREAM_BROWNIAN))
     bg.advance(first_path * blocks_per_path)
@@ -241,6 +248,11 @@ class _SimContext:
         call the module's kernel functions, which belong to the calling
         thread.
         """
+        # _path_normals needs scipy.special: load it here, on the calling
+        # thread.  Loaded first on a worker thread, its 200 or so modules
+        # raised the peak RSS of perfbench's mc_verify from 218 to 249 MiB.
+        import scipy.special  # noqa: F401
+
         def work(start, count):
             reduce(start, *self.path_block(start, count))
 

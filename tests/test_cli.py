@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import math
 import os
 import re
@@ -649,12 +650,36 @@ def test_stationary_refuses_non_stationary_model(tmp_path, capsys, old, new, mes
     assert not (tmp_path / "o" / "stationary.csv").exists()
 
 
-def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize adds about a quarter second to every CLI start
+_SCIPY_PROBE = """\
+import json, sys
+import tcpolicy, tcpolicy.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded, status = [scipy_modules()], []
+for command in ("solve", "policies", "hump", "stationary", "converge"):
+    status.append(tcpolicy.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[3], "--no-svg"]))
+loaded.append(scipy_modules())
+status.append(tcpolicy.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3], "--no-svg"]))
+print(json.dumps({"loaded": loaded, "special": "scipy.special" in sys.modules, "status": status}))
+"""
+
+
+def test_cli_loads_scipy_only_for_simulate(tmp_path):
+    # importing scipy.special took about 0.3 s of every CLI start, and only
+    # simulate's normals use it (ndtri); one fresh interpreter runs the
+    # commands in turn, with simulate's paths cut down
+    sim_cfg = _write(tmp_path, (CONFIGS / "exp1.cfg").read_text().replace("mc.paths = 100000", "mc.paths = 2000"))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    probe = "import tcpolicy, tcpolicy.cli, sys; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    args = [str(CONFIGS / "exp1.cfg"), str(sim_cfg), str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args], env=env, capture_output=True, text=True, check=True
+    )
+    probe = json.loads(result.stdout.splitlines()[-1])
+    assert probe["loaded"] == [[], []]
+    assert probe["special"]
+    assert probe["status"] == [0] * 6
 
 
 def test_converge_command(tmp_path):

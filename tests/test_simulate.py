@@ -1,10 +1,14 @@
 """Seeded Monte Carlo: determinism, estimator agreement, sampling laws."""
 
 import dataclasses
+import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,51 @@ def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeyp
     with np.errstate(over="raise"):
         ctx.map_blocks(reduce)
     assert states == ["raise"] * 4
+
+
+_WORKER_IMPORT_PROBE = """\
+import json, sys, threading
+import tcpolicy as tc
+from tcpolicy import simulate
+
+spec = tc.ModelSpec(
+    market=tc.MarketParams(r=0.05, alpha=0.12, sigma=0.2),
+    mortality=tc.ConstantHazard(0.02),
+    discount=tc.Exponential(0.1),
+    prefs=tc.PreferenceParams(gamma=-1.0, n=1.0, m_weight=tc.ConstantWeight(1.0),
+                              bequest_discount=tc.Exponential(0.1)),
+    insurance=tc.InsuranceIncomeSpec(payout=tc.ConstantPayout(50.0)),
+    horizon=1.0,
+)
+grid, b = tc.solve_a(spec, N=200), tc.b_function(spec)
+off_main, block_threads = [], []
+
+def hook(event, args):
+    if event == "import" and threading.current_thread() is not threading.main_thread():
+        off_main.append(args[0])
+
+sys.addaudithook(hook)
+draw = simulate._path_normals
+simulate._path_normals = lambda *args: block_threads.append(threading.get_ident()) or draw(*args)
+simulate._WORKERS, simulate._BLOCK_PATHS = 2, 64
+tc.verify_fixed_point(spec, grid.a_curve, b, 0.0, 1.0, tc.SimConfig(paths=256, seed=1, dt=1e-2))
+print(json.dumps({"off_main": off_main, "special": "scipy.special" in sys.modules,
+                  "blocks": len(block_threads), "main": threading.main_thread().ident in block_threads}))
+"""
+
+
+def test_no_module_is_first_imported_on_a_worker_thread():
+    # scipy.special, which the normals need, must be loaded on the calling
+    # thread: imported first by a worker, its 200 or so modules raised the
+    # peak RSS of perfbench's mc_verify from 218 to 249 MiB in 3 of 3 runs
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    probe = json.loads(result.stdout.splitlines()[-1])
+    assert probe["off_main"] == []
+    assert probe["special"]
+    assert probe["blocks"] == 4 and not probe["main"]
 
 
 # ---------------------------------------------------------------------------
