@@ -21,14 +21,17 @@ Riemann sum over the already-computed nodes; it is first-order accurate
 in 1/N.  On the uniform grid L factors into two lag-only kernels times
 node-only weights kept in log space, and the march carries log A rather
 than A, so long horizons neither underflow nor overflow the exponential
-factors.  A kernel that is a sum of K exponentials (exponential, two-rate
-mixture, and hyperbolic through a quadrature of its Laplace-type
-integral) is carried by K recursive states, so a solve costs O(N K); a
-kernel part that vanishes on the grid is not computed at all; the rest (a
-tapering Pareto weight, the affine-exponential family) keep a lag table
-read by a (2 x n) mat-vec at step n, O(N^2).  Each step takes one CRRA
-power, the consumption rate ``a^(1/(gamma-1))``, and one exp of the
-node's log-scale.
+factors.  A kernel part that is a sum of K exponentials (exponential,
+two-rate mixture, hyperbolic through a quadrature of its Laplace-type
+integral, and the log-taper Pareto weight times an h_hat of one or two
+rates) is carried by K states, updated once per block of nodes, with the
+block's own nodes summed against the exact lags, so a solve costs
+O(N K); a kernel part that vanishes on the grid is not computed at all;
+the rest (the affine-exponential family, the log taper times a
+hyperbolic or affine-exponential h_hat) keep a lag table read by a
+(2 x n) mat-vec at step n, O(N^2).  Each step takes one CRRA power, the
+consumption rate ``a^(1/(gamma-1))``, and one exp of the node's
+log-scale.
 
 :func:`solve_a` is the only code that drives the scheme tables; the
 discrete derivative at node n is the march's own step quotient
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -144,25 +148,87 @@ class _LagTable:
         self.nodes[:n] *= shift
 
 
+# Nodes per block of an exponential-sum part: the K states take in a block's
+# nodes at once, and the block's own nodes are summed against the exact lags.
+_BLOCK = 16
+
+
 class _ExponentialSum:
-    """A memory part whose kernel is ``sum_i w_i e^(-r_i lag)``: one state
-    per term, ``S_i(n) = e^(-r_i step) (S_i(n-1) + x_{n-1})``, so step n
-    costs O(K).  With ``d = k'/k - c`` the rows are ``[w, w (-r - c)]``."""
+    """A memory part whose kernel is a sum of K exponentials, in the form of
+    ``ModelSpec.hbar_exponential_sum``, summed with the near/far split of
+    fast convolution quadrature (Lubich & Schaedle 2002).
 
-    def __init__(self, w: np.ndarray, r: np.ndarray, c: float, step: float):
+    Nodes before the current block of ``_BLOCK`` reach step n through one
+    state per term, read with the rows ``[w, w (-r - c)]`` (``d = k'/k -
+    c``).  A term of rate ``r >= 0`` keeps ``S(b) = sum_(j<b) e^(-r (b - j)
+    step) x_j`` for the block starting at node b; a term of rate ``r < 0``,
+    whose weight is its value at lag ``N step``, keeps the prefix sum
+    ``P(b) = sum_(j<b) e^(r j step) x_j``, read with the factor ``e^(r (N -
+    n) step)``, so that no factor exceeds 1.  At the start of each block the
+    states take in the block before it and give the far sums of all its
+    nodes, two small numpy products; the block's own nodes are summed in
+    Python against ``near``, the exact lag rows ``[k, d k]`` at lags 0, 1, ...
+    """
+
+    def __init__(self, w: np.ndarray, r: np.ndarray, c: float, step: float, N: int, near: np.ndarray):
+        B = _BLOCK
         self.rows = np.stack([w, w * (-r - c)])
-        self.decay = np.exp(-r * step)
+        self.rate, self.step, self.N = r, step, N
+        # the rate of each growing term and 0 for the others; None when none grows
+        self.growth = np.minimum(r, 0.0) if np.any(r < 0.0) else None
+        # a block's nodes x_m into the states: S <- e^(-r B step) S + sum_m
+        # e^(-r (B - m) step) x_m, and P <- P + e^(r b step) sum_m e^(r m step) x_m
+        m = np.arange(B)
+        rate = r[:, None]
+        self.carry = np.exp(-np.maximum(r, 0.0) * (B * step))
+        self.fold = np.exp(np.where(rate < 0.0, rate * m, -rate * (B - m)) * step)
+        self.spread = self._spread(B)
         self.state = np.zeros(r.size)
+        # node p of a block reads the block's earlier nodes at lags p, p-1, ..., 1
+        self.near = [(near[0, p:0:-1].tolist(), near[1, p:0:-1].tolist()) for p in range(min(B, near.shape[1]))]
+        self.block = [0.0] * B
+        self.far = [0.0] * (2 * B)
 
-    def sums(self, n: int) -> list:
-        return (self.rows @ self.state).tolist()
+    def _spread(self, q: int) -> np.ndarray:
+        """Columns ``[k, d k]`` of each term at each node m of a block of q
+        nodes, per unit of state: the rows times ``e^(-r m step)``, counted
+        from the block's first node, or for a growing term ``e^(r (q - 1 - m)
+        step)``, counted from its last; shape (K, 2 q)."""
+        m = np.arange(q)
+        rate = self.rate[:, None]
+        factor = np.exp(np.where(rate < 0.0, rate * (q - 1 - m), -rate * m) * self.step)
+        return (factor[:, :, None] * self.rows.T[:, None, :]).reshape(self.rate.size, 2 * q)
+
+    def _start_block(self, b: int) -> None:
+        """Take the block ending at node b into the states, then read the far
+        sums of the block of q nodes starting there; a growing term is read
+        from the block's last node inside the grid."""
+        taken = self.fold @ self.block
+        q = min(_BLOCK, self.N - b)
+        state = self.state
+        state *= self.carry
+        if self.growth is None:
+            state += taken
+        else:
+            state += np.exp(self.growth * ((b - _BLOCK) * self.step)) * taken
+            state = state * np.exp(self.growth * ((self.N - b - q + 1) * self.step))
+        self.far = (state @ (self.spread if q == _BLOCK else self._spread(q))).tolist()
+
+    def sums(self, n: int) -> tuple:
+        p = n % _BLOCK
+        if not p:
+            self._start_block(n)
+        k, dk = self.near[p]
+        x, far = self.block, self.far
+        return far[2 * p] + sum(map(mul, k, x)), far[2 * p + 1] + sum(map(mul, dk, x))
 
     def add(self, n: int, x: float) -> None:
-        self.state += x
-        self.state *= self.decay
+        self.block[n % _BLOCK] = x
 
     def rescale(self, n: int, shift: float) -> None:
         self.state *= shift
+        self.block = [x * shift for x in self.block]
+        self.far = [v * shift for v in self.far]
 
 
 class _SchemeTables:
@@ -185,10 +251,12 @@ class _SchemeTables:
     w/m(0)`` and ``w = m(0)^(1/(1-gamma))``; ``parts`` pairs each
     kept part with its per-node multiplier of f.  A part whose offsets (d;
     d and dbar) or whose hazard vanish on the grid contributes exactly 0
-    and is skipped; otherwise it is an exponential sum when the kernel has
-    one and a lag table when it has not.  The legacy-weight table stops one
-    lag short of T: a lag of exactly T never occurs inside the march, and a
-    tapering Pareto weight may be singular there.  The local coefficient
+    and is skipped; otherwise it is an exponential sum, with the exact lag
+    rows inside one block, when the kernel has one (``exponential_sum``,
+    ``hbar_exponential_sum``) and a lag table of every lag when it has not.
+    The legacy-weight rows stop one lag short of T: a lag of exactly T
+    never occurs inside the march, and a tapering Pareto weight may be
+    singular there.  The local coefficient
     ``coef`` of ``a^(g/(g-1))`` is minus the A1 margin ``1 + w lambda - gamma M``.
     """
 
@@ -211,21 +279,21 @@ class _SchemeTables:
         # the legacy-kernel scaling w/m(0) from U((a/m)^(1/(g-1)) Y); 1 at m(0) = 1
         q_weight = legacy_hazard_weight(prefs) / prefs.m0
         self.parts = []
-        # per part: (kept, exponential-sum terms, lag values, offsets, per-node
-        # multiplier); the terms and values are computed for a kept part only
-        for kept, terms_of, values_of, offset, weight in (
-            (np.any(d), lambda: spec.discount.exponential_sum(T, step),
-             lambda: spec.discount.value(lags), d, np.ones(N + 1)),
+        # per part: (kept, exponential-sum terms, kernel, offsets, per-node
+        # multiplier); the terms and kernel values are computed for a kept part only
+        for kept, terms_of, value, offset, weight in (
+            (np.any(d), lambda: spec.discount.exponential_sum(T, step), spec.discount.value, d, np.ones(N + 1)),
             ((np.any(d) or np.any(dbar)) and np.any(lam), lambda: spec.hbar_exponential_sum(step),
-             lambda: spec.hbar_value(lags[:N]), dbar, q_weight * lam),
+             spec.hbar_value, dbar, q_weight * lam),
         ):
             if kept:
                 terms = terms_of()
-                if terms is None:
-                    values = np.asarray(values_of(), dtype=float)
-                    part = _LagTable(np.stack([values, offset * values]))
-                else:
-                    part = _ExponentialSum(*terms, c, step)
+                # the lag rows [k, d k]: all of them for a lag table, the
+                # lags inside one block for an exponential sum
+                n_lags = offset.size if terms is None else min(_BLOCK, offset.size)
+                values = np.asarray(value(lags[:n_lags]), dtype=float)
+                rows = np.stack([values, offset[:n_lags] * values])
+                part = _LagTable(rows) if terms is None else _ExponentialSum(*terms, c, step, N, rows)
                 self.parts.append((part, memoryview(weight)))
 
         M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
@@ -293,12 +361,13 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
 
     Refuses to run when the positivity assumption fails; raises
     :class:`SchemeBreakdownError` if an iterate leaves the positive cone or
-    overflows.  Step n updates K states per exponential-sum memory part and
-    reads n lags per lag-table part, so a solve costs O(N K) for kernels
-    that are sums of K exponentials (exponential, two-rate mixture,
-    hyperbolic) and O(N^2) only where a lag table is left (a tapering Pareto
-    weight, the affine-exponential family); a part that vanishes costs
-    nothing.  No step allocates an array.
+    overflows.  Step n sums the earlier nodes of its block in Python per
+    exponential-sum memory part, whose K states are updated once per block
+    of ``_BLOCK`` nodes, and reads n lags per lag-table part, so a solve
+    costs O(N K) for kernels that are sums of K exponentials and O(N^2)
+    only where a lag table is left (see the module docstring); a part that
+    vanishes costs nothing.  No step allocates an array, except the first
+    of each block of an exponential-sum part.
     """
     _check_preconditions(spec, N)
     tab = _SchemeTables(spec, N)

@@ -95,7 +95,8 @@ class DiscountKernel:
 
     def exponential_sum(self, horizon: float, step: float):
         """Arrays ``(w, r)`` with ``h(t) = sum_i w_i e^(-r_i t)`` to double
-        precision for t in [step, horizon], or None when h has no such form."""
+        precision for t in [step, horizon], or None when h has no such form.
+        Every rate is >= 0, so each weight is its term's value at t = 0."""
         return None
 
 
@@ -340,6 +341,27 @@ class LogTaperWeight(ParetoWeight):
         return out if t.ndim else float(out)
 
 
+def _log_taper_sum(weight: LogTaperWeight, step: float):
+    """``(w, r)`` of the log taper as a function of the lag, in the form of
+    :meth:`ModelSpec.hbar_exponential_sum`.
+
+    With X = T + eps and x = X - t, ``m(t) = log(X/eps) - int (e^(-u x) -
+    e^(-u X)) ds`` over u = e^s, whose t-derivative is ``-1/x = -int u
+    e^(-u x) ds``.  Trapezoid nodes with ds = 0.25 (Beylkin & Monzon 2005),
+    from u = 1e-17/X, below which the dropped nodes sum to under 1e-17 of
+    t/X, to u = 40/step, past which ``e^(-u x) < e^(-40)`` at every lag
+    t <= T - step.  The constant is a term of rate 0; node u gives the
+    term ``-ds e^(-u eps) e^(-u (T - t))`` of rate -u, which grows with t.
+    """
+    X = weight.horizon + weight.eps
+    ds = 0.25
+    s_lo = _LOG_TAIL - math.log(X)
+    s = s_lo + ds * np.arange(math.ceil((math.log(40.0 / step) - s_lo) / ds) + 1)
+    u = np.exp(s)
+    const = math.log(X / weight.eps) + ds * math.fsum(np.exp(-u * X))
+    return np.append(const, -ds * np.exp(-u * weight.eps)), np.append(0.0, -u)
+
+
 # ---------------------------------------------------------------------------
 # Insurance payout, bequest fraction and income
 # ---------------------------------------------------------------------------
@@ -499,12 +521,33 @@ class ModelSpec:
         return self.prefs.m_weight.log_derivative(t) + self.prefs.bequest_discount.log_derivative(t)
 
     def hbar_exponential_sum(self, step: float):
-        """``(w, r)`` of ``m h_hat`` as in ``DiscountKernel.exponential_sum``;
-        None unless m is constant and h_hat has such a form."""
-        if not isinstance(self.prefs.m_weight, ConstantWeight):
+        """``(w, r)`` of ``m h_hat`` to double precision at the lags step,
+        2 step, ... short of T, or None.
+
+        A term of rate ``r >= 0`` is ``w e^(-r t)``, as in
+        ``DiscountKernel.exponential_sum``.  A term of rate ``r < 0`` grows
+        with the lag; it is ``w e^(r (T - t))``, its weight being its value
+        at t = T, so that no factor of a term exceeds 1 on [0, T].  A
+        constant m scales h_hat's sum.  The log taper's sum times a sum of at
+        most two exponentials has at most twice its terms; times a
+        hyperbolic h_hat's quadrature it would have about 270 times as many,
+        and that pair, like an h_hat with no sum, gets None.
+        """
+        h_terms = self.prefs.bequest_discount.exponential_sum(self.horizon, step)
+        weight = self.prefs.m_weight
+        if h_terms is None:
             return None
-        terms = self.prefs.bequest_discount.exponential_sum(self.horizon, step)
-        return None if terms is None else (self.prefs.m0 * terms[0], terms[1])
+        if isinstance(weight, ConstantWeight):
+            return weight.m0 * h_terms[0], h_terms[1]
+        if not isinstance(weight, LogTaperWeight) or h_terms[0].size > 2:
+            return None
+        (m_w, m_r), (h_w, h_r) = _log_taper_sum(weight, step), h_terms
+        T = self.horizon
+        r = np.add.outer(m_r, h_r).ravel()
+        # each product term weighted at lag 0 where it decays and at lag T where it grows
+        at_0 = np.outer(m_w * np.exp(m_r * T), h_w).ravel()
+        at_T = np.outer(m_w, h_w * np.exp(-h_r * T)).ravel()
+        return np.where(r < 0.0, at_T, at_0), r
 
 
 # ---------------------------------------------------------------------------

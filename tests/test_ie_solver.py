@@ -33,6 +33,7 @@ from tcpolicy import closed_form
 from tcpolicy.cli import parse_config
 from tcpolicy.closed_form import a_exponential
 from tcpolicy.ie_solver import (
+    _BLOCK,
     AssumptionViolatedError,
     BoundsReport,
     SchemeBreakdownError,
@@ -234,11 +235,34 @@ def test_factored_memory_matches_per_pair_sum(config, N):
     assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-13
 
 
+def _on_horizon(spec, horizon):
+    """The spec on another horizon, a log taper's with it."""
+    m_weight = spec.prefs.m_weight
+    if isinstance(m_weight, LogTaperWeight):
+        m_weight = dataclasses.replace(m_weight, horizon=horizon)
+    return dataclasses.replace(spec, horizon=horizon, prefs=dataclasses.replace(spec.prefs, m_weight=m_weight))
+
+
+@pytest.mark.parametrize("N", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("config", ["experiment", "hump_k5_n10", "mixed"])
+def test_block_edges_match_per_pair_sum(config, N):
+    # grids shorter than a block, ending on a block edge or next to one,
+    # and with a last, partial block; each takes N steps of the config's
+    # own T/1000 (its whole horizon in two steps breaks down)
+    spec = _mixed_kernel_spec() if config == "mixed" else parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
+    spec = _on_horizon(spec, N * spec.horizon / 1000)
+    assert any(isinstance(part, _ExponentialSum) for part, _ in _SchemeTables(spec, N).parts)
+    ref_a, ref_A = _per_pair_march(spec, N)
+    grid = solve_a(spec, N)
+    assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
+    assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "config, h_part, hbar_part",
     [
         ("exp1", None, None),  # h = h_hat exponential: both parts vanish
-        ("experiment", None, _LagTable),  # tapering m: hbar has no exponential sum
+        ("experiment", None, _ExponentialSum),  # log taper times an exponential h_hat
         ("hump_k5_n10", _ExponentialSum, None),  # no hazard: the hbar part vanishes
         ("mixed", _ExponentialSum, _LagTable),  # two-rate h, affine-exponential h_hat
     ],
@@ -254,30 +278,37 @@ def test_memory_part_representations(config, h_part, hbar_part):
     lags = np.linspace(0.0, T, N + 1)
     c = float(spec.discount.log_derivative(0.0))
     q_lam = legacy_hazard_weight(spec.prefs) / spec.prefs.m0 * spec.mortality.rate(tab.times)
-    # what each part would be built from, and its per-node multiplier
+    # what each part would be built from, and its per-node multiplier; an
+    # exponential sum's near rows are the exact lag rows inside one block
     expected = []
+    h_val = spec.discount.value(lags)
+    h_rows = np.stack([h_val, np.array(tab.d) * h_val])
     if h_part is _LagTable:
-        h_val = spec.discount.value(lags)
-        expected.append((_LagTable(np.stack([h_val, np.array(tab.d) * h_val])), np.ones(N + 1)))
+        expected.append((_LagTable(h_rows), np.ones(N + 1)))
     elif h_part is _ExponentialSum:
-        expected.append((_ExponentialSum(*spec.discount.exponential_sum(T, step), c, step), np.ones(N + 1)))
+        terms = spec.discount.exponential_sum(T, step)
+        expected.append((_ExponentialSum(*terms, c, step, N, h_rows[:, :_BLOCK]), np.ones(N + 1)))
+    hbar_val = spec.hbar_value(lags[:N])
+    hbar_rows = np.stack([hbar_val, (spec.hbar_log_derivative(lags[:N]) - c) * hbar_val])
     if hbar_part is _LagTable:
-        hbar_val = spec.hbar_value(lags[:N])
-        dbar = spec.hbar_log_derivative(lags[:N]) - c
-        expected.append((_LagTable(np.stack([hbar_val, dbar * hbar_val])), q_lam))
+        expected.append((_LagTable(hbar_rows), q_lam))
     elif hbar_part is _ExponentialSum:
-        expected.append((_ExponentialSum(*spec.hbar_exponential_sum(step), c, step), q_lam))
+        expected.append((_ExponentialSum(*spec.hbar_exponential_sum(step), c, step, N, hbar_rows[:, :_BLOCK]), q_lam))
     assert len(tab.parts) == len(expected)
     for (part, weight), (want, want_weight) in zip(tab.parts, expected):
         assert type(part) is type(want)
         assert np.array_equal(part.rows, want.rows)
+        if isinstance(part, _ExponentialSum):
+            assert part.near == want.near
         assert np.array_equal(np.array(weight), want_weight)
 
 
 def test_exponential_d_weights_exactly_zero():
+    # h'/h - c = 0 at every lag: the d row and the far sums it gives are 0
     for rho in (0.0, 0.1, 0.8, 3.7):
-        part = _ExponentialSum(*Exponential(rho).exponential_sum(1.0, 0.01), -rho, 0.01)
+        part = _ExponentialSum(*Exponential(rho).exponential_sum(1.0, 0.01), -rho, 0.01, 100, np.zeros((2, _BLOCK)))
         assert part.rows.shape == (2, 1) and part.rows[1, 0] == 0.0
+        assert np.all(part.spread[:, 1::2] == 0.0)
 
 
 @pytest.mark.parametrize("N", [1000, 100_000])
@@ -301,6 +332,51 @@ def test_hyperbolic_exponential_sum_fits_lag_grid(k1, horizon, N):
         dh_ref = kernel.k2 * (h_ref - (1.0 + k1 * chunk) ** (-p - 1.0))
         assert np.max(np.abs(h - h_ref) / h_ref) <= 1e-14
         assert np.max(np.abs(dh - dh_ref) / (kernel.k2 * h_ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [1000, 100_000])
+@pytest.mark.parametrize("horizon", [1.0, 4.0, 400.0])
+@pytest.mark.parametrize("eps", [1e-15, 1e-6])
+@pytest.mark.parametrize("rho", [0.0, 0.8, 5.0])
+def test_log_taper_exponential_sum_fits_lag_grid(market, rho, eps, horizon, N):
+    # hbar = m h_hat with the log taper m and h_hat = h = e^(-rho t), read
+    # as the march reads it: a term of rate r < 0 as w e^(r (T - t)), so
+    # that no factor exceeds 1, even at rho T = 2000.  Both sums are dot
+    # products whose rounding scales with the size of their terms: for
+    # hbar, the constant of about 39 + log(T/eps) cancels the node terms
+    # down to m, as small as log(1 + step/eps) next to lag T; d hbar is
+    # the difference of terms of size hbar/x and |c| hbar.  And e^(-rho t),
+    # in the sum and the reference alike, carries the rounding of its
+    # exponent, about rho t ulp.  Measured at most 1.0e-15 for hbar and
+    # 6.7e-16 for d hbar against those sizes.
+    h = Exponential(rho)
+    prefs = PreferenceParams(gamma=-1.0, n=1.0, m_weight=LogTaperWeight(horizon, eps), bequest_discount=h)
+    payout = InsuranceIncomeSpec(payout=ConstantPayout(math.inf))
+    spec = ModelSpec(market, ConstantHazard(0.02), h, prefs, payout, horizon)
+    step = horizon / N
+    w, r = spec.hbar_exponential_sum(step)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(r))
+    c = -rho  # h'/h(0)
+    lags = np.linspace(0.0, horizon, N + 1)[1:N]  # the hbar rows stop one lag short of T
+    for chunk in np.array_split(lags, max(1, N // 2000)):
+        t = chunk[:, None]
+        factor = np.exp(np.where(r < 0.0, r * (horizon - t), -r * t))
+        assert np.all(factor <= 1.0)
+        hbar = factor @ w
+        dhbar = factor @ (w * (-r - c))
+        x = (horizon - chunk) + eps
+        h_ref = np.exp(-rho * chunk)
+        hbar_ref = np.log(x / eps) * h_ref
+        dhbar_ref = -h_ref / x  # (m h)' - c m h with c = -rho
+        assert np.all(np.isfinite(hbar)) and np.all(np.isfinite(dhbar))
+        normal = hbar_ref >= np.finfo(float).tiny  # e^(-rho t) underflows past rho t = 708
+        if not np.any(normal):
+            continue
+        exponent = 1.0 + rho * chunk[normal]
+        hbar_size = exponent * (factor[normal] @ np.abs(w))
+        dhbar_size = exponent * (np.abs(dhbar_ref[normal]) + abs(c) * hbar_ref[normal])
+        assert np.max(np.abs(hbar - hbar_ref)[normal] / hbar_size) <= 2e-15
+        assert np.max(np.abs(dhbar - dhbar_ref)[normal] / dhbar_size) <= 2e-15
 
 
 def _between(lo, hi):
@@ -355,11 +431,13 @@ def _marches(draw):
 def test_march_matches_per_pair_sum_property(case):
     # measured over 5000 random draws: at most 2.1e-14 for the exact
     # families and 3.3e-14 with a hyperbolic kernel, whose exponential sum
-    # fits h to about 1e-15; with a tapering Pareto weight (7278 marches in
-    # 16000 draws) at most 1.7e-14 for a and 2.0e-14 for A, the hbar part
-    # then being a lag table; the envelopes hold up to 3.0 times the
-    # first-order error estimate |a_N - a_2N| (the lower one is the exact
-    # solution when rho = lambda = 0)
+    # fits h to about 1e-15; with a tapering Pareto weight, whose hbar part
+    # is the log taper's exponential sum for an h_hat of one or two rates
+    # and a lag table otherwise, 5000 more draws gave 961 marches of the
+    # first kind, at most 2.8e-15 for a and 1.5e-14 for A, and 1225 of the
+    # second, at most 4.2e-15 and 5.0e-14; the envelopes hold up to 3.0
+    # times the first-order error estimate |a_N - a_2N| (the lower one is
+    # the exact solution when rho = lambda = 0)
     spec, N = case
     assume(check_assumption_a1(spec).holds)
     grid = solve_a(spec, N)
@@ -425,29 +503,54 @@ def test_long_horizon_matches_closed_form(exp1_spec, horizon, hazard):
     assert np.all(grid.A_values > 0.0)
 
 
-def test_lag_table_rescaled_on_long_horizon(market, monkeypatch):
-    # a tapering Pareto weight keeps the hbar part as a lag table; at hazard
-    # 2 over T = 100 its node weights' exponent e + log A drifts past
-    # _MAX_LOG_DRIFT, so the table is rescaled during the march
-    h = Exponential(0.1)
-    spec = ModelSpec(
+def _tapering_long_horizon(market, bequest):
+    # hazard 2 over T = 100: the node weights' exponent e + log A drifts past
+    # _MAX_LOG_DRIFT, so the memory parts are rescaled during the march
+    return ModelSpec(
         market=market,
         mortality=ConstantHazard(2.0),
-        discount=h,
-        prefs=PreferenceParams(gamma=-1.0, n=1.0, m_weight=LogTaperWeight(100.0), bequest_discount=h),
+        discount=Exponential(0.1),
+        prefs=PreferenceParams(gamma=-1.0, n=1.0, m_weight=LogTaperWeight(100.0), bequest_discount=bequest),
         insurance=InsuranceIncomeSpec(payout=ConstantPayout(math.inf)),
         horizon=100.0,
     )
+
+
+def _spy_rescale(monkeypatch, part_type):
     calls = []
-    rescale = _LagTable.rescale
-    monkeypatch.setattr(_LagTable, "rescale", lambda self, n, shift: calls.append(n) or rescale(self, n, shift))
+    rescale = part_type.rescale
+    monkeypatch.setattr(part_type, "rescale", lambda self, n, shift: calls.append(n) or rescale(self, n, shift))
+    return calls
+
+
+def test_lag_table_rescaled_on_long_horizon(market, monkeypatch):
+    # the log taper times an affine-exponential h_hat has no short sum and
+    # keeps the hbar part as a lag table
+    spec = _tapering_long_horizon(market, AffineExponential(0.05, 0.1))
+    calls = _spy_rescale(monkeypatch, _LagTable)
     N = 2000
     grid = solve_a(spec, N)
-    assert calls
+    assert calls == [1038]
     ref_a, ref_A = _per_pair_march(spec, N)
-    # measured 2.1e-16 for a and 3.1e-13 for A: the reference multiplies A
+    # measured 1.1e-15 for a and 5.2e-13 for A: the reference multiplies A
     # in value space, one rounding per step over 2000 steps (4.4e-13), where
     # the march adds log1p terms
+    assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
+    assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-12
+
+
+def test_log_taper_sum_rescaled_mid_block_on_long_horizon(market, monkeypatch):
+    # the log taper times an exponential h_hat is an exponential sum with
+    # growing terms; at N = 2010 the rescale lands at node 1045, inside a
+    # block, where the states, the block's far sums and its stored nodes
+    # are all scaled
+    spec = _tapering_long_horizon(market, Exponential(0.1))
+    calls = _spy_rescale(monkeypatch, _ExponentialSum)
+    N = 2010
+    grid = solve_a(spec, N)
+    assert calls and any(n % _BLOCK for n in calls)
+    ref_a, ref_A = _per_pair_march(spec, N)
+    # measured 3.2e-16 for a and 4.4e-13 for A (A as in the lag-table test)
     assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
     assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-12
 
@@ -561,7 +664,7 @@ def test_experiment_h_part_vanishes(experiment_spec):
     grid = solve_a(experiment_spec, N)
     tab = _SchemeTables(experiment_spec, N)
     ((hbar_part, _),) = tab.parts
-    assert isinstance(hbar_part, _LagTable) and hbar_part.rows.shape == (2, N - 1)  # lags 1..N-1
+    assert isinstance(hbar_part, _ExponentialSum) and len(hbar_part.near) == _BLOCK  # lags 0..B-1
     lags = np.linspace(0.0, experiment_spec.horizon, N + 1)
     h_val = experiment_spec.discount.value(lags)
     part = _LagTable(np.stack([h_val, np.array(tab.d) * h_val]))
