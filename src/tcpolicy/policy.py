@@ -82,10 +82,6 @@ class FeedbackRates:
         """Premium per unit of the income floor, ``bequest/l``."""
         return self.inv_l * self.bequest
 
-    def node(self, k: int) -> "FeedbackRates":
-        """The map at the k-th of the times it was built for."""
-        return FeedbackRates(self.merton, self.consumption[k], self.bequest[k], self.inv_l[k], self.eta)
-
     def premium(self, x, b):
         """Premium that tops the legacy ``eta x + l premium`` up to ``bequest (x + b)``."""
         return self.premium_x * x + self.premium_b * b

@@ -12,12 +12,15 @@ counter blocks keyed by (seed, stream) and each path is reduced to its
 sample on its own, so results are bit-identical for identical (seed, paths,
 dt, scheme) whatever the block size or the number of worker threads.
 
-Paths are built and reduced in blocks of ``_BLOCK_PATHS`` on one worker
-thread per available CPU, with at most one block per worker in flight.
-Writing ``U(r y) = r^gamma/gamma y^gamma`` (``log r + log y`` at
-gamma = 0) folds the trapezoid weights, the kernels and the feedback rates
-into one node-weight vector per estimator, so a block costs one exp and
-two row-wise mat-vecs on its log-wealth paths.  Both estimators come from
+Paths are built and reduced in blocks of about ``_BLOCK_BYTES`` per
+array, whatever the horizon and dt, on one worker thread per available
+CPU.  Each worker reuses one pair of scratch arrays that the calling
+thread allocates for the pass, so the working set is two such arrays per
+worker and no block allocates a paths x steps array.  Writing
+``U(r y) = r^gamma/gamma y^gamma`` (``log r + log y`` at gamma = 0) folds
+the trapezoid weights, the kernels and the feedback rates into one
+node-weight vector per estimator, so a block costs one exp and two
+row-wise mat-vecs on its log-wealth paths.  Both estimators come from
 this one pass: the kernel and mortality samples of the last
 ``(spec, a_curve, b_curve, t0, x0, cfg)`` are kept, so a kernel and a
 mortality estimate with equal arguments draw each path's normals once.
@@ -35,6 +38,7 @@ import contextvars
 import functools
 import math
 import os
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,10 +64,12 @@ __all__ = [
 EXACT_Y = "exact_y"
 EULER = "euler"
 
-# Paths per block, and one worker thread per CPU this process may run on.
-# Both are read at call time so tests can vary them; results do not depend
-# on them because each path owns fixed counter blocks and is reduced alone.
-_BLOCK_PATHS = 4096
+# Bytes per scratch array of a block: about 1000 paths at 1000 steps and
+# 260 at 4000 (the Monte Carlo passes ran faster at 8 MiB than at 4 or 16).
+# One worker thread per CPU this process may run on.  Both are read at call
+# time so tests can vary them; results do not depend on them because each
+# path owns fixed counter blocks and is reduced alone.
+_BLOCK_BYTES = 8 << 20
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _STREAM_BROWNIAN = 0
 _STREAM_DEATH = 1
@@ -123,19 +129,21 @@ def _stream_key(seed: int, stream: int) -> int:
     return (stream << 64) | (seed & 0xFFFFFFFFFFFFFFFF)
 
 
-def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Standard normals for paths [first_path, first_path + n_paths).
+def _path_normals(seed: int, first_path: int, n_steps: int, out: np.ndarray) -> np.ndarray:
+    """Standard normals for paths [first_path, first_path + len(out)), drawn into ``out``.
 
-    Path i consumes the Philox counter blocks [i*bpp, (i+1)*bpp) of the
-    Brownian stream, where bpp = ceil(n_steps/4) blocks of four draws, so
-    a path's increments depend only on (seed, path index).
+    ``out`` is a C-contiguous (paths, 4 bpp) array, bpp = ceil(n_steps/4)
+    Philox counter blocks of four draws per path.  Path i consumes the
+    blocks [i*bpp, (i+1)*bpp) of the Brownian stream, so a path's
+    increments depend only on (seed, path index).  Returns the
+    (paths, n_steps) view of ``out`` that holds the normals.
     """
     from scipy.special import ndtri  # loaded by map_blocks before its workers start
 
-    blocks_per_path = (n_steps + 3) // 4
     bg = np.random.Philox(key=_stream_key(seed, _STREAM_BROWNIAN))
-    bg.advance(first_path * blocks_per_path)
-    u = np.random.Generator(bg).random((n_paths, 4 * blocks_per_path))[:, :n_steps]
+    bg.advance(first_path * (out.shape[1] // 4))
+    np.random.Generator(bg).random(out=out)
+    u = out[:, :n_steps]
     np.maximum(u, _U_FLOOR, out=u)
     return ndtri(u, out=u)
 
@@ -188,12 +196,15 @@ class _SimContext:
             [[0.0], np.cumsum(0.5 * self.h * (g[:-1] + g[1:]))]
         )
         self.a_curve = a_curve
+        # a path's uniforms fill whole Philox blocks of four; a scratch row
+        # holds either them or the path's steps + 1 nodes
+        self.draw_width = 4 * ((n_steps + 3) // 4)
+        self.row_bytes = 8 * max(self.draw_width, n_steps + 1)
 
     # -- path blocks ------------------------------------------------------
 
-    def exact_y_block(self, normals: np.ndarray) -> np.ndarray:
-        """log Y of shifted-wealth paths by exact Gaussian increments, built in one array."""
-        log_y = np.empty((normals.shape[0], self.n_steps + 1))
+    def exact_y_block(self, normals: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+        """log Y of shifted-wealth paths by exact Gaussian increments, built in ``log_y``."""
         log_y[:, 0] = 0.0
         np.cumsum(normals, axis=1, out=log_y[:, 1:])
         log_y *= math.sqrt(self.h)
@@ -201,64 +212,122 @@ class _SimContext:
         log_y += math.log(self.y0) + self.log_drift_prefix
         return log_y
 
-    def euler_block(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Euler-Maruyama wealth paths; returns (Y, alive).
+    def euler_block(self, normals_t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euler-Maruyama wealth paths, step-major; returns (Y, alive).
 
-        Paths are rejected (NaN from the violation onward) when the
-        shifted wealth X + b leaves the positive cone.
+        ``normals_t`` holds one row of normals per step and ``x`` one row of
+        wealth per node, so each step reads and writes contiguous rows; ``x``
+        is overwritten with Y = X + b.  Paths are rejected (NaN from the
+        violation onward) when the shifted wealth X + b leaves the positive
+        cone.
         """
-        market, income = self.spec.market, self.spec.insurance.income
-        B = normals.shape[0]
-        sq_h = math.sqrt(self.h)
-        x = np.empty((B, self.n_steps + 1))
-        x[:, 0] = self.x0
-        alive = np.ones(B, dtype=bool)
-        for k in range(self.n_steps):
-            xk = x[:, k]
-            y = xk + self.b[k]
-            rates = self.rates.node(k)
-            f1 = rates.merton * y
-            drift = (
-                market.r * xk + market.mu * f1 - rates.consumption * y
-                - rates.premium(xk, self.b[k]) + income
-            )
-            with np.errstate(invalid="ignore"):
-                x_next = xk + drift * self.h + market.sigma * f1 * sq_h * normals[:, k]
-                dead_now = alive & ~(x_next + self.b[k + 1] > 0.0)
-            alive &= ~dead_now
-            x[:, k + 1] = np.where(alive, x_next, np.nan)
-        x += self.b
-        return x, alive
+        r, mu, sigma, merton, income, h, sq_h, b, neg_b, consumption, premium_x, premium_b = self.euler_terms
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        y, f1, drift, tmp = np.empty((4, x.shape[1]))
+        crossed = np.empty(x.shape[1], dtype=bool)
+        x[0] = self.x0
+        with np.errstate(invalid="ignore"):
+            for k in range(self.n_steps):
+                xk, x_next = x[k], x[k + 1]
+                add(xk, b[k], out=y)
+                multiply(y, merton, out=f1)
+                # drift = r x + mu f1 - c y - (premium_x x + premium_b b) + income
+                multiply(xk, r, out=drift)
+                multiply(f1, mu, out=tmp)
+                add(drift, tmp, out=drift)
+                multiply(y, consumption[k], out=tmp)
+                subtract(drift, tmp, out=drift)
+                multiply(xk, premium_x[k], out=tmp)
+                add(tmp, premium_b[k], out=tmp)
+                subtract(drift, tmp, out=drift)
+                add(drift, income, out=drift)
+                # x_next = x + drift h + sigma f1 sqrt(h) z
+                multiply(drift, h, out=drift)
+                add(xk, drift, out=x_next)
+                multiply(f1, sigma, out=tmp)
+                multiply(tmp, sq_h, out=tmp)
+                multiply(tmp, normals_t[k], out=tmp)
+                add(x_next, tmp, out=x_next)
+                # x + b <= 0 exactly when x <= -b: a rounded sum keeps the
+                # sign of the exact one and is 0 only when that is.  A path
+                # that crosses is NaN from here on, and NaN propagates: a
+                # path is alive iff its last node is a number
+                np.less_equal(x_next, neg_b[k + 1], out=crossed)
+                np.copyto(x_next, np.nan, where=crossed)
+        x += self.b[:, None]
+        return x, ~np.isnan(x[-1])
 
-    def path_block(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(log Y, alive)`` of paths [start, start + count); rejected rows are NaN."""
-        normals = _path_normals(self.cfg.seed, start, count, self.n_steps)
+    @functools.cached_property
+    def euler_terms(self) -> tuple:
+        """The Euler drift's constants, then lists of its per-node terms (b,
+        -b, the consumption rate, premium_x and premium_b b), all as 0-d
+        arrays, which ufuncs take faster than Python floats."""
+        market, rates = self.spec.market, self.rates
+        income, h = self.spec.insurance.income, self.h
+        constants = (market.r, market.mu, market.sigma, rates.merton, income, h, math.sqrt(h))
+        nodes = (self.b, -self.b, rates.consumption, rates.premium_x, rates.premium_b * self.b)
+        return (*map(np.asarray, constants), *(list(map(np.asarray, node.tolist())) for node in nodes))
+
+    def scratch(self, paths: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pair of flat arrays that ``path_block`` builds up to ``paths`` paths in."""
+        return np.empty(paths * self.row_bytes // 8), np.empty(paths * self.row_bytes // 8)
+
+    def path_block(self, start: int, count: int, scratch) -> tuple[np.ndarray, np.ndarray]:
+        """``(log Y, alive)`` of paths [start, start + count); rejected rows are NaN.
+
+        ``scratch`` is a pair from ``scratch(n)``, n >= count: the uniforms
+        are drawn into the first array and log Y is built in the second,
+        whose view is returned.
+        """
+        draws, paths = scratch
+        steps, nodes = self.n_steps, self.n_steps + 1
+        normals = _path_normals(self.cfg.seed, start, steps, draws[: count * self.draw_width].reshape(count, -1))
+        log_y = paths[: count * nodes].reshape(count, nodes)
         if self.cfg.scheme == EXACT_Y:
-            return self.exact_y_block(normals), np.ones(count, dtype=bool)
-        y, alive = self.euler_block(normals)
-        return np.log(y, out=y), alive
+            return self.exact_y_block(normals, log_y), np.ones(count, dtype=bool)
+        # step-major Euler: the normals move to the second array, transposed,
+        # and the wealth rows are built in the first
+        normals_t = paths[: steps * count].reshape(steps, count)
+        np.copyto(normals_t, normals.T)
+        y, alive = self.euler_block(normals_t, draws[: nodes * count].reshape(nodes, count))
+        return np.log(y.T, out=log_y), alive
 
     def map_blocks(self, reduce) -> None:
         """``reduce(start, log_y, alive)`` on every block of paths.
 
-        Each block is built and reduced on one worker thread, so at most one
-        block per worker is in flight, in a copy of the caller's context (so
-        numpy's error state carries over).  ``reduce`` writes its results
-        into the caller's arrays and may overwrite ``log_y``; it must not
-        call the module's kernel functions, which belong to the calling
-        thread.
+        A block holds ``_BLOCK_BYTES // row_bytes`` paths.  Each block is
+        built and reduced on one worker thread, so at most one block per
+        worker is in flight, in a copy of the caller's context (so numpy's
+        error state carries over).  The calling thread allocates one pair of
+        scratch arrays per worker and the blocks take them from a queue:
+        ``log_y`` is a view into that scratch, valid only during the
+        ``reduce`` call, which may overwrite it.  ``reduce`` writes its
+        results into the caller's arrays; it must not call the module's
+        kernel functions, which belong to the calling thread.
         """
         # _path_normals needs scipy.special: load it here, on the calling
         # thread.  Loaded first on a worker thread, its 200 or so modules
         # raised the peak RSS of perfbench's mc_verify from 218 to 249 MiB.
         import scipy.special  # noqa: F401
 
-        def work(start, count):
-            reduce(start, *self.path_block(start, count))
-
         paths = self.cfg.paths
-        ranges = [(start, min(_BLOCK_PATHS, paths - start)) for start in range(0, paths, _BLOCK_PATHS)]
-        with ThreadPoolExecutor(max_workers=min(_WORKERS, len(ranges))) as pool:
+        block = min(paths, max(1, _BLOCK_BYTES // self.row_bytes))
+        ranges = [(start, min(block, paths - start)) for start in range(0, paths, block)]
+        workers = min(_WORKERS, len(ranges))
+        # allocated here, not on the workers, whose own malloc arenas would
+        # hold the arrays and raise the peak RSS
+        free = queue.SimpleQueue()
+        for _ in range(workers):
+            free.put(self.scratch(block))
+
+        def work(start, count):
+            scratch = free.get()
+            try:
+                reduce(start, *self.path_block(start, count, scratch))
+            finally:
+                free.put(scratch)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(contextvars.copy_context().run, work, start, count) for start, count in ranges]
             for future in futures:
                 future.result()
@@ -276,7 +345,9 @@ def simulate_wealth(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> WealthEns
     trapezoid-integrated deterministic drift, keeping X + b > 0 by
     construction; Euler-Maruyama discretizes the wealth SDE directly and
     rejects paths whose shifted wealth exits the positive cone (a warning
-    is issued above 1% rejection).  Memory is paths x (steps+1) doubles.
+    is issued above 1% rejection).  The result holds paths x (steps+1)
+    doubles; each block's paths are copied into it from the worker's
+    scratch, which adds two arrays of ``_BLOCK_BYTES`` per worker.
     """
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     wealth = np.empty((cfg.paths, ctx.n_steps + 1))

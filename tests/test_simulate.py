@@ -29,7 +29,7 @@ from tcpolicy import (
 from tcpolicy.closed_form import a_log, b_function
 from tcpolicy.ie_solver import solve_a
 from tcpolicy.model import crra_utility, kernel_Q, kernel_q
-from tcpolicy.policy import feedback_rates
+from tcpolicy.policy import FeedbackRates, feedback_rates
 from tcpolicy.simulate import (
     EULER,
     EXACT_Y,
@@ -71,27 +71,50 @@ def _same_ensemble(e1, e2):
     return np.array_equal(e1.wealth, e2.wealth, equal_nan=True) and np.array_equal(e1.alive, e2.alive)
 
 
+def _block_bytes(paths, spec, cfg):
+    """The ``_BLOCK_BYTES`` that makes blocks of ``paths`` paths for ``spec`` and ``cfg``."""
+    return paths * sim_module._SimContext(spec, *_constant_curves(1.0), 0.0, 1.0, cfg).row_bytes
+
+
+def _rejecting_euler_case(exp1_spec):
+    """A Merton fraction of 87.5 and coarse steps (10, not a multiple of 4):
+    2.3% of the 1000 Euler paths cross the floor."""
+    spec = dataclasses.replace(exp1_spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.02))
+    return (spec, *_constant_curves(1.0), SimConfig(paths=1000, seed=2, dt=0.1, scheme=EULER))
+
+
+_RUNS = {"kernel": (estimate_J_kernel, operator.eq), "mortality": (estimate_J_mortality, operator.eq),
+         "wealth": (simulate_wealth, _same_ensemble)}
+
+
+@pytest.mark.filterwarnings("ignore:Euler rejection")
 @pytest.mark.parametrize(
-    "run, same",
-    [(estimate_J_kernel, operator.eq), (estimate_J_mortality, operator.eq), (simulate_wealth, _same_ensemble)],
-    ids=["kernel", "mortality", "wealth"],
+    "run, same, case",
+    [pytest.param(*_RUNS[name], "exp1", id=name) for name in _RUNS]
+    + [pytest.param(*_RUNS[name], "euler_rejected", id=f"euler_rejected-{name}") for name in _RUNS],
 )
-def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch, run, same):
+def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch, run, same, case):
     # neither the block size nor the number of worker threads moves a bit of
-    # any path's sample; a short switch interval makes the threads interleave
-    a_curve, b_curve = exp1_solution
+    # any path's sample; a short switch interval makes the threads interleave.
+    # Blocks of 37 paths leave a last, partial block (8000 = 216 x 37 + 8 and
+    # 1000 = 27 x 37 + 1), which must not read the scratch rows of the last
+    # full block
+    if case == "exp1":
+        spec, (a_curve, b_curve), cfg = exp1_spec, exp1_solution, CFG
+    else:
+        spec, a_curve, b_curve, cfg = _rejecting_euler_case(exp1_spec)
     samples = []
     report = sim_module._report_from_samples
     monkeypatch.setattr(sim_module, "_report_from_samples", lambda s: samples.append(s) or report(s))
-    base = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
-    monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 37)
+    base = run(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(37, spec, cfg))
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
         for workers in (1, 2, 3):
             monkeypatch.setattr(sim_module, "_WORKERS", workers)
             sim_module._samples.cache_clear()  # recompute at this block size and thread count
-            chunked = run(exp1_spec, a_curve, b_curve, 0.0, 1.0, CFG)
+            chunked = run(spec, a_curve, b_curve, 0.0, 1.0, cfg)
             assert same(base, chunked), f"{workers} workers"
     finally:
         sys.setswitchinterval(interval)
@@ -100,8 +123,8 @@ def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch
 
 def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeypatch):
     a_curve, b_curve = exp1_solution
-    monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 16)
     ctx = sim_module._SimContext(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(64, 1, 0.1))
+    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", 16 * ctx.row_bytes)
     states = [None] * 4
 
     def reduce(start, log_y, ok):
@@ -110,6 +133,32 @@ def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeyp
     with np.errstate(over="raise"):
         ctx.map_blocks(reduce)
     assert states == ["raise"] * 4
+
+
+@pytest.mark.parametrize("scheme", [EXACT_Y, EULER])
+def test_working_set_bounded_per_worker(exp1_spec, exp1_solution, monkeypatch, scheme):
+    # tracemalloc sees numpy's buffers.  A pass holds two scratch arrays of
+    # _BLOCK_BYTES per worker and the 2 x paths samples; the bound's extra
+    # half array per worker covers each block's small arrays and the tables
+    # that grow with the steps (the Euler per-node terms, about 600 bytes a
+    # node).  Measured on 2 workers at 8 MiB: 33.1 / 34.1 MiB (exact_y) and
+    # 33.6 / 36.0 MiB (euler) at 1000 / 4000 steps, against a bound of
+    # 40.1 MiB; blocks of 4096 paths in fresh arrays peaked at 125 and 501
+    import tracemalloc
+
+    a_curve, b_curve = exp1_solution
+    monkeypatch.setattr(sim_module, "_WORKERS", 2)
+    paths, peaks = 8192, []
+    for dt in (1e-3, 2.5e-4):  # 1000 and 4000 steps
+        sim_module._samples.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(paths, 1, dt, scheme))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2.5 * 2 * sim_module._BLOCK_BYTES + 2 * 8 * paths, peaks
+    assert peaks[1] - peaks[0] <= 4 << 20, peaks
 
 
 _WORKER_IMPORT_PROBE = """\
@@ -136,7 +185,7 @@ def hook(event, args):
 sys.addaudithook(hook)
 draw = simulate._path_normals
 simulate._path_normals = lambda *args: block_threads.append(threading.get_ident()) or draw(*args)
-simulate._WORKERS, simulate._BLOCK_PATHS = 2, 64
+simulate._WORKERS, simulate._BLOCK_BYTES = 2, 64 * 8 * 101  # blocks of 64 paths of 101 nodes
 tc.verify_fixed_point(spec, grid.a_curve, b, 0.0, 1.0, tc.SimConfig(paths=256, seed=1, dt=1e-2))
 print(json.dumps({"off_main": off_main, "special": "scipy.special" in sys.modules,
                   "blocks": len(block_threads), "main": threading.main_thread().ident in block_threads}))
@@ -172,9 +221,9 @@ def _count_normal_draws(monkeypatch):
 
 def test_kernel_and_mortality_draw_each_block_once(exp1_spec, exp1_solution, monkeypatch):
     a_curve, b_curve = exp1_solution
-    monkeypatch.setattr(sim_module, "_BLOCK_PATHS", 100)
-    calls = _count_normal_draws(monkeypatch)
     cfg = SimConfig(paths=450, seed=9, dt=1e-2)
+    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(100, exp1_spec, cfg))
+    calls = _count_normal_draws(monkeypatch)
     estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     estimate_J_mortality(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     assert sorted(start for _, start, _, _ in calls) == [0, 100, 200, 300, 400]
@@ -239,17 +288,23 @@ def test_memo_hit_still_warns_on_euler_rejection(exp1_spec, monkeypatch):
     assert jm.paths_used == jk.paths_used < cfg.paths
 
 
+def _normals(seed, first_path, paths, steps):
+    """``_path_normals`` of ``paths`` paths, drawn into an array of their own
+    (whole Philox blocks of four uniforms per path)."""
+    return _path_normals(seed, first_path, steps, np.empty((paths, 4 * ((steps + 3) // 4))))
+
+
 def test_path_normals_are_per_path_substreams():
     # path i's increments do not depend on how many paths are drawn
-    a = _path_normals(7, 0, 10, 25)
-    b = _path_normals(7, 3, 4, 25)
+    a = _normals(7, 0, 10, 25)
+    b = _normals(7, 3, 4, 25)
     assert np.array_equal(a[3:7], b)
     assert np.array_equal(_path_death_uniforms(7, 2, 5), _path_death_uniforms(7, 0, 10)[2:7])
 
 
 def test_streams_differ_by_purpose():
-    n = _path_normals(7, 0, 4, 8)
-    m = _path_normals(8, 0, 4, 8)
+    n = _normals(7, 0, 4, 8)
+    m = _normals(8, 0, 4, 8)
     assert not np.array_equal(n, m)
 
 
@@ -322,7 +377,7 @@ def test_martingale_of_raw_increments():
     # stub dynamics dX = zeta sigma dW (r = 0, no consumption/premium/income):
     # the running mean stays at x0 within Monte Carlo error
     paths, steps, h = 4000, 50, 0.02
-    z = _path_normals(99, 0, paths, steps)
+    z = _normals(99, 0, paths, steps)
     x = 1.0 + 0.3 * math.sqrt(h) * np.cumsum(z, axis=1)
     means = x.mean(axis=0)
     ses = x.std(axis=0, ddof=1) / math.sqrt(paths)
@@ -461,7 +516,7 @@ def test_zero_noise_kernel_estimate_matches_quadrature(exp1_spec, exp1_solution,
 
     a_curve, b_curve = exp1_solution
     monkeypatch.setattr(
-        sim_module, "_path_normals", lambda seed, first, n, steps: np.zeros((n, steps))
+        sim_module, "_path_normals", lambda seed, first, steps, out: np.zeros((len(out), steps))
     )
     cfg = SimConfig(paths=3, seed=1, dt=1e-3)
     est = estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
@@ -575,10 +630,65 @@ def _reference_mortality_samples(spec, ctx, y, alive, seed):
     return j[alive], rows.size
 
 
+def _reference_euler(ctx, normals):
+    """Euler-Maruyama ``(Y, alive)`` one step at a time over path-major rows,
+    with the feedback map of each node built afresh."""
+    market, income = ctx.spec.market, ctx.spec.insurance.income
+    B = normals.shape[0]
+    sq_h = math.sqrt(ctx.h)
+    x = np.empty((B, ctx.n_steps + 1))
+    x[:, 0] = ctx.x0
+    alive = np.ones(B, dtype=bool)
+    for k in range(ctx.n_steps):
+        xk = x[:, k]
+        y = xk + ctx.b[k]
+        full = ctx.rates
+        rates = FeedbackRates(full.merton, full.consumption[k], full.bequest[k], full.inv_l[k], full.eta)
+        f1 = rates.merton * y
+        drift = (
+            market.r * xk + market.mu * f1 - rates.consumption * y
+            - rates.premium(xk, ctx.b[k]) + income
+        )
+        with np.errstate(invalid="ignore"):
+            x_next = xk + drift * ctx.h + market.sigma * f1 * sq_h * normals[:, k]
+            dead_now = alive & ~(x_next + ctx.b[k + 1] > 0.0)
+        alive &= ~dead_now
+        x[:, k + 1] = np.where(alive, x_next, np.nan)
+    x += ctx.b
+    return x, alive
+
+
+def _euler_case(name, exp1_spec, experiment_spec):
+    if name == "euler_rejected":
+        return _rejecting_euler_case(exp1_spec)
+    spec = exp1_spec if name.startswith("exp1") else experiment_spec
+    if name == "experiment_income":
+        spec = dataclasses.replace(spec, insurance=dataclasses.replace(spec.insurance, income=0.3))
+    if name == "exp1_sigma":
+        spec = dataclasses.replace(spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.6))
+    grid = solve_a(spec, 400)
+    return spec, grid.interpolate, b_function(spec), SimConfig(paths=700, seed=23, dt=4e-3, scheme=EULER)
+
+
+@pytest.mark.parametrize("name", ["exp1", "experiment", "experiment_income", "exp1_sigma", "euler_rejected"])
+def test_step_major_euler_matches_per_step_reference(exp1_spec, experiment_spec, name):
+    # the step-major loop applies the same float operations in the same order
+    # to each path, so Y, its NaN rows and alive agree bit for bit
+    spec, a_curve, b_curve, cfg = _euler_case(name, exp1_spec, experiment_spec)
+    ctx = sim_module._SimContext(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    normals = _normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
+    y_ref, alive_ref = _reference_euler(ctx, normals)
+    y, alive = ctx.euler_block(np.ascontiguousarray(normals.T), np.empty((ctx.n_steps + 1, cfg.paths)))
+    assert y.T.tobytes() == y_ref.tobytes()
+    assert np.array_equal(alive, alive_ref)
+    assert alive.all() == (name != "euler_rejected")  # only the last case rejects paths
+    assert np.isnan(y_ref[~alive_ref, -1]).all()
+
+
 def _reference_paths(ctx, cfg):
-    normals = _path_normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
+    normals = _normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
     if cfg.scheme == EULER:
-        return ctx.euler_block(normals)
+        return _reference_euler(ctx, normals)
     w = np.concatenate(
         [np.zeros((cfg.paths, 1)), np.cumsum(normals, axis=1) * math.sqrt(ctx.h)], axis=1
     )
@@ -597,13 +707,7 @@ def _equivalence_case(name, exp1_spec, experiment_spec):
     if name == "log_utility":
         return (*_log_utility_case(exp1_spec), SimConfig(paths=5000, seed=21, dt=2e-3), ("kernel",))
     if name == "euler_rejected":
-        # a Merton fraction of 87.5 and coarse steps: some Euler paths cross
-        # the floor, and the survivors' utilities stay moderate
-        spec = dataclasses.replace(exp1_spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.02))
-        a_curve = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        b_curve = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        cfg = SimConfig(paths=1000, seed=2, dt=0.1, scheme=EULER)
-        return spec, a_curve, b_curve, cfg, ("kernel", "mortality")
+        return (*_rejecting_euler_case(exp1_spec), ("kernel", "mortality"))
     spec = exp1_spec if name == "exp1" else experiment_spec
     grid = solve_a(spec, 400)
     cfg = SimConfig(paths=5000, seed=21, dt=2e-3 if name == "exp1" else 8e-3)
@@ -619,7 +723,8 @@ def test_node_weight_estimators_match_per_node_formulas(exp1_spec, experiment_sp
     ctx = sim_module._SimContext(spec, a_curve, b_curve, 0.0, 1.0, cfg)
     y, alive = _reference_paths(ctx, cfg)
     if cfg.scheme == EXACT_Y:
-        assert np.array_equal(np.exp(ctx.path_block(0, cfg.paths)[0]), y)  # the paths are unchanged
+        log_y = ctx.path_block(0, cfg.paths, ctx.scratch(cfg.paths))[0]
+        assert np.array_equal(np.exp(log_y), y)  # the paths are unchanged
     else:
         assert 0.0 < alive.mean() < 1.0
     expected = {"kernel": _reference_kernel_samples(spec, ctx, y, alive)}
