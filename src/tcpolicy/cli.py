@@ -470,10 +470,7 @@ def _cmd_stationary(rc: RunConfig, out: Path, svg: bool) -> None:
         ["a", "b", "x", "alpha1", "alpha2", "beta", "tc1", "tc2"],
         out / "stationary.csv",
     )
-    print(
-        f"stationary: a={sol.a:.10g} b={sol.b:.10g} residual={sol.residual:.3g} "
-        f"tc_holds={str(sol.tc_holds).lower()}"
-    )
+    print(f"stationary: a={sol.a:.10g} b={sol.b:.10g} residual={sol.residual:.3g}")
 
 
 def _cmd_converge(rc: RunConfig, out: Path, svg: bool) -> None:

@@ -234,7 +234,6 @@ class StationarySolution:
     tc1: float
     tc2: float
     residual: float
-    tc_holds: bool
 
 
 class StationaryInfeasibleError(ValidationError):
@@ -351,5 +350,4 @@ def solve_stationary(spec: ModelSpec) -> StationarySolution:
         tc1=tc1,
         tc2=tc2,
         residual=res,
-        tc_holds=tc1 > 0.0 and tc2 > 0.0,
     )

@@ -7,6 +7,14 @@ sampling.  Both must reproduce ``v(t0, x0) = a(t0) U_gamma(x0 + b(t0))``
 within Monte Carlo error — that equality is the defining property of the
 equilibrium, not an optimality statement.
 
+Both schemes build paths of the shifted wealth ``Y = X + b``, whose drift
+and volatility under the feedback policy are ``nu Y`` and ``kappa Y``:
+``exact_y`` draws exact Gaussian increments of log Y, and ``euler`` steps
+``y_{k+1} = y_k (1 + nu_k h + kappa sqrt(h) z_k) + e_k``.  That is the
+Euler-Maruyama step of the wealth SDE in X shifted by b, because the X
+drift ``r x + mu f1 - c y - premium + i`` equals ``nu y - ((r + eta/l) b - i)``;
+``e_k`` is what b's own Euler step misses (0 without income).
+
 Randomness is fully deterministic: each path owns a fixed range of Philox
 counter blocks keyed by (seed, stream) and each path is reduced to its
 sample on its own, so results are bit-identical for identical (seed, paths,
@@ -196,6 +204,14 @@ class _SimContext:
             [[0.0], np.cumsum(0.5 * self.h * (g[:-1] + g[1:]))]
         )
         self.a_curve = a_curve
+        if cfg.scheme == EULER:
+            # euler_block's 1 + nu_k h, and its e_k as 0-d arrays, which
+            # ufuncs take faster than floats; built here, on the calling
+            # thread, so that a worker allocates only its block's arrays
+            self.euler_growth = (1.0 + self.nu[:-1] * self.h)[:, None]
+            b_drift = (market.r + ins.eta * rates.inv_l) * self.b - ins.income
+            shift = self.b[1:] - self.b[:-1] - self.h * b_drift[:-1]
+            self.euler_shift = list(map(np.asarray, shift.tolist()))
         # a path's uniforms fill whole Philox blocks of four; a scratch row
         # holds either them or the path's steps + 1 nodes
         self.draw_width = 4 * ((n_steps + 3) // 4)
@@ -212,61 +228,33 @@ class _SimContext:
         log_y += math.log(self.y0) + self.log_drift_prefix
         return log_y
 
-    def euler_block(self, normals_t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Euler-Maruyama wealth paths, step-major; returns (Y, alive).
+    def euler_block(self, normals: np.ndarray, factors: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euler-Maruyama paths of Y = X + b, step-major; returns ``(y, alive)``.
 
-        ``normals_t`` holds one row of normals per step and ``x`` one row of
-        wealth per node, so each step reads and writes contiguous rows; ``x``
-        is overwritten with Y = X + b.  Paths are rejected (NaN from the
-        violation onward) when the shifted wealth X + b leaves the positive
-        cone.
+        Each step is ``y_{k+1} = y_k (1 + nu_k h + kappa sqrt(h) z_k) + e_k``,
+        where ``e_k = b_{k+1} - b_k - h ((r + eta/l_k) b_k - i)`` is what b's
+        own Euler step misses, exactly 0 without income.  ``normals`` holds
+        one row per path; the growth factors are built in ``factors``, one
+        row per step, and Y in ``y``, one row per node, so each step reads
+        and writes contiguous rows.  A path is rejected (NaN from then on)
+        at the step where Y reaches 0 or below.
         """
-        r, mu, sigma, merton, income, h, sq_h, b, neg_b, consumption, premium_x, premium_b = self.euler_terms
-        add, subtract, multiply = np.add, np.subtract, np.multiply
-        y, f1, drift, tmp = np.empty((4, x.shape[1]))
-        crossed = np.empty(x.shape[1], dtype=bool)
-        x[0] = self.x0
+        np.multiply(normals.T, self.kappa * math.sqrt(self.h), out=factors)
+        factors += self.euler_growth
+        multiply, add, less_equal, copyto = np.multiply, np.add, np.less_equal, np.copyto
+        zero, nan = np.asarray(0.0), np.asarray(np.nan)
+        crossed = np.empty(y.shape[1], dtype=bool)
+        y[0] = self.y0
         with np.errstate(invalid="ignore"):
-            for k in range(self.n_steps):
-                xk, x_next = x[k], x[k + 1]
-                add(xk, b[k], out=y)
-                multiply(y, merton, out=f1)
-                # drift = r x + mu f1 - c y - (premium_x x + premium_b b) + income
-                multiply(xk, r, out=drift)
-                multiply(f1, mu, out=tmp)
-                add(drift, tmp, out=drift)
-                multiply(y, consumption[k], out=tmp)
-                subtract(drift, tmp, out=drift)
-                multiply(xk, premium_x[k], out=tmp)
-                add(tmp, premium_b[k], out=tmp)
-                subtract(drift, tmp, out=drift)
-                add(drift, income, out=drift)
-                # x_next = x + drift h + sigma f1 sqrt(h) z
-                multiply(drift, h, out=drift)
-                add(xk, drift, out=x_next)
-                multiply(f1, sigma, out=tmp)
-                multiply(tmp, sq_h, out=tmp)
-                multiply(tmp, normals_t[k], out=tmp)
-                add(x_next, tmp, out=x_next)
-                # x + b <= 0 exactly when x <= -b: a rounded sum keeps the
-                # sign of the exact one and is 0 only when that is.  A path
-                # that crosses is NaN from here on, and NaN propagates: a
-                # path is alive iff its last node is a number
-                np.less_equal(x_next, neg_b[k + 1], out=crossed)
-                np.copyto(x_next, np.nan, where=crossed)
-        x += self.b[:, None]
-        return x, ~np.isnan(x[-1])
-
-    @functools.cached_property
-    def euler_terms(self) -> tuple:
-        """The Euler drift's constants, then lists of its per-node terms (b,
-        -b, the consumption rate, premium_x and premium_b b), all as 0-d
-        arrays, which ufuncs take faster than Python floats."""
-        market, rates = self.spec.market, self.rates
-        income, h = self.spec.insurance.income, self.h
-        constants = (market.r, market.mu, market.sigma, rates.merton, income, h, math.sqrt(h))
-        nodes = (self.b, -self.b, rates.consumption, rates.premium_x, rates.premium_b * self.b)
-        return (*map(np.asarray, constants), *(list(map(np.asarray, node.tolist())) for node in nodes))
+            for k, shift in enumerate(self.euler_shift):
+                y_next = y[k + 1]
+                multiply(y[k], factors[k], out=y_next)
+                add(y_next, shift, out=y_next)
+                # a path that crosses is NaN from here on, and NaN
+                # propagates: a path is alive iff its last node is a number
+                less_equal(y_next, zero, out=crossed)
+                copyto(y_next, nan, where=crossed)
+        return y, ~np.isnan(y[-1])
 
     def scratch(self, paths: int) -> tuple[np.ndarray, np.ndarray]:
         """The pair of flat arrays that ``path_block`` builds up to ``paths`` paths in."""
@@ -285,11 +273,10 @@ class _SimContext:
         log_y = paths[: count * nodes].reshape(count, nodes)
         if self.cfg.scheme == EXACT_Y:
             return self.exact_y_block(normals, log_y), np.ones(count, dtype=bool)
-        # step-major Euler: the normals move to the second array, transposed,
-        # and the wealth rows are built in the first
-        normals_t = paths[: steps * count].reshape(steps, count)
-        np.copyto(normals_t, normals.T)
-        y, alive = self.euler_block(normals_t, draws[: nodes * count].reshape(nodes, count))
+        # step-major Euler: the growth factors go to the second array,
+        # transposed, and the rows of Y are built in the first
+        factors = paths[: steps * count].reshape(steps, count)
+        y, alive = self.euler_block(normals, factors, draws[: nodes * count].reshape(nodes, count))
         return np.log(y.T, out=log_y), alive
 
     def map_blocks(self, reduce) -> None:
@@ -343,11 +330,12 @@ def simulate_wealth(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> WealthEns
 
     The exact scheme simulates log(X + b) by Gaussian increments with the
     trapezoid-integrated deterministic drift, keeping X + b > 0 by
-    construction; Euler-Maruyama discretizes the wealth SDE directly and
-    rejects paths whose shifted wealth exits the positive cone (a warning
-    is issued above 1% rejection).  The result holds paths x (steps+1)
-    doubles; each block's paths are copied into it from the worker's
-    scratch, which adds two arrays of ``_BLOCK_BYTES`` per worker.
+    construction; Euler-Maruyama steps Y = X + b and rejects paths whose
+    shifted wealth exits the positive cone (a warning is issued above 1%
+    rejection).  Every path starts at exactly ``x0``.  The result holds
+    paths x (steps+1) doubles; each block's paths are copied into it from
+    the worker's scratch, which adds two arrays of ``_BLOCK_BYTES`` per
+    worker.
     """
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     wealth = np.empty((cfg.paths, ctx.n_steps + 1))
@@ -357,6 +345,7 @@ def simulate_wealth(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> WealthEns
         rows = slice(start, start + ok.size)
         np.exp(log_y, out=wealth[rows])
         wealth[rows] -= ctx.b
+        wealth[rows, 0] = x0  # exp(log(x0 + b)) - b may round off x0
         alive[rows] = ok
 
     ctx.map_blocks(reduce)

@@ -378,7 +378,7 @@ def test_stationary_equal_rates_closed_form(stationary_fixture):
     assert sol.a == pytest.approx(x_expected**2, rel=1e-12)
     assert sol.a == pytest.approx(0.0116963, abs=1e-6)
     assert sol.tc1 == pytest.approx(alpha - 1.02 * x_expected, rel=1e-10)
-    assert sol.tc1 > 0.0 and sol.tc2 > 0.0 and sol.tc_holds
+    assert sol.tc1 > 0.0 and sol.tc2 > 0.0
     assert sol.residual < 1e-10
     assert sol.b == 0.0
 
@@ -466,7 +466,7 @@ def test_stationary_distinct_rates_and_weight(market):
     spec = make_stationary_spec(market, lam=0.03, r1=0.08, r2=0.12, m=4.0, payout=20.0, gamma=-1.0, income=0.5)
     sol = solve_stationary(spec)
     assert sol.residual < 1e-10
-    assert sol.tc_holds
+    assert sol.tc1 > 0.0 and sol.tc2 > 0.0
     # defining function strictly monotone on the feasible interval
     gb = spec.prefs.gamma * sol.beta
     upper = min(sol.alpha1, sol.alpha2) / (-gb)
@@ -479,7 +479,7 @@ def test_stationary_distinct_rates_and_weight(market):
 def test_stationary_log_branch(market):
     sol = solve_stationary(make_stationary_spec(market, lam=0.02, r1=0.1, r2=0.1, m=1.0, payout=50.0, gamma=0.0))
     assert sol.residual < 1e-12
-    assert sol.tc_holds
+    assert sol.tc1 > 0.0 and sol.tc2 > 0.0
     # gamma beta = 0: 1/x = 1/alpha1 + lambda m/alpha2
     assert sol.x == pytest.approx(1.0 / (1.0 / sol.alpha1 + 0.02 / sol.alpha2), rel=1e-12)
     assert sol.a == pytest.approx(sol.x, rel=1e-14)  # a = x^(1-0)

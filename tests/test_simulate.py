@@ -140,9 +140,9 @@ def test_working_set_bounded_per_worker(exp1_spec, exp1_solution, monkeypatch, s
     # tracemalloc sees numpy's buffers.  A pass holds two scratch arrays of
     # _BLOCK_BYTES per worker and the 2 x paths samples; the bound's extra
     # half array per worker covers each block's small arrays and the tables
-    # that grow with the steps (the Euler per-node terms, about 600 bytes a
-    # node).  Measured on 2 workers at 8 MiB: 33.1 / 34.1 MiB (exact_y) and
-    # 33.6 / 36.0 MiB (euler) at 1000 / 4000 steps, against a bound of
+    # that grow with the steps (the Euler shifts e_k, one 0-d array a node).
+    # Measured on 2 workers at 8 MiB: 33.1 / 34.1 MiB (exact_y) and
+    # 33.2 / 34.3 MiB (euler) at 1000 / 4000 steps, against a bound of
     # 40.1 MiB; blocks of 4096 paths in fresh arrays peaked at 125 and 501
     import tracemalloc
 
@@ -314,6 +314,16 @@ def test_wealth_ensemble_deterministic(exp1_spec, exp1_solution):
     e1 = simulate_wealth(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     e2 = simulate_wealth(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     assert np.array_equal(e1.wealth, e2.wealth)
+
+
+@pytest.mark.parametrize("scheme", [EXACT_Y, EULER])
+def test_wealth_paths_start_at_x0(experiment_spec, scheme):
+    # with income, b(t0) > 0 and exp(log(x0 + b(t0))) - b(t0) read x0 - 4.4e-16
+    insurance = dataclasses.replace(experiment_spec.insurance, income=0.3)
+    spec = dataclasses.replace(experiment_spec, insurance=insurance)
+    cfg = SimConfig(paths=16, seed=5, dt=0.1, scheme=scheme)
+    ens = simulate_wealth(spec, _constant_curves(1.0)[0], b_function(spec), 0.0, 2.3, cfg)
+    assert np.all(ens.wealth[:, 0] == 2.3)
 
 
 # ---------------------------------------------------------------------------
@@ -658,37 +668,98 @@ def _reference_euler(ctx, normals):
     return x, alive
 
 
+def _reference_euler_y(ctx, normals):
+    """Euler-Maruyama ``(Y, alive)`` of Y = X + b one step at a time over
+    path-major rows: the float operations of ``euler_block``, in its order."""
+    market, ins, h = ctx.spec.market, ctx.spec.insurance, ctx.h
+    inv_l = np.broadcast_to(ctx.rates.inv_l, ctx.b.shape)
+    scale = ctx.kappa * math.sqrt(h)
+    y = np.empty((normals.shape[0], ctx.n_steps + 1))
+    y[:, 0] = ctx.y0
+    for k in range(ctx.n_steps):
+        shift = ctx.b[k + 1] - ctx.b[k] - h * ((market.r + ins.eta * inv_l[k]) * ctx.b[k] - ins.income)
+        y_next = y[:, k] * (normals[:, k] * scale + (1.0 + ctx.nu[k] * h)) + shift
+        with np.errstate(invalid="ignore"):
+            y[:, k + 1] = np.where(y_next > 0.0, y_next, np.nan)
+    return y, ~np.isnan(y[:, -1])
+
+
+def _income_rejecting_euler_case(experiment_spec):
+    """Experiment with a constant Pareto weight, income 0.3, a Merton fraction
+    of 87.5 and coarse steps, from x0 = 0.2: b's own Euler step misses b by up
+    to 8.9e-5 a step, and 10.3% of the 1000 Euler paths cross the floor."""
+    spec = dataclasses.replace(
+        experiment_spec,
+        market=MarketParams(r=0.05, alpha=0.12, sigma=0.02),
+        prefs=dataclasses.replace(experiment_spec.prefs, m_weight=ConstantWeight(1.0)),
+        insurance=dataclasses.replace(experiment_spec.insurance, income=0.3),
+    )
+    cfg = SimConfig(paths=1000, seed=2, dt=0.1, scheme=EULER)
+    return spec, _constant_curves(1.0)[0], b_function(spec), cfg, 0.2
+
+
+_EULER_CASES = ["exp1", "experiment", "experiment_income", "exp1_sigma", "euler_rejected", "income_rejected"]
+
+
 def _euler_case(name, exp1_spec, experiment_spec):
+    """``(spec, a_curve, b_curve, cfg, x0)``; the last two cases reject paths."""
     if name == "euler_rejected":
-        return _rejecting_euler_case(exp1_spec)
+        return (*_rejecting_euler_case(exp1_spec), 1.0)
+    if name == "income_rejected":
+        return _income_rejecting_euler_case(experiment_spec)
     spec = exp1_spec if name.startswith("exp1") else experiment_spec
     if name == "experiment_income":
         spec = dataclasses.replace(spec, insurance=dataclasses.replace(spec.insurance, income=0.3))
     if name == "exp1_sigma":
         spec = dataclasses.replace(spec, market=MarketParams(r=0.05, alpha=0.12, sigma=0.6))
     grid = solve_a(spec, 400)
-    return spec, grid.interpolate, b_function(spec), SimConfig(paths=700, seed=23, dt=4e-3, scheme=EULER)
+    return spec, grid.interpolate, b_function(spec), SimConfig(paths=700, seed=23, dt=4e-3, scheme=EULER), 1.0
 
 
-@pytest.mark.parametrize("name", ["exp1", "experiment", "experiment_income", "exp1_sigma", "euler_rejected"])
+def _euler_paths(name, exp1_spec, experiment_spec):
+    """The case's context, its normals and ``euler_block``'s ``(Y, alive)``, Y path-major."""
+    spec, a_curve, b_curve, cfg, x0 = _euler_case(name, exp1_spec, experiment_spec)
+    ctx = sim_module._SimContext(spec, a_curve, b_curve, 0.0, x0, cfg)
+    normals = _normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
+    factors = np.empty((ctx.n_steps, cfg.paths))
+    y, alive = ctx.euler_block(normals, factors, np.empty((ctx.n_steps + 1, cfg.paths)))
+    assert alive.all() == (not name.endswith("rejected"))  # only the last two cases reject paths
+    return ctx, normals, y.T, alive
+
+
+@pytest.mark.parametrize("name", _EULER_CASES)
 def test_step_major_euler_matches_per_step_reference(exp1_spec, experiment_spec, name):
     # the step-major loop applies the same float operations in the same order
     # to each path, so Y, its NaN rows and alive agree bit for bit
-    spec, a_curve, b_curve, cfg = _euler_case(name, exp1_spec, experiment_spec)
-    ctx = sim_module._SimContext(spec, a_curve, b_curve, 0.0, 1.0, cfg)
-    normals = _normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
-    y_ref, alive_ref = _reference_euler(ctx, normals)
-    y, alive = ctx.euler_block(np.ascontiguousarray(normals.T), np.empty((ctx.n_steps + 1, cfg.paths)))
-    assert y.T.tobytes() == y_ref.tobytes()
+    ctx, normals, y, alive = _euler_paths(name, exp1_spec, experiment_spec)
+    y_ref, alive_ref = _reference_euler_y(ctx, normals)
+    assert y.tobytes() == y_ref.tobytes()
     assert np.array_equal(alive, alive_ref)
-    assert alive.all() == (name != "euler_rejected")  # only the last case rejects paths
     assert np.isnan(y_ref[~alive_ref, -1]).all()
+
+
+@pytest.mark.parametrize("name", _EULER_CASES)
+def test_euler_in_y_matches_wealth_sde_in_x(exp1_spec, experiment_spec, name):
+    # the Y step is the X-form Euler step of the wealth SDE shifted by b, so
+    # the two reject the same paths at the same steps and agree to rounding.
+    # Largest relative differences measured on alive nodes: 5.2e-15 (exp1),
+    # 9.5e-15 (experiment), 9.2e-15 (experiment_income), 5.1e-15
+    # (exp1_sigma), 2.1e-13 (euler_rejected) and 8.2e-14 (income_rejected);
+    # a path that nears the floor, where the step factor nears 0, loses
+    # relative digits in either form
+    ctx, normals, y, alive = _euler_paths(name, exp1_spec, experiment_spec)
+    y_x, alive_x = _reference_euler(ctx, normals)
+    assert np.array_equal(alive, alive_x)
+    assert np.array_equal(np.isnan(y), np.isnan(y_x))
+    nodes = ~np.isnan(y_x)
+    bound = 1e-12 if name.endswith("rejected") else 1e-13
+    assert np.max(np.abs(y[nodes] - y_x[nodes]) / y_x[nodes]) <= bound
 
 
 def _reference_paths(ctx, cfg):
     normals = _normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
     if cfg.scheme == EULER:
-        return _reference_euler(ctx, normals)
+        return _reference_euler_y(ctx, normals)
     w = np.concatenate(
         [np.zeros((cfg.paths, 1)), np.cumsum(normals, axis=1) * math.sqrt(ctx.h)], axis=1
     )
