@@ -11,11 +11,15 @@ sections (``market.r = 0.05``); unknown keys and non-finite numbers (bar
 Exit status 0 on success, 2 on a validation refusal (bad config
 or violated model assumption), 3 when ``simulate`` fails its fixed-point
 check (``fixedpoint.csv`` is still written), 1 on a runtime failure.
+
+Each command imports only the solver modules it runs: at module level the
+CLI loads the model, numpy and the standard library it needs to parse
+configs and write artifacts, so only ``simulate`` loads the Monte Carlo
+pass and scipy, and ``stationary`` loads no backward march.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -23,23 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, ie_solver, policy, simulate
 from .model import (
-    AffineExponential,
-    AffineHazard,
-    ConstantHazard,
-    ConstantPayout,
-    ConstantWeight,
-    Exponential,
-    Hyperbolic,
-    InsuranceIncomeSpec,
-    InverseHazardPayout,
-    LogTaperWeight,
-    MarketParams,
-    ModelSpec,
-    PreferenceParams,
-    SumOfExponentials,
-    ValidationError,
+    EXACT_Y, AffineExponential, AffineHazard, ConstantHazard, ConstantPayout, ConstantWeight, Exponential,
+    Hyperbolic, InsuranceIncomeSpec, InverseHazardPayout, LogTaperWeight, MarketParams, ModelSpec,
+    PreferenceParams, SimConfig, SumOfExponentials, ValidationError,
 )
 
 __all__ = ["main", "run", "parse_config", "serialize_config", "emit_csv", "emit_svg_plot", "ConfigError", "RunConfig"]
@@ -199,7 +190,7 @@ class RunConfig:
 
     spec: ModelSpec
     grid_n: int
-    mc: simulate.SimConfig
+    mc: SimConfig
     t0: float
     x0: float
     output_dir: str
@@ -240,11 +231,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     )
 
     grid_n = cfg.take("grid.N", int, default=1000)
-    mc = simulate.SimConfig(
+    mc = SimConfig(
         paths=cfg.take("mc.paths", int, default=100_000),
         seed=cfg.take("mc.seed", int, default=20240901),
         dt=cfg.take("mc.dt", _to_float, default=1e-3),
-        scheme=cfg.take("mc.scheme", str, default=simulate.EXACT_Y),
+        scheme=cfg.take("mc.scheme", str, default=EXACT_Y),
     )
     t0 = cfg.take("mc.t0", _to_float, default=0.0)
     x0 = cfg.take("mc.x0", _to_float, default=1.0)
@@ -390,9 +381,9 @@ def emit_svg_plot(series, labels, path, title: str = "") -> None:
 
 
 def _solved_curves(rc: RunConfig):
-    grid = ie_solver.solve_a(rc.spec, rc.grid_n)
-    b_vals = closed_form.solve_b(rc.spec, rc.grid_n)
-    return grid, b_vals
+    from . import closed_form, ie_solver
+
+    return ie_solver.solve_a(rc.spec, rc.grid_n), closed_form.solve_b(rc.spec, rc.grid_n)
 
 
 def _cmd_solve(rc: RunConfig, out: Path, svg: bool) -> None:
@@ -410,6 +401,8 @@ def _cmd_solve(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_policies(rc: RunConfig, out: Path, svg: bool) -> None:
+    from . import policy
+
     grid, b_vals = _solved_curves(rc)
     order = np.argsort(grid.times)
     t = grid.times[order]
@@ -431,6 +424,8 @@ def _cmd_policies(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
+    from . import closed_form, ie_solver, simulate
+
     spec = rc.spec
     grid = ie_solver.solve_a(spec, rc.grid_n)
     b_curve = closed_form.b_function(spec, rc.grid_n)
@@ -464,6 +459,8 @@ def _cmd_simulate(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_stationary(rc: RunConfig, out: Path, svg: bool) -> None:
+    from . import closed_form
+
     sol = closed_form.solve_stationary(rc.spec)
     emit_csv(
         [(sol.a, sol.b, sol.x, sol.alpha1, sol.alpha2, sol.beta, sol.tc1, sol.tc2)],
@@ -474,6 +471,8 @@ def _cmd_stationary(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_converge(rc: RunConfig, out: Path, svg: bool) -> None:
+    from . import ie_solver
+
     report = ie_solver.convergence_report(rc.spec, rc.grid_n)
     rows = [
         (rc.grid_n, report.err_coarse, report.ratio),
@@ -487,6 +486,8 @@ def _cmd_converge(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_hump(rc: RunConfig, out: Path, svg: bool) -> None:
+    from . import ie_solver, policy
+
     grid = ie_solver.solve_a(rc.spec, rc.grid_n)
     order = np.argsort(grid.times)
     t = grid.times[order]
@@ -521,6 +522,8 @@ def run(command: str, config_path: str, out_dir: str | None = None, emit_svg: bo
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tcpolicy",
         description="Time-consistent investment, consumption and life-insurance policies",

@@ -109,7 +109,7 @@ class SolutionGrid:
     def interpolate(self, t):
         """Piecewise-linear interpolation of a; exact at the nodes."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.times[0]):
+        if not (np.all(t_arr >= 0.0) and np.all(t_arr <= self.times[0])):  # NaN fails too
             raise ValidationError("interpolate: t outside [0, T]")
         out = np.interp(t_arr, self.times[::-1], self.a_values[::-1])
         return out if t_arr.ndim else float(out)

@@ -9,10 +9,11 @@ discounting (or a time varying ``m``) makes the problem time inconsistent;
 the solver modules compute the subgame-perfect policies instead of the
 pre-commitment optimum.
 
-This module houses the parameter containers, the mortality-adjusted
-discount kernels ``Q(s, t)`` and ``q(s, t)``, and the derived constants
-``K`` and ``M(z)`` used throughout the solvers.  Everything here is a pure
-function of its inputs and safe to call concurrently.
+This module houses the parameter containers (the Monte Carlo settings
+``SimConfig`` among them), the mortality-adjusted discount kernels
+``Q(s, t)`` and ``q(s, t)``, and the derived constants ``K`` and ``M(z)``
+used throughout the solvers.  Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ __all__ = [
     "InsuranceIncomeSpec",
     "PreferenceParams",
     "ModelSpec",
+    "EXACT_Y",
+    "EULER",
+    "SimConfig",
     "A1Check",
     "survival",
     "kernel_Q",
@@ -66,7 +70,7 @@ def _require(cond: bool, msg: str) -> None:
 
 def _check_nonnegative_time(t) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # NaN fails too
         raise ValidationError("time must be nonnegative")
     return t if t.ndim else float(t)
 
@@ -548,6 +552,27 @@ class ModelSpec:
         at_0 = np.outer(m_w * np.exp(m_r * T), h_w).ravel()
         at_T = np.outer(m_w, h_w * np.exp(-h_r * T)).ravel()
         return np.where(r < 0.0, at_T, at_0), r
+
+
+# The Monte Carlo schemes of ``simulate``: exact Gaussian increments of
+# log(X + b), or Euler-Maruyama steps of X + b.
+EXACT_Y = "exact_y"
+EULER = "euler"
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Path count, seed, Euler step and discretization scheme."""
+
+    paths: int
+    seed: int
+    dt: float
+    scheme: str = EXACT_Y
+
+    def __post_init__(self):
+        _require(self.paths >= 1, "SimConfig: paths must be >= 1")
+        _require(self.dt > 0.0, "SimConfig: dt must be > 0")
+        _require(self.scheme in (EXACT_Y, EULER), f"SimConfig: unknown scheme {self.scheme!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, ValidationError, crra_utility, kernel_Q, kernel_q, weight_M
+from .model import EULER, EXACT_Y, ModelSpec, SimConfig, ValidationError, crra_utility, kernel_Q, kernel_q, weight_M
 from .policy import feedback_rates, value_function
 
 __all__ = [
@@ -69,9 +69,6 @@ __all__ = [
     "verify_fixed_point",
 ]
 
-EXACT_Y = "exact_y"
-EULER = "euler"
-
 # Bytes per scratch array of a block: about 1000 paths at 1000 steps and
 # 260 at 4000 (the Monte Carlo passes ran faster at 8 MiB than at 4 or 16).
 # One worker thread per CPU this process may run on.  Both are read at call
@@ -82,24 +79,6 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _STREAM_BROWNIAN = 0
 _STREAM_DEATH = 1
 _U_FLOOR = 2.0**-64  # uniforms of exactly 0 would map to -inf normals
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Path count, seed, Euler step and discretization scheme."""
-
-    paths: int
-    seed: int
-    dt: float
-    scheme: str = EXACT_Y
-
-    def __post_init__(self):
-        if self.paths < 1:
-            raise ValidationError("SimConfig: paths must be >= 1")
-        if not self.dt > 0.0:
-            raise ValidationError("SimConfig: dt must be > 0")
-        if self.scheme not in (EXACT_Y, EULER):
-            raise ValidationError(f"SimConfig: unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)

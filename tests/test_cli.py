@@ -686,6 +686,51 @@ def test_cli_loads_scipy_only_for_simulate(tmp_path):
     assert probe["status"] == [0] * 6
 
 
+_LOAD_PROBE = """\
+import json, sys
+case, config, out = sys.argv[1:]
+import tcpolicy
+if case != "package":
+    import tcpolicy.cli
+    if case == "parse":
+        with open(config) as fh:
+            tcpolicy.cli.parse_config(fh.read(), source=config)
+    elif tcpolicy.cli.main([case, "--config", config, "--out", out, "--no-svg"]) != 0:
+        sys.exit("command failed")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# the tcpolicy modules each case loads: what it runs and nothing more
+_LOADED = {
+    "package": [],
+    "parse": ["cli", "model"],
+    "solve": ["cli", "closed_form", "ie_solver", "model"],
+    "policies": ["cli", "closed_form", "ie_solver", "model", "policy"],
+    "hump": ["cli", "closed_form", "ie_solver", "model", "policy"],
+    "stationary": ["cli", "closed_form", "model"],
+    "converge": ["cli", "closed_form", "ie_solver", "model"],
+}
+
+
+@pytest.mark.parametrize("case", _LOADED)
+def test_each_command_loads_only_what_it_runs(tmp_path, case):
+    # one fresh interpreter per case: import tcpolicy loads no submodule,
+    # parsing a config needs only the model, and no command but simulate
+    # loads the Monte Carlo pass, its thread pool or scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    args = [case, str(CONFIGS / "exp1.cfg"), str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, *args], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    ours = [m for m in loaded if m.split(".")[0] == "tcpolicy"]
+    assert ours == ["tcpolicy"] + [f"tcpolicy.{m}" for m in _LOADED[case]]
+    assert "concurrent.futures" not in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    if case in ("package", "parse"):
+        assert "argparse" not in loaded
+
+
 def test_converge_command(tmp_path):
     text = EXP1_TEXT.replace("grid.N = 200", "grid.N = 50")
     cfg = _write(tmp_path, text)

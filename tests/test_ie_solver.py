@@ -694,6 +694,11 @@ def test_interpolation_nodes_and_midpoints(exp1_spec):
         grid.interpolate(-0.01)
     with pytest.raises(ValidationError):
         grid.interpolate(exp1_spec.horizon + 0.01)
+    # NaN is outside [0, T] too, alone or among valid times
+    with pytest.raises(ValidationError, match="outside"):
+        grid.interpolate(math.nan)
+    with pytest.raises(ValidationError, match="outside"):
+        grid.interpolate(np.array([0.5, math.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,26 @@ def test_negative_time_rejected():
         Hyperbolic(k1=1.0, k2=1.0).log_derivative(-1.0)
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        Exponential(rho=0.1),
+        Hyperbolic(k1=1.0, k2=1.0),
+        SumOfExponentials(weight=0.4, r1=0.1, r2=0.5),
+        AffineExponential(a_coef=0.5, r_rate=0.8),
+    ],
+    ids=lambda k: type(k).__name__,
+)
+@pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+def test_nan_time_rejected(kernel, t):
+    # a NaN time is not a nonnegative time: it fails the range check instead
+    # of flowing on as a NaN discount value
+    with pytest.raises(ValidationError, match="nonnegative"):
+        kernel.value(t)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        kernel.log_derivative(t)
+
+
 def test_kernel_parameter_validation():
     with pytest.raises(ValidationError):
         Hyperbolic(k1=0.0, k2=1.0)

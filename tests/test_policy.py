@@ -58,6 +58,13 @@ def test_merton_fraction_constant(exp1_spec, exp1_curves, t, x):
     assert abs(trip.stock_amount / y - 0.875) < 1e-12
 
 
+def test_policy_at_nan_time_refused(exp1_spec, exp1_curves):
+    # refused, not a finite stock amount beside NaN consumption and premium
+    a_curve, b_curve = exp1_curves
+    with pytest.raises(ValidationError, match="outside"):
+        policy_at(a_curve, b_curve, exp1_spec, math.nan, 1.0)
+
+
 def test_log_branch_uses_classical_merton_amount(log_spec):
     grid_a = lambda t: 1.5  # any positive coefficient
     b_curve = b_function(log_spec)
