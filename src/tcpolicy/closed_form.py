@@ -116,6 +116,7 @@ def b_function(spec: ModelSpec, N: int = 4096):
 
     Exact when there is no income or the discount rate ``r + eta/l`` is
     constant; otherwise a linear interpolant of the Simpson grid values.
+    The callable refuses a time outside [0, T], NaN included.
     """
     exact = _b_is_exact(spec)
     if not exact:
@@ -123,7 +124,10 @@ def b_function(spec: ModelSpec, N: int = 4096):
         values = solve_b(spec, N)[::-1]
 
     def b(t):
-        out = _exact_b(spec, t) if exact else np.interp(np.asarray(t, dtype=float), times, values)
+        t_arr = np.asarray(t, dtype=float)
+        if not (np.all(t_arr >= 0.0) and np.all(t_arr <= spec.horizon)):  # NaN fails too
+            raise ValidationError("b: t outside [0, T]")
+        out = _exact_b(spec, t_arr) if exact else np.interp(t_arr, times, values)
         return out if np.ndim(t) else float(out)
 
     return b

@@ -30,12 +30,16 @@ O(N K); a kernel part that vanishes on the grid is not computed at all;
 the rest (the affine-exponential family, the log taper times a
 hyperbolic or affine-exponential h_hat) keep a lag table read by a
 (2 x n) mat-vec at step n, O(N^2).  Each step takes one CRRA power, the
-consumption rate ``a^(1/(gamma-1))``, and one exp of the node's
-log-scale.
+consumption rate ``a^(1/(gamma-1))``, and per memory part one call, and
+one exp of the node's log-scale if there is a part; an exponential h
+leaves an exponential-sum part its ``d k`` row alone.
 
 :func:`solve_a` is the only code that drives the scheme tables; the
 discrete derivative at node n is the march's own step quotient
-``(a_(n+1) - a_n) / epsilon``.
+``(a_(n+1) - a_n) / epsilon``.  Once the march ends, a grid whose local
+stiffness ``(T/N) |coef_n| a_n^(1/(gamma-1))`` exceeds a bound at some
+step is refused: the explicit step crossed a terminal layer it cannot
+resolve.
 
 Also here: a-priori comparison bounds sandwiching a(t) between two
 Bernoulli-ODE envelopes, and an empirical convergence report, which takes
@@ -82,7 +86,8 @@ class AssumptionViolatedError(ValidationError):
 
 
 class SchemeBreakdownError(RuntimeError):
-    """A scheme iterate left the positive cone (increase N) or overflowed."""
+    """A scheme iterate left the positive cone or overflowed, or the grid is
+    too coarse for the stiffness of the terminal layer (increase N)."""
 
 
 @dataclass(frozen=True)
@@ -132,17 +137,18 @@ _MAX_LOG_DRIFT = 100.0
 class _LagTable:
     """A memory part kept as the lag table ``[k, d k]`` of its kernel k at
     lags 1, 2, ..., stored reversed so that step n reads the contiguous tail
-    of length n against the node weights added so far: O(n) per step."""
+    of length n against the node weights added so far: O(n) per step; both
+    rows, even where d vanishes, as a (1, n) mat-vec may round differently."""
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, d: memoryview, weight: memoryview):
         self.rows = np.ascontiguousarray(rows[:, :0:-1])
         self.nodes = np.empty(rows.shape[1])
+        self.d, self.weight = d, weight
 
-    def sums(self, n: int) -> list:
-        return (self.rows[:, -n:] @ self.nodes[:n]).tolist()
-
-    def add(self, n: int, x: float) -> None:
-        self.nodes[n] = x
+    def bracket(self, n: int, f_n: float) -> float:
+        k, dk = (self.rows[:, -n:] @ self.nodes[:n]).tolist() if n else (0.0, 0.0)
+        self.nodes[n] = self.weight[n] * f_n
+        return self.d[n] * k - dk
 
     def rescale(self, n: int, shift: float) -> None:
         self.nodes[:n] *= shift
@@ -168,12 +174,16 @@ class _ExponentialSum:
     states take in the block before it and give the far sums of all its
     nodes, two small numpy products; the block's own nodes are summed in
     Python against ``near``, the exact lag rows ``[k, d k]`` at lags 0, 1, ...
+    Where d vanishes on the grid (``d`` is None) the bracket is ``-d k``,
+    and ``near``, ``spread`` and ``far`` keep the ``d k`` row alone.
     """
 
-    def __init__(self, w: np.ndarray, r: np.ndarray, c: float, step: float, N: int, near: np.ndarray):
+    def __init__(self, w, r, c: float, step: float, N: int, near: np.ndarray, d, weight: memoryview):
         B = _BLOCK
         self.rows = np.stack([w, w * (-r - c)])
         self.rate, self.step, self.N = r, step, N
+        self.d, self.weight = d, weight
+        self.columns = slice(None) if d is not None else slice(1, None, 2)  # of [k, d k] per node
         # the rate of each growing term and 0 for the others; None when none grows
         self.growth = np.minimum(r, 0.0) if np.any(r < 0.0) else None
         # a block's nodes x_m into the states: S <- e^(-r B step) S + sum_m
@@ -182,12 +192,13 @@ class _ExponentialSum:
         rate = r[:, None]
         self.carry = np.exp(-np.maximum(r, 0.0) * (B * step))
         self.fold = np.exp(np.where(rate < 0.0, rate * m, -rate * (B - m)) * step)
-        self.spread = self._spread(B)
+        self.spread = np.ascontiguousarray(self._spread(B)[:, self.columns])
         self.state = np.zeros(r.size)
         # node p of a block reads the block's earlier nodes at lags p, p-1, ..., 1
-        self.near = [(near[0, p:0:-1].tolist(), near[1, p:0:-1].tolist()) for p in range(min(B, near.shape[1]))]
+        k, dk = ([row[p:0:-1].tolist() for p in range(min(B, near.shape[1]))] for row in near)
+        self.near = dk if d is None else list(zip(k, dk))
         self.block = [0.0] * B
-        self.far = [0.0] * (2 * B)
+        self.far = [0.0] * self.spread.shape[1]
 
     def _spread(self, q: int) -> np.ndarray:
         """Columns ``[k, d k]`` of each term at each node m of a block of q
@@ -212,18 +223,21 @@ class _ExponentialSum:
         else:
             state += np.exp(self.growth * ((b - _BLOCK) * self.step)) * taken
             state = state * np.exp(self.growth * ((self.N - b - q + 1) * self.step))
-        self.far = (state @ (self.spread if q == _BLOCK else self._spread(q))).tolist()
+        # a last, partial block takes all 2 q columns: a product of the d k
+        # columns alone need not round them as that one does
+        self.far = (state @ self.spread if q == _BLOCK else (state @ self._spread(q))[self.columns]).tolist()
 
-    def sums(self, n: int) -> tuple:
+    def bracket(self, n: int, f_n: float) -> float:
         p = n % _BLOCK
-        if not p:
+        if not p and n:
             self._start_block(n)
-        k, dk = self.near[p]
-        x, far = self.block, self.far
-        return far[2 * p] + sum(map(mul, k, x)), far[2 * p + 1] + sum(map(mul, dk, x))
-
-    def add(self, n: int, x: float) -> None:
-        self.block[n % _BLOCK] = x
+        x, far, near = self.block, self.far, self.near[p]
+        if self.d is None:
+            out = -(far[p] + sum(map(mul, near, x)))
+        else:
+            out = self.d[n] * (far[2 * p] + sum(map(mul, near[0], x))) - (far[2 * p + 1] + sum(map(mul, near[1], x)))
+        x[p] = self.weight[n] * f_n
+        return out
 
     def rescale(self, n: int, shift: float) -> None:
         self.state *= shift
@@ -248,9 +262,10 @@ class _SchemeTables:
     exactly for an exponential kernel.  The h part sums ``[h, d h]`` against
     ``f_j = e^(e_j - ref) a_j^(g/(g-1)) A_j`` and the hbar part sums ``[hbar,
     dbar hbar]`` against ``g_j = q_weight lambda_j f_j``, where ``q_weight =
-    w/m(0)`` and ``w = m(0)^(1/(1-gamma))``; ``parts`` pairs each
-    kept part with its per-node multiplier of f.  A part whose offsets (d;
-    d and dbar) or whose hazard vanish on the grid contributes exactly 0
+    w/m(0)`` and ``w = m(0)^(1/(1-gamma))``.  Each kept part holds its
+    per-node multiplier of f, and its ``bracket(n, f_n)`` returns ``d_n k -
+    d k`` summed over nodes 0..n-1 and stores node n.  A part whose offsets
+    (d; d and dbar) or whose hazard vanish on the grid contributes exactly 0
     and is skipped; otherwise it is an exponential sum, with the exact lag
     rows inside one block, when the kernel has one (``exponential_sum``,
     ``hbar_exponential_sum``) and a lag table of every lag when it has not.
@@ -278,6 +293,8 @@ class _SchemeTables:
         lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
         # the legacy-kernel scaling w/m(0) from U((a/m)^(1/(g-1)) Y); 1 at m(0) = 1
         q_weight = legacy_hazard_weight(prefs) / prefs.m0
+        d_nodes = memoryview(d)
+        live_d = d_nodes if np.any(d) else None  # an exponential h: the d k row alone
         self.parts = []
         # per part: (kept, exponential-sum terms, kernel, offsets, per-node
         # multiplier); the terms and kernel values are computed for a kept part only
@@ -293,8 +310,11 @@ class _SchemeTables:
                 n_lags = offset.size if terms is None else min(_BLOCK, offset.size)
                 values = np.asarray(value(lags[:n_lags]), dtype=float)
                 rows = np.stack([values, offset[:n_lags] * values])
-                part = _LagTable(rows) if terms is None else _ExponentialSum(*terms, c, step, N, rows)
-                self.parts.append((part, memoryview(weight)))
+                weight = memoryview(weight)
+                if terms is None:
+                    self.parts.append(_LagTable(rows, d_nodes, weight))
+                else:
+                    self.parts.append(_ExponentialSum(*terms, c, step, N, rows, live_d, weight))
 
         M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
         inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
@@ -306,34 +326,7 @@ class _SchemeTables:
         self.coef = memoryview(-a1_margin(spec, self.times))
         self.drift = memoryview(lam - h_log - K - gamma * ins.eta * inv_l)
         self.M = memoryview(M)
-        self.d = memoryview(d)
         self.e = memoryview(e - e[0])  # only differences of e enter; e = 0 at t = T
-        self.ref = 0.0
-
-    def step(self, n: int, a_pow_n: float, log_A_n: float) -> float:
-        """``sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n`` over j = 0..n-1, then
-        node n added to the parts: ``f_n = e^(e_n - ref) a_n^(g/(g-1)) A_n``
-        times its per-node multiplier.  ref moves to node n first if it has
-        drifted (see ``_MAX_LOG_DRIFT``); nodes come in order 0, 1, ...
-        """
-        if not self.parts:
-            return 0.0
-        log_scale = self.e[n] + log_A_n
-        if abs(log_scale - self.ref) > _MAX_LOG_DRIFT:
-            shift = math.exp(self.ref - log_scale)
-            for part, _ in self.parts:
-                part.rescale(n, shift)
-            self.ref = log_scale
-        scale = math.exp(log_scale - self.ref)
-        f_n = scale * a_pow_n
-        d_n = self.d[n]
-        bracket = 0.0
-        for part, weight in self.parts:
-            if n:
-                k, dk = part.sums(n)
-                bracket += d_n * k - dk
-            part.add(n, weight[n] * f_n)
-        return bracket / scale
 
 
 def _check_preconditions(spec: ModelSpec, N: int) -> None:
@@ -348,12 +341,11 @@ def _check_preconditions(spec: ModelSpec, N: int) -> None:
         )
 
 
-def _power(x: float, y: float) -> float:
-    """``x ** y`` for x > 0, inf where the power overflows (as in numpy)."""
-    try:
-        return x**y
-    except OverflowError:
-        return math.inf
+# Above this local stiffness ``step |coef_n| a_n^(1/(gamma-1))`` of a step
+# solve_a refuses the grid.  Measured: at most 0.0085 on the configs at
+# their grid.N and 1.0 over the test suite's solves, against 1.4e10 at
+# N = 1000 and 8.5e8 at N = 1.6e4 on experiment with gamma = 0.9.
+_MAX_STIFFNESS = 10.0
 
 
 def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
@@ -361,43 +353,73 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
 
     Refuses to run when the positivity assumption fails; raises
     :class:`SchemeBreakdownError` if an iterate leaves the positive cone or
-    overflows.  Step n sums the earlier nodes of its block in Python per
-    exponential-sum memory part, whose K states are updated once per block
-    of ``_BLOCK`` nodes, and reads n lags per lag-table part, so a solve
-    costs O(N K) for kernels that are sums of K exponentials and O(N^2)
-    only where a lag table is left (see the module docstring); a part that
-    vanishes costs nothing.  No step allocates an array, except the first
-    of each block of an exponential-sum part.
+    overflows, and, once the march has ended, if the local stiffness
+    ``step |coef_n| a_n^(1/(gamma-1))`` of some step exceeds
+    ``_MAX_STIFFNESS``: a terminal layer too steep for the grid, which the
+    march would cross with a large, silent error (experiment with
+    gamma = 0.9 reads 1.4e10 at N = 1000).  Step n calls each memory part
+    once, for its bracket over nodes 0..n-1: the earlier nodes of its block
+    in Python and K states updated once per block of ``_BLOCK`` nodes for
+    an exponential sum, n lags for a lag table; without a part it makes no
+    call.  a and log A stay in Python lists until the march ends, and no
+    step allocates an array, except the first of each block of an
+    exponential-sum part.
     """
     _check_preconditions(spec, N)
     tab = _SchemeTables(spec, N)
     eps, gamma, pow_inv = tab.epsilon, tab.gamma, tab.pow_inv
-    coef, drift, M = tab.coef, tab.drift, tab.M
+    coef, drift, M, e, parts = tab.coef, tab.drift, tab.M, tab.e, tab.parts
+    exp, log1p, inf = math.exp, math.log1p, math.inf
 
-    a = np.empty(N + 1)
-    log_A = np.empty(N + 1)
-    a_n = a[0] = float(spec.prefs.n)
-    log_A_n = log_A[0] = 0.0
+    a_n, log_A_n = float(spec.prefs.n), 0.0
+    a, log_A = [a_n], [log_A_n]
+    ref = memory = 0.0  # memory stays 0 without a memory part
     # an overflow shows as a non-finite iterate, which the breakdown test
     # below reports; one errstate per step would cost about 35 ms at N = 1.6e4
     with np.errstate(over="ignore"):
         for n in range(N):
-            rate = _power(a_n, pow_inv)  # the consumption rate a^(1/(g-1))
+            try:
+                rate = a_n**pow_inv  # the consumption rate a^(1/(g-1))
+            except OverflowError:
+                rate = inf
             a_pow = a_n * rate
-            memory = tab.step(n, a_pow, log_A_n)
+            if parts:
+                # sum_j L(t_j, t_n) a_j^(g/(g-1)) A_j/A_n over j < n; f_n = e^(e_n - ref) a_n^(g/(g-1)) A_n
+                log_scale = e[n] + log_A_n
+                if abs(log_scale - ref) > _MAX_LOG_DRIFT:
+                    shift = exp(ref - log_scale)
+                    for part in parts:
+                        part.rescale(n, shift)
+                    ref = log_scale
+                scale = exp(log_scale - ref)
+                f_n = scale * a_pow
+                bracket = 0.0
+                for part in parts:
+                    bracket += part.bracket(n, f_n)
+                memory = bracket / scale
             a_next = a_n + eps * (coef[n] * a_pow + drift[n] * a_n - eps * memory)
             # A_(n+1) = A_n (1 - decay)
             decay = gamma * eps * rate * M[n]
-            if not (0.0 < a_next < math.inf and -math.inf < decay < 1.0):
+            if not (0.0 < a_next < inf and -inf < decay < 1.0):
                 finite = math.isfinite(a_next) and math.isfinite(decay)
                 raise SchemeBreakdownError(
                     f"scheme breakdown at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
-                    f"a = {a_next:.6g}, A = {_power(math.e, log_A_n) * (1.0 - decay):.6g}; "
+                    f"a = {a_next:.6g}, A = {np.power(math.e, log_A_n) * (1.0 - decay):.6g}; "
                     + ("increase N" if finite else "overflow: the iterate is not finite")
                 )
-            a_n = a[n + 1] = a_next
-            log_A_n = log_A[n + 1] = log_A_n + math.log1p(-decay)
+            a_n = a_next
+            log_A_n += log1p(-decay)
+            a.append(a_n)
+            log_A.append(log_A_n)
+        a = np.array(a)
         A = np.exp(log_A)
+        stiffness = -eps * np.abs(np.asarray(coef)[:N]) * a[:N] ** pow_inv
+    n = int(np.argmax(stiffness))
+    if not stiffness[n] <= _MAX_STIFFNESS:
+        raise SchemeBreakdownError(
+            f"stiff terminal layer at step {n + 1} (t = {tab.times[n + 1]:.6g}): "
+            f"step |coef| a^(1/(gamma-1)) = {stiffness[n]:.6g} > {_MAX_STIFFNESS:g}; increase N"
+        )
     return SolutionGrid(times=tab.times, a_values=a, A_values=A, N=N, epsilon=eps)
 
 

@@ -45,7 +45,7 @@ class PolicyTriple:
 
 def _shifted_wealth(b_curve, t: float, x: float) -> float:
     y = x + float(b_curve(t))
-    if y <= 0.0:
+    if not y > 0.0:  # NaN fails too
         raise ValidationError("wealth below human-capital floor: x + b(t) <= 0")
     return y
 

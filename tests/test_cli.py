@@ -810,6 +810,19 @@ def test_exit_1_on_scheme_breakdown(tmp_path, capsys):
     assert "increase N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_exit_1_on_stiff_terminal_layer(tmp_path, capsys, command):
+    # experiment at gamma = 0.9 wrote a(0) = 6.0e9 and converged with ratio 2.000
+    text = (CONFIGS / "experiment.cfg").read_text()
+    assert "preferences.gamma = -1\n" in text
+    cfg = _write(tmp_path, text.replace("preferences.gamma = -1\n", "preferences.gamma = 0.9\n"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--no-svg"]) == 1
+    err = capsys.readouterr().err
+    assert "stiff terminal layer at step 1" in err and "increase N" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_exit_1_on_overflow_without_numpy_warning(tmp_path, capsys):
     # a(t) grows like e^(24.4 (T - t)) and leaves the double range
     text = EXP1_TEXT

@@ -67,6 +67,21 @@ def test_b_zero_income(exp1_spec):
     assert b_function(exp1_spec)(0.3) == 0.0
 
 
+@pytest.mark.parametrize("income", [0.0, 1.0])  # the closed form, the Simpson interpolant
+def test_b_refuses_time_outside_horizon(exp1_spec, experiment_spec, income):
+    # exp1 without income returned 0.0 at t = -1, 5 and NaN; experiment with
+    # income interpolates its Simpson grid, which np.interp would clamp
+    spec = exp1_spec if income == 0.0 else _with_income(experiment_spec, income)
+    b = b_function(spec)
+    T = spec.horizon
+    for t in (-1.0, -1e-12, T + 1e-9, 5.0, math.nan):
+        with pytest.raises(ValidationError, match="outside"):
+            b(t)
+        with pytest.raises(ValidationError, match="outside"):
+            b(np.array([0.0, 0.5 * T, t, T]))
+    assert np.all(np.isfinite(b(np.array([0.0, 0.5 * T, T])))) and b(T) == 0.0
+
+
 def test_b_constant_rate_closed_form(exp1_spec):
     # i = 1, r + eta/l = 0.05 + 1/50 = 0.07, one year to go
     spec = _with_income(exp1_spec, income=1.0)

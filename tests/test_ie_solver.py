@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from tcpolicy.cli import parse_config
 from tcpolicy.closed_form import a_exponential
 from tcpolicy.ie_solver import (
     _BLOCK,
+    _MAX_LOG_DRIFT,
+    _MAX_STIFFNESS,
     AssumptionViolatedError,
     BoundsReport,
     SchemeBreakdownError,
@@ -45,6 +48,8 @@ from tcpolicy.ie_solver import (
     solve_a,
 )
 from tcpolicy.model import legacy_hazard_weight
+
+from conftest import make_hyperbolic_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -251,11 +256,17 @@ def test_block_edges_match_per_pair_sum(config, N):
     # own T/1000 (its whole horizon in two steps breaks down)
     spec = _mixed_kernel_spec() if config == "mixed" else parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
     spec = _on_horizon(spec, N * spec.horizon / 1000)
-    assert any(isinstance(part, _ExponentialSum) for part, _ in _SchemeTables(spec, N).parts)
+    assert any(isinstance(part, _ExponentialSum) for part in _SchemeTables(spec, N).parts)
     ref_a, ref_A = _per_pair_march(spec, N)
     grid = solve_a(spec, N)
     assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
     assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-13
+
+
+def _offsets(spec, N):
+    """The node offsets d = h'/h - h'/h(0) at lags 0..N, and h'/h(0)."""
+    h_log = np.asarray(spec.discount.log_derivative(np.linspace(0.0, spec.horizon, N + 1)), dtype=float)
+    return h_log - h_log[0], float(h_log[0])
 
 
 @pytest.mark.parametrize(
@@ -276,39 +287,238 @@ def test_memory_part_representations(config, h_part, hbar_part):
     tab = _SchemeTables(spec, N)
     T, step = spec.horizon, spec.horizon / N
     lags = np.linspace(0.0, T, N + 1)
-    c = float(spec.discount.log_derivative(0.0))
-    q_lam = legacy_hazard_weight(spec.prefs) / spec.prefs.m0 * spec.mortality.rate(tab.times)
+    d, c = _offsets(spec, N)
+    # an exponential sum keeps the k row only where d does not vanish
+    live_d = memoryview(d) if np.any(d) else None
+    ones = memoryview(np.ones(N + 1))
+    q_lam = memoryview(legacy_hazard_weight(spec.prefs) / spec.prefs.m0 * spec.mortality.rate(tab.times))
     # what each part would be built from, and its per-node multiplier; an
     # exponential sum's near rows are the exact lag rows inside one block
     expected = []
     h_val = spec.discount.value(lags)
-    h_rows = np.stack([h_val, np.array(tab.d) * h_val])
+    h_rows = np.stack([h_val, d * h_val])
     if h_part is _LagTable:
-        expected.append((_LagTable(h_rows), np.ones(N + 1)))
+        expected.append(_LagTable(h_rows, memoryview(d), ones))
     elif h_part is _ExponentialSum:
         terms = spec.discount.exponential_sum(T, step)
-        expected.append((_ExponentialSum(*terms, c, step, N, h_rows[:, :_BLOCK]), np.ones(N + 1)))
+        expected.append(_ExponentialSum(*terms, c, step, N, h_rows[:, :_BLOCK], live_d, ones))
     hbar_val = spec.hbar_value(lags[:N])
     hbar_rows = np.stack([hbar_val, (spec.hbar_log_derivative(lags[:N]) - c) * hbar_val])
     if hbar_part is _LagTable:
-        expected.append((_LagTable(hbar_rows), q_lam))
+        expected.append(_LagTable(hbar_rows, memoryview(d), q_lam))
     elif hbar_part is _ExponentialSum:
-        expected.append((_ExponentialSum(*spec.hbar_exponential_sum(step), c, step, N, hbar_rows[:, :_BLOCK]), q_lam))
+        terms = spec.hbar_exponential_sum(step)
+        expected.append(_ExponentialSum(*terms, c, step, N, hbar_rows[:, :_BLOCK], live_d, q_lam))
     assert len(tab.parts) == len(expected)
-    for (part, weight), (want, want_weight) in zip(tab.parts, expected):
+    for part, want in zip(tab.parts, expected):
         assert type(part) is type(want)
         assert np.array_equal(part.rows, want.rows)
+        assert np.array_equal(np.array(part.weight), np.array(want.weight))
+        if isinstance(part, _LagTable) or live_d is not None:
+            assert np.array_equal(np.array(part.d), d)
         if isinstance(part, _ExponentialSum):
             assert part.near == want.near
-        assert np.array_equal(np.array(weight), want_weight)
+            assert np.array_equal(part.spread, want.spread)
+            # experiment's h is exponential: d = 0 leaves the d k row alone
+            assert (part.d is None) == (config == "experiment")
+            width = _BLOCK if part.d is None else 2 * _BLOCK
+            assert part.spread.shape == (part.rate.size, width) and len(part.far) == width
+            assert np.array_equal(part.spread, part._spread(_BLOCK)[:, part.columns])
 
 
 def test_exponential_d_weights_exactly_zero():
     # h'/h - c = 0 at every lag: the d row and the far sums it gives are 0
+    nodes = memoryview(np.zeros(101))
     for rho in (0.0, 0.1, 0.8, 3.7):
-        part = _ExponentialSum(*Exponential(rho).exponential_sum(1.0, 0.01), -rho, 0.01, 100, np.zeros((2, _BLOCK)))
+        terms = Exponential(rho).exponential_sum(1.0, 0.01)
+        part = _ExponentialSum(*terms, -rho, 0.01, 100, np.zeros((2, _BLOCK)), nodes, nodes)
         assert part.rows.shape == (2, 1) and part.rows[1, 0] == 0.0
         assert np.all(part.spread[:, 1::2] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The march against the driver it replaced: each part read through sums and
+# add, with both lag rows, and the memory step written apart from the loop
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceLagTable:
+    def __init__(self, rows):
+        self.rows = np.ascontiguousarray(rows[:, :0:-1])
+        self.nodes = np.empty(rows.shape[1])
+
+    def sums(self, n):
+        return (self.rows[:, -n:] @ self.nodes[:n]).tolist()
+
+    def add(self, n, x):
+        self.nodes[n] = x
+
+    def rescale(self, n, shift):
+        self.nodes[:n] *= shift
+
+
+class _ReferenceExponentialSum:
+    def __init__(self, w, r, c, step, N, near):
+        B = _BLOCK
+        self.rows = np.stack([w, w * (-r - c)])
+        self.rate, self.step, self.N = r, step, N
+        self.growth = np.minimum(r, 0.0) if np.any(r < 0.0) else None
+        m = np.arange(B)
+        rate = r[:, None]
+        self.carry = np.exp(-np.maximum(r, 0.0) * (B * step))
+        self.fold = np.exp(np.where(rate < 0.0, rate * m, -rate * (B - m)) * step)
+        self.spread = self._spread(B)
+        self.state = np.zeros(r.size)
+        self.near = [(near[0, p:0:-1].tolist(), near[1, p:0:-1].tolist()) for p in range(min(B, near.shape[1]))]
+        self.block = [0.0] * B
+        self.far = [0.0] * (2 * B)
+
+    def _spread(self, q):
+        m = np.arange(q)
+        rate = self.rate[:, None]
+        factor = np.exp(np.where(rate < 0.0, rate * (q - 1 - m), -rate * m) * self.step)
+        return (factor[:, :, None] * self.rows.T[:, None, :]).reshape(self.rate.size, 2 * q)
+
+    def _start_block(self, b):
+        taken = self.fold @ self.block
+        q = min(_BLOCK, self.N - b)
+        state = self.state
+        state *= self.carry
+        if self.growth is None:
+            state += taken
+        else:
+            state += np.exp(self.growth * ((b - _BLOCK) * self.step)) * taken
+            state = state * np.exp(self.growth * ((self.N - b - q + 1) * self.step))
+        self.far = (state @ (self.spread if q == _BLOCK else self._spread(q))).tolist()
+
+    def sums(self, n):
+        p = n % _BLOCK
+        if not p:
+            self._start_block(n)
+        k, dk = self.near[p]
+        x, far = self.block, self.far
+        return far[2 * p] + sum(map(mul, k, x)), far[2 * p + 1] + sum(map(mul, dk, x))
+
+    def add(self, n, x):
+        self.block[n % _BLOCK] = x
+
+    def rescale(self, n, shift):
+        self.state *= shift
+        self.block = [x * shift for x in self.block]
+        self.far = [v * shift for v in self.far]
+
+
+def _reference_parts(spec, N):
+    """The parts the march keeps, each with both lag rows, paired with its
+    per-node multiplier."""
+    T, step = spec.horizon, spec.horizon / N
+    lags = np.linspace(0.0, T, N + 1)
+    d, c = _offsets(spec, N)
+    dbar = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float) - c
+    lam = np.asarray(spec.mortality.rate(np.linspace(T, 0.0, N + 1)), dtype=float)
+    q_weight = legacy_hazard_weight(spec.prefs) / spec.prefs.m0
+    parts = []
+    for kept, terms_of, value, offset, weight in (
+        (np.any(d), lambda: spec.discount.exponential_sum(T, step), spec.discount.value, d, np.ones(N + 1)),
+        ((np.any(d) or np.any(dbar)) and np.any(lam), lambda: spec.hbar_exponential_sum(step),
+         spec.hbar_value, dbar, q_weight * lam),
+    ):
+        if kept:
+            terms = terms_of()
+            n_lags = offset.size if terms is None else min(_BLOCK, offset.size)
+            values = np.asarray(value(lags[:n_lags]), dtype=float)
+            rows = np.stack([values, offset[:n_lags] * values])
+            part = _ReferenceLagTable(rows) if terms is None else _ReferenceExponentialSum(*terms, c, step, N, rows)
+            parts.append((part, memoryview(weight)))
+    return parts, memoryview(d)
+
+
+def _reference_march(spec, N):
+    """a and A from the node tables of ``_SchemeTables`` and the parts of
+    ``_reference_parts``, the memory sum taken by a step of its own."""
+    tab = _SchemeTables(spec, N)
+    parts, d = _reference_parts(spec, N)
+    ref = 0.0
+
+    def step(n, a_pow_n, log_A_n):
+        nonlocal ref
+        if not parts:
+            return 0.0
+        log_scale = tab.e[n] + log_A_n
+        if abs(log_scale - ref) > _MAX_LOG_DRIFT:
+            shift = math.exp(ref - log_scale)
+            for part, _ in parts:
+                part.rescale(n, shift)
+            ref = log_scale
+        scale = math.exp(log_scale - ref)
+        f_n = scale * a_pow_n
+        bracket = 0.0
+        for part, weight in parts:
+            if n:
+                k, dk = part.sums(n)
+                bracket += d[n] * k - dk
+            part.add(n, weight[n] * f_n)
+        return bracket / scale
+
+    eps, gamma = tab.epsilon, tab.gamma
+    a = np.empty(N + 1)
+    log_A = np.empty(N + 1)
+    a_n = a[0] = float(spec.prefs.n)
+    log_A_n = log_A[0] = 0.0
+    for n in range(N):
+        rate = a_n**tab.pow_inv
+        a_pow = a_n * rate
+        memory = step(n, a_pow, log_A_n)
+        a_n = a[n + 1] = a_n + eps * (tab.coef[n] * a_pow + tab.drift[n] * a_n - eps * memory)
+        log_A_n = log_A[n + 1] = log_A_n + math.log1p(-(gamma * eps * rate * tab.M[n]))
+    return a, np.exp(log_A)
+
+
+def _assert_bit_identical(spec, N):
+    grid = solve_a(spec, N)
+    ref_a, ref_A = _reference_march(spec, N)
+    assert np.array_equal(grid.a_values, ref_a)
+    assert np.array_equal(grid.A_values, ref_A)
+
+
+@pytest.mark.parametrize("N", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 1000])
+@pytest.mark.parametrize("config", ["exp1", "experiment", "hump_k5_n10", "mixed"])
+def test_march_bit_identical_to_reference_driver(config, N):
+    # each part's bracket, experiment's d k row alone, and the loop's own
+    # memory step leave every addition and product as the reference makes
+    # it; each grid takes N steps of the config's own T/1000
+    spec = _mixed_kernel_spec() if config == "mixed" else parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
+    _assert_bit_identical(_on_horizon(spec, N * spec.horizon / 1000), N)
+
+
+@pytest.mark.parametrize("bequest, N", [(Exponential(0.1), 2010), (AffineExponential(0.05, 0.1), 2000)])
+def test_rescaled_march_bit_identical_to_reference_driver(market, bequest, N):
+    # the log taper's exponential sum, d k row alone and rescaled mid-block,
+    # and a lag table, rescaled, on T = 100 with hazard 2
+    _assert_bit_identical(_tapering_long_horizon(market, bequest), N)
+
+
+@pytest.mark.parametrize("q", range(1, _BLOCK + 1))
+def test_d_k_row_alone_brackets_as_both_rows(experiment_spec, q):
+    # experiment's hbar part with d = 0 on the grid, kept with its d k row
+    # alone and with both rows, over three whole blocks and a last one of q
+    # nodes: every bracket is the same, -d k against 0 k - d k
+    N = 3 * _BLOCK + q
+    spec = _on_horizon(experiment_spec, N * experiment_spec.horizon / 1000)
+    step = spec.horizon / N
+    lags = np.linspace(0.0, spec.horizon, N + 1)[:_BLOCK]
+    d, c = _offsets(spec, N)
+    assert not np.any(d)
+    hbar = spec.hbar_value(lags)
+    rows = np.stack([hbar, (spec.hbar_log_derivative(lags) - c) * hbar])
+    weight = memoryview(np.linspace(0.5, 1.5, N + 1))
+    terms = spec.hbar_exponential_sum(step)
+    alone = _ExponentialSum(*terms, c, step, N, rows, None, weight)
+    both = _ExponentialSum(*terms, c, step, N, rows, memoryview(d), weight)
+    assert alone.spread.shape[1] == _BLOCK and both.spread.shape[1] == 2 * _BLOCK
+    f = np.exp(np.sin(np.arange(N))).tolist()
+    for n in range(N):
+        assert alone.bracket(n, f[n]) == both.bracket(n, f[n])
 
 
 @pytest.mark.parametrize("N", [1000, 100_000])
@@ -579,6 +789,34 @@ def test_long_horizon_A_underflow_leaves_a_unchanged():
     assert abs(long.a_values[-1] / short.a_values[-1] - 1.0) <= 1e-3
 
 
+@pytest.mark.parametrize("N, value", [(1000, r"1\.36\d*e\+10"), (16000, r"8\.5\d*e\+08")])
+def test_stiff_terminal_layer_refused(experiment_spec, N, value):
+    # gamma = 0.9: w = m(0)^10 = 3.6e15 puts the A1 margin near 3e12, and
+    # the first step carried a from 1 to 1.4e10 (a(0) = 6.0e9 at N = 1000,
+    # against envelopes of [9.55, 31.7] at t = 3.996) with no breakdown
+    spec = dataclasses.replace(experiment_spec, prefs=dataclasses.replace(experiment_spec.prefs, gamma=0.9))
+    assert check_assumption_a1(spec).holds
+    with pytest.raises(SchemeBreakdownError, match=rf"stiff terminal layer at step 1 \(t = .*= {value} > 10; increase N"):
+        solve_a(spec, N)
+
+
+def test_configs_and_acceptance_specs_not_stiff(market):
+    # the largest step |coef| a^(1/(g-1)) measured at the configs' grid.N:
+    # 0.0020 (exp1, stationary), 0.0085 (experiment), 0.0034 (hump_k5_n10),
+    # at most 0.0035 on the c6 specs; at most 1.0 over every solve of the suite
+    cases = []
+    for name in ("exp1", "experiment", "hump_k5_n10", "stationary"):
+        rc = parse_config((CONFIGS / f"{name}.cfg").read_text())
+        cases.append((rc.spec, rc.grid_n))
+    cases += [(make_hyperbolic_spec(market, k1, n), 1000) for k1 in (5.0, 10.0, 15.0) for n in (10.0, 30.0)]
+    cases.append((_no_insurance_spec(market, rho=0.8, n=10.0, horizon=4.0), 1000))  # c6's control
+    for spec, N in cases:
+        grid = solve_a(spec, N)
+        tab = _SchemeTables(spec, N)
+        stiffness = spec.horizon / N * np.abs(np.asarray(tab.coef)[:N]) * grid.a_values[:N] ** tab.pow_inv
+        assert np.max(stiffness) <= 1e-3 * _MAX_STIFFNESS
+
+
 def test_nonfinite_iterate_reported_as_overflow():
     # gamma = 0.5 with a tiny volatility: K = 24.5, so a(t) grows like
     # e^(24.4 (T - t)) and leaves the double range well before t = 0
@@ -647,33 +885,42 @@ def test_rhs_matches_finite_difference_of_closed_form(exp1_spec):
 
 
 def test_exponential_kernel_degeneracy(exp1_spec):
-    # h = h_hat exponential with constant m: the memory kernel L vanishes
+    # h = h_hat exponential with constant m: the memory kernel L vanishes,
+    # so the march keeps no memory part and makes no call for one; built
+    # anyway as lag tables, both parts bracket to exactly 0 at every step
     N = 200
     grid = solve_a(exp1_spec, N)
-    tab = _SchemeTables(exp1_spec, N)
-    a_pow = grid.a_values ** (tab.gamma / (tab.gamma - 1.0))
-    log_A = np.log(grid.A_values)
-    sums = [tab.step(n, a_pow[n], log_A[n]) for n in range(N)]
-    assert all(value == 0.0 for value in sums)
+    assert _SchemeTables(exp1_spec, N).parts == []
+    gamma = exp1_spec.prefs.gamma
+    lags = np.linspace(0.0, exp1_spec.horizon, N + 1)
+    d, c = _offsets(exp1_spec, N)
+    dbar = np.asarray(exp1_spec.hbar_log_derivative(lags[:N])) - c
+    assert not np.any(d) and not np.any(dbar)
+    h_val, hbar_val = exp1_spec.discount.value(lags), exp1_spec.hbar_value(lags[:N])
+    parts = [
+        _LagTable(np.stack([h_val, d * h_val]), memoryview(d), memoryview(np.ones(N + 1))),
+        _LagTable(np.stack([hbar_val, dbar * hbar_val]), memoryview(d), memoryview(exp1_spec.mortality.rate(lags))),
+    ]
+    f = (grid.a_values ** (gamma / (gamma - 1.0)) * grid.A_values).tolist()
+    for n in range(N):
+        assert all(part.bracket(n, f[n]) == 0.0 for part in parts)
 
 
 def test_experiment_h_part_vanishes(experiment_spec):
     # h exponential: d = 0 at every lag, so the h part of L is exactly zero
-    # and is skipped; as a lag table it would sum to 0.0 at every step
+    # and is skipped; as a lag table it would bracket to 0.0 at every step
     N = 200
     grid = solve_a(experiment_spec, N)
-    tab = _SchemeTables(experiment_spec, N)
-    ((hbar_part, _),) = tab.parts
+    (hbar_part,) = _SchemeTables(experiment_spec, N).parts
     assert isinstance(hbar_part, _ExponentialSum) and len(hbar_part.near) == _BLOCK  # lags 0..B-1
+    gamma = experiment_spec.prefs.gamma
     lags = np.linspace(0.0, experiment_spec.horizon, N + 1)
     h_val = experiment_spec.discount.value(lags)
-    part = _LagTable(np.stack([h_val, np.array(tab.d) * h_val]))
-    a_pow = grid.a_values ** (tab.gamma / (tab.gamma - 1.0))
+    d, _ = _offsets(experiment_spec, N)
+    part = _LagTable(np.stack([h_val, d * h_val]), memoryview(d), memoryview(np.ones(N + 1)))
+    f = (grid.a_values ** (gamma / (gamma - 1.0)) * grid.A_values).tolist()
     for n in range(N):
-        if n > 0:
-            hf, dhf = part.sums(n)
-            assert tab.d[n] * hf - dhf == 0.0
-        part.add(n, a_pow[n] * grid.A_values[n])
+        assert part.bracket(n, f[n]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def test_policy_at_nan_time_refused(exp1_spec, exp1_curves):
         policy_at(a_curve, b_curve, exp1_spec, math.nan, 1.0)
 
 
+def test_nan_wealth_refused(exp1_spec, exp1_curves):
+    # NaN wealth fails the floor check rather than giving NaN policies and value
+    a_curve, b_curve = exp1_curves
+    with pytest.raises(ValidationError, match="floor"):
+        policy_at(a_curve, b_curve, exp1_spec, 0.5, math.nan)
+    with pytest.raises(ValidationError, match="floor"):
+        value_function(a_curve, b_curve, exp1_spec.prefs.gamma, 0.5, math.nan)
+
+
 def test_log_branch_uses_classical_merton_amount(log_spec):
     grid_a = lambda t: 1.5  # any positive coefficient
     b_curve = b_function(log_spec)
