@@ -26,6 +26,7 @@ from .model import (
     ModelSpec,
     ValidationError,
     a1_margin,
+    check_horizon_times,
     constant_K,
     kernel_Q,
     kernel_q,
@@ -124,9 +125,7 @@ def b_function(spec: ModelSpec, N: int = 4096):
         values = solve_b(spec, N)[::-1]
 
     def b(t):
-        t_arr = np.asarray(t, dtype=float)
-        if not (np.all(t_arr >= 0.0) and np.all(t_arr <= spec.horizon)):  # NaN fails too
-            raise ValidationError("b: t outside [0, T]")
+        t_arr = check_horizon_times(t, spec.horizon, "b")
         out = _exact_b(spec, t_arr) if exact else np.interp(t_arr, times, values)
         return out if np.ndim(t) else float(out)
 
@@ -162,15 +161,14 @@ def a_exponential(spec: ModelSpec, t):
     legacy-kernel weight ``w = m^(1/(1-g))`` (= 1 for the unit weight).
     ``t`` is a time or an array of times; one backward march serves them
     all, on the requested times merged with ``_SIMPSON_PANELS`` equal
-    panels from the earliest of them to T.
+    panels from the earliest of them to T.  Raises ``OverflowError`` when
+    w leaves the double range.
     """
     if not exponential_applies(spec):
         raise ValidationError(
             "a_exponential: requires h = h_hat exponential with one rate and a constant Pareto weight"
         )
-    t_req = np.asarray(t, dtype=float)
-    if not np.all((0.0 <= t_req) & (t_req <= spec.horizon)):
-        raise ValidationError("a_exponential: t outside [0, T]")
+    t_req = check_horizon_times(t, spec.horizon, "a_exponential")
 
     gamma = spec.prefs.gamma
     K = constant_K(spec.market, gamma)
@@ -188,6 +186,9 @@ def a_exponential(spec: ModelSpec, t):
     merged = np.sort(np.concatenate([t_req.ravel(), np.linspace(t_req.min(), spec.horizon, _SIMPSON_PANELS + 1)]))
     ascending = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
     w = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))[::-1]
+    if not np.all(np.isfinite(w)):
+        # the march in a can stay finite where w = a^(1/(1-g)) does not
+        raise OverflowError("a_exponential: overflow: w = a^(1/(1-gamma)) is not finite")
     a = w[np.searchsorted(ascending, t_req)] ** one_mg
     return a if np.ndim(t) else float(a)
 

@@ -21,18 +21,16 @@ Riemann sum over the already-computed nodes; it is first-order accurate
 in 1/N.  On the uniform grid L factors into two lag-only kernels times
 node-only weights kept in log space, and the march carries log A rather
 than A, so long horizons neither underflow nor overflow the exponential
-factors.  A kernel part that is a sum of K exponentials (exponential,
-two-rate mixture, hyperbolic through a quadrature of its Laplace-type
-integral, and the log-taper Pareto weight times an h_hat of one or two
-rates) is carried by K states, updated once per block of nodes, with the
-block's own nodes summed against the exact lags, so a solve costs
-O(N K); a kernel part that vanishes on the grid is not computed at all;
-the rest (the affine-exponential family, the log taper times a
-hyperbolic or affine-exponential h_hat) keep a lag table read by a
-(2 x n) mat-vec at step n, O(N^2).  Each step takes one CRRA power, the
-consumption rate ``a^(1/(gamma-1))``, and per memory part one call, and
-one exp of the node's log-scale if there is a part; an exponential h
-leaves an exponential-sum part its ``d k`` row alone.
+factors.  Each kernel part is the real part of a sum of K exponentials
+(exponential, two-rate mixture, affine-exponential through one complex
+rate, hyperbolic through a quadrature of its Laplace-type integral, and
+for h_hat the product with the log-taper Pareto weight's sum) and is
+carried by K states, updated once per block of nodes, with the block's
+own nodes summed against the exact lags, so a solve costs O(N K); a
+kernel part that vanishes on the grid is not computed at all.  Each step
+takes one CRRA power, the consumption rate ``a^(1/(gamma-1))``, and per
+memory part one call, and one exp of the node's log-scale if there is a
+part; an exponential h leaves a part its ``d k`` row alone.
 
 :func:`solve_a` is the only code that drives the scheme tables; the
 discrete derivative at node n is the march's own step quotient
@@ -64,6 +62,7 @@ from .model import (
     ValidationError,
     a1_margin,
     check_assumption_a1,
+    check_horizon_times,
     constant_K,
     legacy_hazard_weight,
     weight_M,
@@ -113,9 +112,7 @@ class SolutionGrid:
 
     def interpolate(self, t):
         """Piecewise-linear interpolation of a; exact at the nodes."""
-        t_arr = np.asarray(t, dtype=float)
-        if not (np.all(t_arr >= 0.0) and np.all(t_arr <= self.times[0])):  # NaN fails too
-            raise ValidationError("interpolate: t outside [0, T]")
+        t_arr = check_horizon_times(t, self.times[0], "interpolate")
         out = np.interp(t_arr, self.times[::-1], self.a_values[::-1])
         return out if t_arr.ndim else float(out)
 
@@ -134,48 +131,31 @@ class SolutionGrid:
 _MAX_LOG_DRIFT = 100.0
 
 
-class _LagTable:
-    """A memory part kept as the lag table ``[k, d k]`` of its kernel k at
-    lags 1, 2, ..., stored reversed so that step n reads the contiguous tail
-    of length n against the node weights added so far: O(n) per step; both
-    rows, even where d vanishes, as a (1, n) mat-vec may round differently."""
-
-    def __init__(self, rows: np.ndarray, d: memoryview, weight: memoryview):
-        self.rows = np.ascontiguousarray(rows[:, :0:-1])
-        self.nodes = np.empty(rows.shape[1])
-        self.d, self.weight = d, weight
-
-    def bracket(self, n: int, f_n: float) -> float:
-        k, dk = (self.rows[:, -n:] @ self.nodes[:n]).tolist() if n else (0.0, 0.0)
-        self.nodes[n] = self.weight[n] * f_n
-        return self.d[n] * k - dk
-
-    def rescale(self, n: int, shift: float) -> None:
-        self.nodes[:n] *= shift
-
-
 # Nodes per block of an exponential-sum part: the K states take in a block's
 # nodes at once, and the block's own nodes are summed against the exact lags.
 _BLOCK = 16
 
 
 class _ExponentialSum:
-    """A memory part whose kernel is a sum of K exponentials, in the form of
-    ``ModelSpec.hbar_exponential_sum``, summed with the near/far split of
-    fast convolution quadrature (Lubich & Schaedle 2002).
+    """A memory part whose kernel is the real part of a sum of K
+    exponentials, in the form of ``ModelSpec.hbar_exponential_sum``, summed
+    with the near/far split of fast convolution quadrature (Lubich &
+    Schaedle 2002).
 
     Nodes before the current block of ``_BLOCK`` reach step n through one
     state per term, read with the rows ``[w, w (-r - c)]`` (``d = k'/k -
-    c``).  A term of rate ``r >= 0`` keeps ``S(b) = sum_(j<b) e^(-r (b - j)
-    step) x_j`` for the block starting at node b; a term of rate ``r < 0``,
+    c``).  A term of ``Re r >= 0`` keeps ``S(b) = sum_(j<b) e^(-r (b - j)
+    step) x_j`` for the block starting at node b; a term of ``Re r < 0``,
     whose weight is its value at lag ``N step``, keeps the prefix sum
     ``P(b) = sum_(j<b) e^(r j step) x_j``, read with the factor ``e^(r (N -
-    n) step)``, so that no factor exceeds 1.  At the start of each block the
-    states take in the block before it and give the far sums of all its
-    nodes, two small numpy products; the block's own nodes are summed in
-    Python against ``near``, the exact lag rows ``[k, d k]`` at lags 0, 1, ...
-    Where d vanishes on the grid (``d`` is None) the bracket is ``-d k``,
-    and ``near``, ``spread`` and ``far`` keep the ``d k`` row alone.
+    n) step)``, so that no factor exceeds 1 in modulus.  At the start of
+    each block the states take in the block before it and give the far
+    sums of all its nodes, two small numpy products, of which the real
+    parts are kept; the states and tables are complex only where a rate
+    is.  The block's own nodes are summed in Python against ``near``, the
+    exact lag rows ``[k, d k]`` at lags 0, 1, ...  Where d vanishes on the
+    grid (``d`` is None) the bracket is ``-d k``, and ``near``, ``spread``
+    and ``far`` keep the ``d k`` row alone.
     """
 
     def __init__(self, w, r, c: float, step: float, N: int, near: np.ndarray, d, weight: memoryview):
@@ -184,16 +164,17 @@ class _ExponentialSum:
         self.rate, self.step, self.N = r, step, N
         self.d, self.weight = d, weight
         self.columns = slice(None) if d is not None else slice(1, None, 2)  # of [k, d k] per node
+        grows = self.grows = r.real < 0.0
         # the rate of each growing term and 0 for the others; None when none grows
-        self.growth = np.minimum(r, 0.0) if np.any(r < 0.0) else None
+        self.growth = np.where(grows, r, 0.0) if np.any(grows) else None
         # a block's nodes x_m into the states: S <- e^(-r B step) S + sum_m
         # e^(-r (B - m) step) x_m, and P <- P + e^(r b step) sum_m e^(r m step) x_m
         m = np.arange(B)
         rate = r[:, None]
-        self.carry = np.exp(-np.maximum(r, 0.0) * (B * step))
-        self.fold = np.exp(np.where(rate < 0.0, rate * m, -rate * (B - m)) * step)
+        self.carry = np.exp(-np.where(grows, 0.0, r) * (B * step))
+        self.fold = np.exp(np.where(grows[:, None], rate * m, -rate * (B - m)) * step)
         self.spread = np.ascontiguousarray(self._spread(B)[:, self.columns])
-        self.state = np.zeros(r.size)
+        self.state = np.zeros(r.size, self.rows.dtype)
         # node p of a block reads the block's earlier nodes at lags p, p-1, ..., 1
         k, dk = ([row[p:0:-1].tolist() for p in range(min(B, near.shape[1]))] for row in near)
         self.near = dk if d is None else list(zip(k, dk))
@@ -207,7 +188,7 @@ class _ExponentialSum:
         step)``, counted from its last; shape (K, 2 q)."""
         m = np.arange(q)
         rate = self.rate[:, None]
-        factor = np.exp(np.where(rate < 0.0, rate * (q - 1 - m), -rate * m) * self.step)
+        factor = np.exp(np.where(self.grows[:, None], rate * (q - 1 - m), -rate * m) * self.step)
         return (factor[:, :, None] * self.rows.T[:, None, :]).reshape(self.rate.size, 2 * q)
 
     def _start_block(self, b: int) -> None:
@@ -225,7 +206,7 @@ class _ExponentialSum:
             state = state * np.exp(self.growth * ((self.N - b - q + 1) * self.step))
         # a last, partial block takes all 2 q columns: a product of the d k
         # columns alone need not round them as that one does
-        self.far = (state @ self.spread if q == _BLOCK else (state @ self._spread(q))[self.columns]).tolist()
+        self.far = (state @ self.spread if q == _BLOCK else (state @ self._spread(q))[self.columns]).real.tolist()
 
     def bracket(self, n: int, f_n: float) -> float:
         p = n % _BLOCK
@@ -266,13 +247,12 @@ class _SchemeTables:
     per-node multiplier of f, and its ``bracket(n, f_n)`` returns ``d_n k -
     d k`` summed over nodes 0..n-1 and stores node n.  A part whose offsets
     (d; d and dbar) or whose hazard vanish on the grid contributes exactly 0
-    and is skipped; otherwise it is an exponential sum, with the exact lag
-    rows inside one block, when the kernel has one (``exponential_sum``,
-    ``hbar_exponential_sum``) and a lag table of every lag when it has not.
-    The legacy-weight rows stop one lag short of T: a lag of exactly T
-    never occurs inside the march, and a tapering Pareto weight may be
-    singular there.  The local coefficient
-    ``coef`` of ``a^(g/(g-1))`` is minus the A1 margin ``1 + w lambda - gamma M``.
+    and is skipped; otherwise it is the exponential sum of its kernel
+    (``exponential_sum``, ``hbar_exponential_sum``) with the exact lag rows
+    inside one block.  The legacy-weight rows stop one lag short of T: a
+    lag of exactly T never occurs inside the march, and a tapering Pareto
+    weight may be singular there.  The local coefficient ``coef`` of
+    ``a^(g/(g-1))`` is minus the A1 margin ``1 + w lambda - gamma M``.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -293,8 +273,7 @@ class _SchemeTables:
         lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
         # the legacy-kernel scaling w/m(0) from U((a/m)^(1/(g-1)) Y); 1 at m(0) = 1
         q_weight = legacy_hazard_weight(prefs) / prefs.m0
-        d_nodes = memoryview(d)
-        live_d = d_nodes if np.any(d) else None  # an exponential h: the d k row alone
+        live_d = memoryview(d) if np.any(d) else None  # an exponential h: the d k row alone
         self.parts = []
         # per part: (kept, exponential-sum terms, kernel, offsets, per-node
         # multiplier); the terms and kernel values are computed for a kept part only
@@ -304,17 +283,11 @@ class _SchemeTables:
              spec.hbar_value, dbar, q_weight * lam),
         ):
             if kept:
-                terms = terms_of()
-                # the lag rows [k, d k]: all of them for a lag table, the
-                # lags inside one block for an exponential sum
-                n_lags = offset.size if terms is None else min(_BLOCK, offset.size)
+                # the lag rows [k, d k] inside one block
+                n_lags = min(_BLOCK, offset.size)
                 values = np.asarray(value(lags[:n_lags]), dtype=float)
                 rows = np.stack([values, offset[:n_lags] * values])
-                weight = memoryview(weight)
-                if terms is None:
-                    self.parts.append(_LagTable(rows, d_nodes, weight))
-                else:
-                    self.parts.append(_ExponentialSum(*terms, c, step, N, rows, live_d, weight))
+                self.parts.append(_ExponentialSum(*terms_of(), c, step, N, rows, live_d, memoryview(weight)))
 
         M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
         inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
@@ -359,11 +332,10 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     march would cross with a large, silent error (experiment with
     gamma = 0.9 reads 1.4e10 at N = 1000).  Step n calls each memory part
     once, for its bracket over nodes 0..n-1: the earlier nodes of its block
-    in Python and K states updated once per block of ``_BLOCK`` nodes for
-    an exponential sum, n lags for a lag table; without a part it makes no
-    call.  a and log A stay in Python lists until the march ends, and no
-    step allocates an array, except the first of each block of an
-    exponential-sum part.
+    in Python and K states updated once per block of ``_BLOCK`` nodes, so
+    a solve costs O(N K); without a part it makes no call.  a and log A
+    stay in Python lists until the march ends, and no step allocates an
+    array, except the first of each block of a part.
     """
     _check_preconditions(spec, N)
     tab = _SchemeTables(spec, N)
@@ -477,7 +449,8 @@ class BoundsReport:
 
     a(t) satisfies ``a' <= -C1 a^(g/(g-1)) + C0 a`` and
     ``a' >= -D1 a^(g/(g-1)) - D0 a``; integrating the equalities backward
-    from a(T) = n yields curves with lower(t) <= a(t) <= upper(t).  The
+    from a(T) = n yields curves with lower(t) <= a(t) <= upper(t), which
+    refuse a time outside [0, T], NaN included.  The
     substitution ``w = a^(1/(1-g))`` makes both ODEs linear, so the curves
     are evaluated in closed form.  ``rho`` bounds |h'/h| and |hbar'/hbar|
     and ``rho_prime`` bounds |gamma eta / l| over the horizon.
@@ -495,7 +468,7 @@ class BoundsReport:
 
     def _w_backward(self, c_lin: float, c_const: float, t):
         # w' = (c_lin w + c_const)/(1-g) integrated backward from w(T)
-        tau = self.horizon - np.asarray(t, dtype=float)
+        tau = self.horizon - check_horizon_times(t, self.horizon, "BoundsReport")
         one_mg = 1.0 - self.gamma
         w_T = self.terminal ** (1.0 / one_mg)
         if c_lin == 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, ValidationError, crra_utility, legacy_hazard_weight
+from .model import ModelSpec, ValidationError, check_horizon_times, crra_utility, legacy_hazard_weight
 
 __all__ = [
     "PolicyTriple",
@@ -118,8 +118,9 @@ def consumption_rate(a_curve, gamma: float, t):
 
 
 def legacy(spec: ModelSpec, t: float, x: float, premium: float) -> float:
-    """Amount accruing to heirs at death: ``eta(t) x + l(t) premium``."""
-    payout = float(spec.insurance.payout.value(t))
+    """Amount accruing to heirs at death: ``eta(t) x + l(t) premium``; t
+    outside [0, T], NaN included, is refused."""
+    payout = float(spec.insurance.payout.value(check_horizon_times(t, spec.horizon, "legacy")))
     insured = 0.0 if premium == 0.0 else payout * premium
     return spec.insurance.eta * x + insured
 

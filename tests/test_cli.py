@@ -742,6 +742,24 @@ def test_converge_command(tmp_path):
     assert float(rows[1][2]) == pytest.approx(2.0, abs=0.4)
 
 
+def test_converge_exit_1_on_overflowed_oracle(tmp_path, capsys):
+    # the closed form's w = a^10 overflows on T = 400 while the march stays
+    # finite: converge reported err = inf and ratio = nan and exited 0
+    text = EXP1_TEXT
+    for old, new in (
+        ("horizon = 1.0", "horizon = 400.0"),
+        ("preferences.gamma = -1", "preferences.gamma = 0.9"),
+        ("grid.N = 200", "grid.N = 4000"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 1
+    assert "overflow: w = a^(1/(1-gamma)) is not finite" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 def test_hump_command(tmp_path, capsys):
     text = EXPERIMENT_TEXT.replace(
         "discount.family = exponential\ndiscount.rho = 0.8",
@@ -879,3 +897,27 @@ def test_exit_2_on_invalid_model_value(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "sigma" in capsys.readouterr().err
+
+
+def test_cli_digests_tool_hashes_every_run(tmp_path):
+    # tools/cli_digests.py on one small config: six runs, each digested as
+    # the in-process command writes it
+    import hashlib
+    import importlib.util
+
+    root = CONFIGS.parent
+    loader = importlib.util.spec_from_file_location("cli_digests", root / "tools" / "cli_digests.py")
+    tool = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tool)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "small.cfg").write_text(EXP1_TEXT)
+    runs = tool.digest_runs(root / "src", configs)
+    assert sorted(runs) == sorted(f"{command}/small" for command in tool.COMMANDS)
+    assert main(["solve", "--config", str(configs / "small.cfg"), "--out", str(tmp_path / "o")]) == 0
+    solve = runs["solve/small"]
+    assert solve["exit"] == 0 and solve["stderr"] == ""
+    assert solve["artifacts"] == {
+        name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() for name in ("solution.csv", "solution.svg")
+    }
+    assert runs["stationary/small"]["stdout"].startswith("stationary: a=")

@@ -322,6 +322,18 @@ def test_a_exponential_refusals(exp1_spec, market):
         a_exponential(mixed, 0.0)
 
 
+def test_a_exponential_overflow_raises(exp1_spec):
+    # gamma = 0.9 over T = 400: w = a^10 leaves the double range, while the
+    # march's a(0) stays finite (about 5e85)
+    prefs = dataclasses.replace(exp1_spec.prefs, gamma=0.9)
+    spec = dataclasses.replace(exp1_spec, horizon=400.0, prefs=prefs)
+    assert math.isfinite(a_exponential(spec, 399.0))  # w is finite near T
+    with pytest.raises(OverflowError, match=r"overflow: w = a\^\(1/\(1-gamma\)\) is not finite"):
+        a_exponential(spec, np.linspace(400.0, 0.0, 4001))
+    with pytest.raises(OverflowError, match="overflow"):
+        a_exponential(spec, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # a under log utility
 # ---------------------------------------------------------------------------

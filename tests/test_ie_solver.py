@@ -41,7 +41,6 @@ from tcpolicy.ie_solver import (
     BoundsReport,
     SchemeBreakdownError,
     _ExponentialSum,
-    _LagTable,
     _SchemeTables,
     a_priori_bounds,
     convergence_report,
@@ -163,7 +162,7 @@ def test_A_recursion_matches_trapezoid(exp1_spec):
 def _per_pair_march(spec, N):
     """Reference march: the memory kernel L(t_j, t_n) formed pair by pair
     over j = 0..n-1 at every step, with the survival and Psi factors taken
-    as ratios of exponentials (the form the lag tables replaced)."""
+    as ratios of exponentials (the form the factored sums replaced)."""
     T = spec.horizon
     prefs, ins = spec.prefs, spec.insurance
     gamma = prefs.gamma
@@ -226,16 +225,45 @@ def _mixed_kernel_spec():
     )
 
 
-@pytest.mark.parametrize("N", [400, 4000])
-@pytest.mark.parametrize("config", ["exp1", "experiment", "hump_k5_n10", "mixed"])
+# every (Pareto weight, h_hat) pair, the h part exponential, and an
+# affine-exponential h, on the mixed spec's market, hazard and insurance
+_WEIGHTS = {"constant": ConstantWeight(2.0), "log_taper": LogTaperWeight(5.0)}
+_BEQUESTS = {
+    "exponential": Exponential(0.3),
+    "two_rate": SumOfExponentials(0.4, 0.05, 0.6),
+    "hyperbolic": Hyperbolic.from_unit_value(5.0, 0.3),
+    "affine": AffineExponential(0.2, 0.5),
+}
+_PAIRS = [f"{weight}-{bequest}" for weight in _WEIGHTS for bequest in _BEQUESTS] + ["affine_h"]
+
+
+def _pair_spec(pair):
+    spec = _mixed_kernel_spec()
+    if pair == "affine_h":
+        return dataclasses.replace(spec, discount=AffineExponential(0.3, 0.4))
+    weight, bequest = pair.split("-")
+    prefs = dataclasses.replace(spec.prefs, m_weight=_WEIGHTS[weight], bequest_discount=_BEQUESTS[bequest])
+    return dataclasses.replace(spec, discount=Exponential(0.1), prefs=prefs)
+
+
+@pytest.mark.parametrize(
+    "config, N",
+    [(config, N) for config in ("exp1", "experiment", "hump_k5_n10", "mixed") for N in (400, 4000)]
+    + [(pair, 400) for pair in _PAIRS],
+)
 def test_factored_memory_matches_per_pair_sum(config, N):
     if config == "mixed":
         spec = _mixed_kernel_spec()
         assert legacy_hazard_weight(spec.prefs) / spec.prefs.m0 != 1.0  # q_weight
+    elif config in _PAIRS:
+        spec = _pair_spec(config)
+        assert _SchemeTables(spec, N).parts
     else:
         spec = parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
     ref_a, ref_A = _per_pair_march(spec, N)
     grid = solve_a(spec, N)
+    # the pairs measured at most 1.5e-15 for a and 6.0e-15 for A, the log
+    # taper times the hyperbolic h_hat (53 064 terms) included
     assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
     assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-13
 
@@ -275,7 +303,7 @@ def _offsets(spec, N):
         ("exp1", None, None),  # h = h_hat exponential: both parts vanish
         ("experiment", None, _ExponentialSum),  # log taper times an exponential h_hat
         ("hump_k5_n10", _ExponentialSum, None),  # no hazard: the hbar part vanishes
-        ("mixed", _ExponentialSum, _LagTable),  # two-rate h, affine-exponential h_hat
+        ("mixed", _ExponentialSum, _ExponentialSum),  # two-rate h, affine-exponential h_hat
     ],
 )
 def test_memory_part_representations(config, h_part, hbar_part):
@@ -297,16 +325,12 @@ def test_memory_part_representations(config, h_part, hbar_part):
     expected = []
     h_val = spec.discount.value(lags)
     h_rows = np.stack([h_val, d * h_val])
-    if h_part is _LagTable:
-        expected.append(_LagTable(h_rows, memoryview(d), ones))
-    elif h_part is _ExponentialSum:
+    if h_part is _ExponentialSum:
         terms = spec.discount.exponential_sum(T, step)
         expected.append(_ExponentialSum(*terms, c, step, N, h_rows[:, :_BLOCK], live_d, ones))
     hbar_val = spec.hbar_value(lags[:N])
     hbar_rows = np.stack([hbar_val, (spec.hbar_log_derivative(lags[:N]) - c) * hbar_val])
-    if hbar_part is _LagTable:
-        expected.append(_LagTable(hbar_rows, memoryview(d), q_lam))
-    elif hbar_part is _ExponentialSum:
+    if hbar_part is _ExponentialSum:
         terms = spec.hbar_exponential_sum(step)
         expected.append(_ExponentialSum(*terms, c, step, N, hbar_rows[:, :_BLOCK], live_d, q_lam))
     assert len(tab.parts) == len(expected)
@@ -314,16 +338,15 @@ def test_memory_part_representations(config, h_part, hbar_part):
         assert type(part) is type(want)
         assert np.array_equal(part.rows, want.rows)
         assert np.array_equal(np.array(part.weight), np.array(want.weight))
-        if isinstance(part, _LagTable) or live_d is not None:
+        if live_d is not None:
             assert np.array_equal(np.array(part.d), d)
-        if isinstance(part, _ExponentialSum):
-            assert part.near == want.near
-            assert np.array_equal(part.spread, want.spread)
-            # experiment's h is exponential: d = 0 leaves the d k row alone
-            assert (part.d is None) == (config == "experiment")
-            width = _BLOCK if part.d is None else 2 * _BLOCK
-            assert part.spread.shape == (part.rate.size, width) and len(part.far) == width
-            assert np.array_equal(part.spread, part._spread(_BLOCK)[:, part.columns])
+        assert part.near == want.near
+        assert np.array_equal(part.spread, want.spread)
+        # experiment's h is exponential: d = 0 leaves the d k row alone
+        assert (part.d is None) == (config == "experiment")
+        width = _BLOCK if part.d is None else 2 * _BLOCK
+        assert part.spread.shape == (part.rate.size, width) and len(part.far) == width
+        assert np.array_equal(part.spread, part._spread(_BLOCK)[:, part.columns])
 
 
 def test_exponential_d_weights_exactly_zero():
@@ -342,33 +365,20 @@ def test_exponential_d_weights_exactly_zero():
 # ---------------------------------------------------------------------------
 
 
-class _ReferenceLagTable:
-    def __init__(self, rows):
-        self.rows = np.ascontiguousarray(rows[:, :0:-1])
-        self.nodes = np.empty(rows.shape[1])
-
-    def sums(self, n):
-        return (self.rows[:, -n:] @ self.nodes[:n]).tolist()
-
-    def add(self, n, x):
-        self.nodes[n] = x
-
-    def rescale(self, n, shift):
-        self.nodes[:n] *= shift
-
-
 class _ReferenceExponentialSum:
     def __init__(self, w, r, c, step, N, near):
         B = _BLOCK
         self.rows = np.stack([w, w * (-r - c)])
         self.rate, self.step, self.N = r, step, N
-        self.growth = np.minimum(r, 0.0) if np.any(r < 0.0) else None
+        # a term grows or decays with the lag by the sign of Re r
+        grows = self.grows = r.real < 0.0
+        self.growth = np.where(grows, r, 0.0) if np.any(grows) else None
         m = np.arange(B)
         rate = r[:, None]
-        self.carry = np.exp(-np.maximum(r, 0.0) * (B * step))
-        self.fold = np.exp(np.where(rate < 0.0, rate * m, -rate * (B - m)) * step)
+        self.carry = np.exp(-np.where(grows, 0.0, r) * (B * step))
+        self.fold = np.exp(np.where(grows[:, None], rate * m, -rate * (B - m)) * step)
         self.spread = self._spread(B)
-        self.state = np.zeros(r.size)
+        self.state = np.zeros(r.size, self.rows.dtype)
         self.near = [(near[0, p:0:-1].tolist(), near[1, p:0:-1].tolist()) for p in range(min(B, near.shape[1]))]
         self.block = [0.0] * B
         self.far = [0.0] * (2 * B)
@@ -376,7 +386,7 @@ class _ReferenceExponentialSum:
     def _spread(self, q):
         m = np.arange(q)
         rate = self.rate[:, None]
-        factor = np.exp(np.where(rate < 0.0, rate * (q - 1 - m), -rate * m) * self.step)
+        factor = np.exp(np.where(self.grows[:, None], rate * (q - 1 - m), -rate * m) * self.step)
         return (factor[:, :, None] * self.rows.T[:, None, :]).reshape(self.rate.size, 2 * q)
 
     def _start_block(self, b):
@@ -389,7 +399,7 @@ class _ReferenceExponentialSum:
         else:
             state += np.exp(self.growth * ((b - _BLOCK) * self.step)) * taken
             state = state * np.exp(self.growth * ((self.N - b - q + 1) * self.step))
-        self.far = (state @ (self.spread if q == _BLOCK else self._spread(q))).tolist()
+        self.far = (state @ (self.spread if q == _BLOCK else self._spread(q))).real.tolist()
 
     def sums(self, n):
         p = n % _BLOCK
@@ -424,12 +434,10 @@ def _reference_parts(spec, N):
          spec.hbar_value, dbar, q_weight * lam),
     ):
         if kept:
-            terms = terms_of()
-            n_lags = offset.size if terms is None else min(_BLOCK, offset.size)
+            n_lags = min(_BLOCK, offset.size)
             values = np.asarray(value(lags[:n_lags]), dtype=float)
             rows = np.stack([values, offset[:n_lags] * values])
-            part = _ReferenceLagTable(rows) if terms is None else _ReferenceExponentialSum(*terms, c, step, N, rows)
-            parts.append((part, memoryview(weight)))
+            parts.append((_ReferenceExponentialSum(*terms_of(), c, step, N, rows), memoryview(weight)))
     return parts, memoryview(d)
 
 
@@ -494,7 +502,8 @@ def test_march_bit_identical_to_reference_driver(config, N):
 @pytest.mark.parametrize("bequest, N", [(Exponential(0.1), 2010), (AffineExponential(0.05, 0.1), 2000)])
 def test_rescaled_march_bit_identical_to_reference_driver(market, bequest, N):
     # the log taper's exponential sum, d k row alone and rescaled mid-block,
-    # and a lag table, rescaled, on T = 100 with hazard 2
+    # times an exponential h_hat and times an affine-exponential one, whose
+    # terms are complex, on T = 100 with hazard 2
     _assert_bit_identical(_tapering_long_horizon(market, bequest), N)
 
 
@@ -641,11 +650,11 @@ def _marches(draw):
 def test_march_matches_per_pair_sum_property(case):
     # measured over 5000 random draws: at most 2.1e-14 for the exact
     # families and 3.3e-14 with a hyperbolic kernel, whose exponential sum
-    # fits h to about 1e-15; with a tapering Pareto weight, whose hbar part
-    # is the log taper's exponential sum for an h_hat of one or two rates
-    # and a lag table otherwise, 5000 more draws gave 961 marches of the
-    # first kind, at most 2.8e-15 for a and 1.5e-14 for A, and 1225 of the
-    # second, at most 4.2e-15 and 5.0e-14; the envelopes hold up to 3.0
+    # fits h to about 1e-15; with a tapering Pareto weight, 5000 more draws
+    # gave 961 marches with an h_hat of one or two rates, at most 2.8e-15
+    # for a and 1.5e-14 for A, and 1225 with a hyperbolic or
+    # affine-exponential h_hat, at most 4.2e-15 and 5.0e-14 (measured while
+    # those two took the sum over every lag); the envelopes hold up to 3.0
     # times the first-order error estimate |a_N - a_2N| (the lower one is
     # the exact solution when rho = lambda = 0)
     spec, N = case
@@ -703,7 +712,7 @@ def _long_horizon(spec, horizon, hazard, discount=None):
 def test_long_horizon_matches_closed_form(exp1_spec, horizon, hazard):
     # Lambda(T) = 800, 1000, 1600: e^(-Lambda) underflows.  exp1 keeps no
     # memory part, so no node weight is formed and none is rescaled here
-    # (see test_lag_table_rescaled_on_long_horizon).  The first-order error
+    # (see test_affine_taper_sum_rescaled_on_long_horizon).  The first-order error
     # measures 0.13, 0.07 and 0.21 T/N.
     spec = _long_horizon(exp1_spec, horizon, hazard)
     N = 4000
@@ -733,11 +742,14 @@ def _spy_rescale(monkeypatch, part_type):
     return calls
 
 
-def test_lag_table_rescaled_on_long_horizon(market, monkeypatch):
-    # the log taper times an affine-exponential h_hat has no short sum and
-    # keeps the hbar part as a lag table
+def test_affine_taper_sum_rescaled_on_long_horizon(market, monkeypatch):
+    # the log taper times an affine-exponential h_hat: an exponential sum
+    # with complex rates, rescaled once, at the node a lag table of every
+    # lag was rescaled at
     spec = _tapering_long_horizon(market, AffineExponential(0.05, 0.1))
-    calls = _spy_rescale(monkeypatch, _LagTable)
+    (part,) = _SchemeTables(spec, 2000).parts
+    assert np.iscomplexobj(part.rate)
+    calls = _spy_rescale(monkeypatch, _ExponentialSum)
     N = 2000
     grid = solve_a(spec, N)
     assert calls == [1038]
@@ -760,7 +772,7 @@ def test_log_taper_sum_rescaled_mid_block_on_long_horizon(market, monkeypatch):
     grid = solve_a(spec, N)
     assert calls and any(n % _BLOCK for n in calls)
     ref_a, ref_A = _per_pair_march(spec, N)
-    # measured 3.2e-16 for a and 4.4e-13 for A (A as in the lag-table test)
+    # measured 3.2e-16 for a and 4.4e-13 for A (A as in the affine test above)
     assert np.max(np.abs(grid.a_values - ref_a) / ref_a) <= 1e-13
     assert np.max(np.abs(grid.A_values - ref_A) / ref_A) <= 1e-12
 
@@ -884,22 +896,33 @@ def test_rhs_matches_finite_difference_of_closed_form(exp1_spec):
     assert _first_step_quotient(grid) == pytest.approx(fd, abs=1e-4)
 
 
+def _part_with_both_rows(spec, N, terms, value, offset, weight):
+    """An exponential-sum part of the kernel ``value`` kept with both lag
+    rows, d included, whether or not d vanishes on the grid."""
+    step = spec.horizon / N
+    d, c = _offsets(spec, N)
+    values = value(np.linspace(0.0, spec.horizon, N + 1)[:_BLOCK])
+    rows = np.stack([values, offset[:_BLOCK] * values])
+    return _ExponentialSum(*terms, c, step, N, rows, memoryview(d), memoryview(weight))
+
+
 def test_exponential_kernel_degeneracy(exp1_spec):
     # h = h_hat exponential with constant m: the memory kernel L vanishes,
     # so the march keeps no memory part and makes no call for one; built
-    # anyway as lag tables, both parts bracket to exactly 0 at every step
+    # anyway, with both lag rows, both parts bracket to exactly 0 at every step
     N = 200
     grid = solve_a(exp1_spec, N)
     assert _SchemeTables(exp1_spec, N).parts == []
-    gamma = exp1_spec.prefs.gamma
-    lags = np.linspace(0.0, exp1_spec.horizon, N + 1)
+    gamma, T, step = exp1_spec.prefs.gamma, exp1_spec.horizon, exp1_spec.horizon / N
+    lags = np.linspace(0.0, T, N + 1)
     d, c = _offsets(exp1_spec, N)
     dbar = np.asarray(exp1_spec.hbar_log_derivative(lags[:N])) - c
     assert not np.any(d) and not np.any(dbar)
-    h_val, hbar_val = exp1_spec.discount.value(lags), exp1_spec.hbar_value(lags[:N])
     parts = [
-        _LagTable(np.stack([h_val, d * h_val]), memoryview(d), memoryview(np.ones(N + 1))),
-        _LagTable(np.stack([hbar_val, dbar * hbar_val]), memoryview(d), memoryview(exp1_spec.mortality.rate(lags))),
+        _part_with_both_rows(exp1_spec, N, exp1_spec.discount.exponential_sum(T, step), exp1_spec.discount.value, d,
+                             np.ones(N + 1)),
+        _part_with_both_rows(exp1_spec, N, exp1_spec.hbar_exponential_sum(step), exp1_spec.hbar_value, dbar,
+                             exp1_spec.mortality.rate(lags)),
     ]
     f = (grid.a_values ** (gamma / (gamma - 1.0)) * grid.A_values).tolist()
     for n in range(N):
@@ -908,16 +931,15 @@ def test_exponential_kernel_degeneracy(exp1_spec):
 
 def test_experiment_h_part_vanishes(experiment_spec):
     # h exponential: d = 0 at every lag, so the h part of L is exactly zero
-    # and is skipped; as a lag table it would bracket to 0.0 at every step
+    # and is skipped; built with both lag rows it brackets to 0.0 at every step
     N = 200
     grid = solve_a(experiment_spec, N)
     (hbar_part,) = _SchemeTables(experiment_spec, N).parts
     assert isinstance(hbar_part, _ExponentialSum) and len(hbar_part.near) == _BLOCK  # lags 0..B-1
-    gamma = experiment_spec.prefs.gamma
-    lags = np.linspace(0.0, experiment_spec.horizon, N + 1)
-    h_val = experiment_spec.discount.value(lags)
+    gamma, T = experiment_spec.prefs.gamma, experiment_spec.horizon
     d, _ = _offsets(experiment_spec, N)
-    part = _LagTable(np.stack([h_val, d * h_val]), memoryview(d), memoryview(np.ones(N + 1)))
+    terms = experiment_spec.discount.exponential_sum(T, T / N)
+    part = _part_with_both_rows(experiment_spec, N, terms, experiment_spec.discount.value, d, np.ones(N + 1))
     f = (grid.a_values ** (gamma / (gamma - 1.0)) * grid.A_values).tolist()
     for n in range(N):
         assert part.bracket(n, f[n]) == 0.0
@@ -998,6 +1020,16 @@ def test_bounds_constants_exp1(exp1_spec):
     assert rep.rho_prime == pytest.approx(0.02, abs=1e-12)
     assert rep.c0 == pytest.approx(0.02 + 0.3 + 0.080625 + 0.02, abs=1e-12)
     assert rep.d1 == pytest.approx(2.04, abs=1e-12)
+
+
+def test_bounds_refuse_times_outside_horizon(exp1_spec):
+    # upper_curve(1e9) read 61.9 and lower_curve(nan) read nan
+    rep = a_priori_bounds(exp1_spec)
+    for curve in (rep.lower_curve, rep.upper_curve):
+        for t in (1e9, -0.5, math.nan, np.array([0.5, math.nan]), np.array([0.0, exp1_spec.horizon + 1e-9])):
+            with pytest.raises(ValidationError, match="outside"):
+                curve(t)
+        assert np.all(np.isfinite(curve(np.linspace(0.0, exp1_spec.horizon, 11))))
 
 
 def test_bounds_terminal_value(exp1_spec):

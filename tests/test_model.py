@@ -360,6 +360,17 @@ def test_log_taper_weight_shape():
     assert np.all(m.log_derivative(t) < 0.0)
 
 
+@pytest.mark.parametrize("method", ["value", "log_derivative"])
+@pytest.mark.parametrize("t", [-1.0, 4.5, 1e9, math.nan])
+def test_log_taper_weight_refuses_time_outside_horizon(method, t):
+    # value(-1.0) read 36.1 and log_derivative(1e9) read nan
+    m = LogTaperWeight(horizon=4.0)
+    with pytest.raises(ValidationError, match="outside"):
+        getattr(m, method)(t)
+    with pytest.raises(ValidationError, match="outside"):
+        getattr(m, method)(np.array([0.0, t]))
+
+
 def test_model_spec_horizon_consistency(market):
     with pytest.raises(ValidationError):
         ModelSpec(

@@ -133,6 +133,14 @@ def test_legacy_examples(exp1_spec):
     assert legacy(exp1_spec, 0.1, 0.0, 1.0) == pytest.approx(50.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [math.nan, -0.1, 1.5])
+def test_legacy_refuses_time_outside_horizon(exp1_spec, t):
+    # legacy(t = nan) returned 6.0, as if l(t) were 50
+    with pytest.raises(ValidationError, match="outside"):
+        legacy(exp1_spec, t, 1.0, 0.1)
+    assert legacy(exp1_spec, exp1_spec.horizon, 1.0, 0.1) == pytest.approx(6.0, rel=1e-14)
+
+
 def test_legacy_of_equilibrium_premium(exp1_spec, exp1_curves):
     a_curve, b_curve = exp1_curves
     t, x = 0.35, 2.4
