@@ -202,8 +202,7 @@ def a_log(spec: ModelSpec, t: float) -> float:
     """Value coefficient for log utility: ``int_t^T (Q + q) ds + n Q(T, t)``."""
     if not spec.prefs.is_log:
         raise ValidationError("a_log: requires gamma = 0")
-    if not 0.0 <= t <= spec.horizon:
-        raise ValidationError("a_log: t outside [0, T]")
+    t = float(check_horizon_times(t, spec.horizon, "a_log"))
 
     def source(s):
         return kernel_Q(spec, s, t) + kernel_q(spec, s, t)

@@ -19,6 +19,7 @@ inputs and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _check_nonnegative_time(t) -> np.ndarray | float:
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):  # NaN fails too
-        raise ValidationError("time must be nonnegative")
-    return t if t.ndim else float(t)
-
-
 def check_horizon_times(t, horizon: float, name: str) -> np.ndarray:
     """``t`` as a float array, refused unless every time lies in [0, horizon]."""
     t = np.asarray(t, dtype=float)
@@ -90,6 +84,7 @@ def check_horizon_times(t, horizon: float, name: str) -> np.ndarray:
 
 # log of the relative size of each dropped tail of a quadrature sum
 _LOG_TAIL = math.log(1e-17)
+_LAG = "discount kernel: nonnegative lag needed"
 
 
 class DiscountKernel:
@@ -123,12 +118,13 @@ class Exponential(DiscountKernel):
         _require(self.rho >= 0, "Exponential: rho must be >= 0")
 
     def value(self, t):
-        t = _check_nonnegative_time(t)
-        return np.exp(-self.rho * np.asarray(t, dtype=float)) if np.ndim(t) else math.exp(-self.rho * t)
+        t = check_horizon_times(t, math.inf, _LAG)
+        out = np.exp(-self.rho * t)
+        return out if t.ndim else float(out)
 
     def log_derivative(self, t):
-        t = _check_nonnegative_time(t)
-        return np.full_like(np.asarray(t, dtype=float), -self.rho) if np.ndim(t) else -self.rho
+        t = check_horizon_times(t, math.inf, _LAG)
+        return np.full_like(t, -self.rho) if t.ndim else -self.rho
 
     def exponential_sum(self, horizon: float, step: float):
         return np.array([1.0]), np.array([self.rho])
@@ -157,12 +153,10 @@ class Hyperbolic(DiscountKernel):
         return cls(k1, k2)
 
     def value(self, t):
-        t = _check_nonnegative_time(t)
-        return np.power(1.0 + self.k1 * np.asarray(t, dtype=float), -self.k2 / self.k1)
+        return np.power(1.0 + self.k1 * check_horizon_times(t, math.inf, _LAG), -self.k2 / self.k1)
 
     def log_derivative(self, t):
-        t = _check_nonnegative_time(t)
-        return -self.k2 / (1.0 + self.k1 * np.asarray(t, dtype=float))
+        return -self.k2 / (1.0 + self.k1 * check_horizon_times(t, math.inf, _LAG))
 
     def exponential_sum(self, horizon: float, step: float):
         """Trapezoid nodes of ``(1 + k1 t)^(-p) = Gamma(p)^(-1) int exp(p x -
@@ -194,11 +188,11 @@ class SumOfExponentials(DiscountKernel):
         _require(self.r1 >= 0 and self.r2 >= 0, "SumOfExponentials: rates must be >= 0")
 
     def value(self, t):
-        t = np.asarray(_check_nonnegative_time(t), dtype=float)
+        t = check_horizon_times(t, math.inf, _LAG)
         return self.weight * np.exp(-self.r1 * t) + (1.0 - self.weight) * np.exp(-self.r2 * t)
 
     def log_derivative(self, t):
-        t = np.asarray(_check_nonnegative_time(t), dtype=float)
+        t = check_horizon_times(t, math.inf, _LAG)
         num = -self.weight * self.r1 * np.exp(-self.r1 * t) - (1.0 - self.weight) * self.r2 * np.exp(-self.r2 * t)
         return num / self.value(t)
 
@@ -220,11 +214,11 @@ class AffineExponential(DiscountKernel):
         _require(0.0 <= self.a_coef <= self.r_rate, "AffineExponential: need 0 <= a_coef <= r_rate")
 
     def value(self, t):
-        t = np.asarray(_check_nonnegative_time(t), dtype=float)
+        t = check_horizon_times(t, math.inf, _LAG)
         return (1.0 + self.a_coef * t) * np.exp(-self.r_rate * t)
 
     def log_derivative(self, t):
-        t = np.asarray(_check_nonnegative_time(t), dtype=float)
+        t = check_horizon_times(t, math.inf, _LAG)
         return self.a_coef / (1.0 + self.a_coef * t) - self.r_rate
 
     def exponential_sum(self, horizon: float, step: float):
@@ -261,6 +255,12 @@ class ConstantHazard:
         out = self.lambda0 * t
         return out if t.ndim else float(out)
 
+    def inverse_cumulative(self, target):
+        """The t with ``cumulative(t) = target``; inf for a zero hazard."""
+        target = np.asarray(target, dtype=float)
+        out = target / self.lambda0 if self.lambda0 > 0.0 else np.full_like(target, np.inf)
+        return out if target.ndim else float(out)
+
 
 @dataclass(frozen=True)
 class AffineHazard:
@@ -282,6 +282,17 @@ class AffineHazard:
         out = self.lambda0 * t + 0.5 * self.lambda1 * t * t
         return out if t.ndim else float(out)
 
+    def inverse_cumulative(self, target):
+        """The least t >= 0 with ``cumulative(t) = target``; inf past ``lambda0^2
+        / (2 |lambda1|)``, all that a decreasing hazard (lambda1 < 0) integrates to."""
+        lam0, lam1 = self.lambda0, self.lambda1
+        if lam1 == 0.0:
+            return ConstantHazard(lam0).inverse_cumulative(target)
+        target = np.asarray(target, dtype=float)
+        disc = lam0 * lam0 + 2.0 * lam1 * target
+        out = np.where(disc >= 0.0, (-lam0 + np.sqrt(np.maximum(disc, 0.0))) / lam1, np.inf)
+        return out if target.ndim else float(out)
+
 
 MortalityModel = ConstantHazard | AffineHazard
 
@@ -289,11 +300,11 @@ MortalityModel = ConstantHazard | AffineHazard
 def survival(mortality: MortalityModel, t, s):
     """Probability of surviving from t to s, ``exp(-int_t^s lambda)``.
 
-    Uses the closed-form integrated hazard; requires ``t <= s``.
+    Uses the closed-form integrated hazard; requires ``t <= s`` (NaN fails).
     """
     t_arr = np.asarray(t, dtype=float)
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < t_arr):
+    if not np.all(t_arr <= s_arr):
         raise ValidationError("survival: need t <= s")
     out = np.exp(mortality.cumulative(t_arr) - mortality.cumulative(s_arr))
     return out if out.ndim else float(out)
@@ -424,13 +435,11 @@ class ConstantPayout(PayoutRatio):
 
     def inverse(self, t):
         t = np.asarray(t, dtype=float)
-        inv = 0.0 if math.isinf(self.payout) else 1.0 / self.payout
-        return np.full_like(t, inv) if t.ndim else inv
+        return np.full_like(t, 1.0 / self.payout) if t.ndim else 1.0 / self.payout
 
     def integrated_inverse(self, t):
         t = np.asarray(t, dtype=float)
-        inv = 0.0 if math.isinf(self.payout) else 1.0 / self.payout
-        out = inv * t
+        out = (1.0 / self.payout) * t
         return out if t.ndim else float(out)
 
 
@@ -526,7 +535,7 @@ class ModelSpec:
     horizon: float
 
     def __post_init__(self):
-        _require(self.horizon > 0, "ModelSpec: horizon must be > 0")
+        _require(0.0 < self.horizon < math.inf, "ModelSpec: horizon must be > 0 and finite")
         lam_T = self.mortality.rate(self.horizon)
         _require(lam_T >= 0, "ModelSpec: hazard rate must stay >= 0 on [0, T]")
         if isinstance(self.prefs.m_weight, LogTaperWeight):
@@ -585,7 +594,11 @@ class SimConfig:
     scheme: str = EXACT_Y
 
     def __post_init__(self):
-        _require(self.paths >= 1, "SimConfig: paths must be >= 1")
+        _require(isinstance(self.paths, numbers.Integral) and self.paths >= 1, "SimConfig: need integer paths >= 1")
+        _require(
+            isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64,
+            "SimConfig: seed must be an integer in [0, 2^64)",
+        )
         _require(self.dt > 0.0, "SimConfig: dt must be > 0")
         _require(self.scheme in (EXACT_Y, EULER), f"SimConfig: unknown scheme {self.scheme!r}")
 
@@ -595,26 +608,23 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_arguments(spec: ModelSpec, s, t, name: str):
+    """``(s, lag s - t, survival from t to s)`` for times s and t in [0, T]."""
+    s = check_horizon_times(s, spec.horizon, name)
+    t = check_horizon_times(t, spec.horizon, name)
+    return s, s - t, survival(spec.mortality, t, s)
+
+
 def kernel_Q(spec: ModelSpec, s, t):
     """Survival-adjusted own discount kernel ``Q(s,t) = h(s-t) exp(-int_t^s lambda)``."""
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(s_arr > spec.horizon + 1e-12):
-        raise ValidationError("kernel_Q: need s <= horizon")
-    return spec.discount.value(s_arr - t_arr) * survival(spec.mortality, t_arr, s_arr)
+    _, lag, surv = _kernel_arguments(spec, s, t, "kernel_Q")
+    return spec.discount.value(lag) * surv
 
 
 def kernel_q(spec: ModelSpec, s, t):
     """Legacy kernel ``q(s,t) = m(s-t) h_hat(s-t) lambda(s) exp(-int_t^s lambda)``."""
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(s_arr > spec.horizon + 1e-12):
-        raise ValidationError("kernel_q: need s <= horizon")
-    return (
-        spec.hbar_value(s_arr - t_arr)
-        * spec.mortality.rate(s_arr)
-        * survival(spec.mortality, t_arr, s_arr)
-    )
+    s, lag, surv = _kernel_arguments(spec, s, t, "kernel_q")
+    return spec.hbar_value(lag) * spec.mortality.rate(s) * surv
 
 
 def constant_K(market: MarketParams, gamma: float) -> float:

@@ -12,6 +12,7 @@ Merton fraction the classical ``mu/sigma^2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,18 @@ class PolicyTriple:
     insurance_premium: float
 
 
-def _shifted_wealth(b_curve, t: float, x: float) -> float:
-    y = x + float(b_curve(t))
-    if not y > 0.0:  # NaN fails too
-        raise ValidationError("wealth below human-capital floor: x + b(t) <= 0")
+def _shifted_wealth(x, b):
+    """``y = x + b``, refused unless finite and above the human-capital floor 0."""
+    y = x + b
+    if not 0.0 < y < math.inf:  # NaN fails too
+        raise ValidationError("wealth below human-capital floor or not finite: need 0 < x + b(t) < inf")
     return y
 
 
 def _crra_rate(a, gamma: float) -> np.ndarray:
     """``a^(1/(gamma-1))`` for a > 0; the exponent is exactly -1 at gamma = 0."""
     a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
+    if not np.all(a > 0.0):  # NaN fails too
         raise ValidationError("a(t) must be positive")
     return a ** (1.0 / (gamma - 1.0))
 
@@ -102,12 +104,13 @@ def feedback_rates(spec: ModelSpec, a, t) -> FeedbackRates:
 
 def policy_at(a_curve, b_curve, spec: ModelSpec, t: float, x: float) -> PolicyTriple:
     """Evaluate the equilibrium feedback triple at (t, x)."""
-    y = _shifted_wealth(b_curve, t, x)
+    b = float(b_curve(t))
+    y = _shifted_wealth(x, b)
     rates = feedback_rates(spec, float(a_curve(t)), t)
     return PolicyTriple(
         stock_amount=float(rates.merton * y),
         consumption=float(rates.consumption * y),
-        insurance_premium=float(rates.premium(x, float(b_curve(t)))),
+        insurance_premium=float(rates.premium(x, b)),
     )
 
 
@@ -131,7 +134,7 @@ def value_function(a_curve, b_curve, gamma: float, t: float, x: float) -> float:
     For gamma = 0 this returns ``a(t) log(x + b(t))`` which omits a purely
     time-dependent additive term; treat the log branch as policies-only.
     """
-    y = _shifted_wealth(b_curve, t, x)
+    y = _shifted_wealth(x, float(b_curve(t)))
     return float(a_curve(t)) * crra_utility(y, gamma)
 
 

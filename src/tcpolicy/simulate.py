@@ -3,9 +3,10 @@
 Simulates equilibrium wealth paths and estimates the intertemporal
 criterion J two independent ways: via the mortality-adjusted kernels
 (integrating Q and q over the full horizon) and via explicit death-time
-sampling.  Both must reproduce ``v(t0, x0) = a(t0) U_gamma(x0 + b(t0))``
-within Monte Carlo error — that equality is the defining property of the
-equilibrium, not an optimality statement.
+sampling, which inverts the integrated hazard with the mortality model's
+own ``inverse_cumulative``.  Both must reproduce ``v(t0, x0) = a(t0)
+U_gamma(x0 + b(t0))`` within Monte Carlo error — that equality is the
+defining property of the equilibrium, not an optimality statement.
 
 Both schemes build paths of the shifted wealth ``Y = X + b``, whose drift
 and volatility under the feedback policy are ``nu Y`` and ``kappa Y``:
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EULER, EXACT_Y, ModelSpec, SimConfig, ValidationError, crra_utility, kernel_Q, kernel_q, weight_M
-from .policy import feedback_rates, value_function
+from .policy import _shifted_wealth, feedback_rates, value_function
 
 __all__ = [
     "EXACT_Y",
@@ -170,9 +171,7 @@ class _SimContext:
         self.gamma = spec.prefs.gamma
         self.b = np.asarray(b_curve(self.times), dtype=float)
         self.rates = rates = feedback_rates(spec, a_curve(self.times), self.times)
-        self.y0 = x0 + self.b[0]
-        if self.y0 <= 0.0:
-            raise ValidationError("wealth below human-capital floor: x0 + b(t0) <= 0")
+        self.y0 = _shifted_wealth(x0, self.b[0])
 
         self.kappa = market.sigma * rates.merton
         M = np.asarray(weight_M(spec.prefs, ins, self.times), dtype=float)
@@ -405,8 +404,7 @@ def _samples(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> tuple[np.ndarray
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     k_weights, k_offset = _kernel_weights(ctx)
     hval = np.asarray(spec.discount.value(ctx.times - t0), dtype=float)
-    h_T = float(spec.discount.value(spec.horizon - t0))
-    m_weights, m_offset = _node_weights(ctx, ((hval, ctx.rates.consumption),), spec.prefs.n * h_T)
+    m_weights, m_offset = _node_weights(ctx, ((hval, ctx.rates.consumption),), spec.prefs.n * hval[-1])
 
     # blocks write into the caller's arrays: per-block results kept until the
     # end would fragment the workers' malloc arenas, and raised the peak RSS
@@ -454,24 +452,10 @@ def estimate_J_kernel(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> Estimat
 
 
 def _sample_death_times(spec: ModelSpec, t0: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF death times conditional on survival to t0.
-
-    Solves ``Lambda(tau) = Lambda(t0) + E`` with E ~ Exp(1) using the
-    closed-form integrated hazard (linear or quadratic); tau = inf when
-    the hazard is identically zero, and where the target exceeds
-    ``lambda0^2 / (2 |lambda1|)``, the most a decreasing hazard
-    (lambda1 < 0) ever integrates to.
-    """
-    e = -np.log(u)
-    target = spec.mortality.cumulative(t0) + e
-    lam0 = spec.mortality.lambda0
-    lam1 = getattr(spec.mortality, "lambda1", 0.0)
-    if lam1 == 0.0:
-        if lam0 == 0.0:
-            return np.full_like(u, np.inf)
-        return target / lam0
-    disc = lam0 * lam0 + 2.0 * lam1 * target
-    return np.where(disc >= 0.0, (-lam0 + np.sqrt(np.maximum(disc, 0.0))) / lam1, np.inf)
+    """Inverse-CDF death times conditional on survival to t0: ``Lambda(tau)
+    = Lambda(t0) + E`` with E = -log u ~ Exp(1); tau = inf where the hazard
+    never integrates that far."""
+    return spec.mortality.inverse_cumulative(spec.mortality.cumulative(t0) - np.log(u))
 
 
 def estimate_J_mortality(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> EstimateReport:

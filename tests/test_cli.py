@@ -892,6 +892,13 @@ def test_exit_2_on_nonpositive_hyperbolic_k1(tmp_path, capsys, k1):
     assert "refused" in capsys.readouterr().err
 
 
+def test_exit_2_on_negative_seed(tmp_path, capsys):
+    # a seed of -1 was masked to 2^64 - 1 and ran
+    cfg = _write(tmp_path, EXP1_TEXT.replace("mc.seed = 7", "mc.seed = -1"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--no-svg"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_exit_2_on_invalid_model_value(tmp_path, capsys):
     text = EXP1_TEXT.replace("market.sigma = 0.2", "market.sigma = -0.2")
     cfg = _write(tmp_path, text)

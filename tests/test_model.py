@@ -1,5 +1,6 @@
 """Primitive kernels, survival law, and derived constants."""
 
+import dataclasses
 import math
 import warnings
 
@@ -129,6 +130,14 @@ def test_nan_time_rejected(kernel, t):
         kernel.log_derivative(t)
 
 
+def test_exponential_scalar_value_bit_identical_to_array():
+    # scalar times took math.exp, which differed in the last bit from the
+    # array values at 4 638 of these times
+    h = Exponential(0.8)
+    t = np.linspace(0.0, 50.0, 100001)
+    assert np.array_equal([h.value(float(ti)) for ti in t], h.value(t))
+
+
 def test_kernel_parameter_validation():
     with pytest.raises(ValidationError):
         Hyperbolic(k1=0.0, k2=1.0)
@@ -177,6 +186,36 @@ def test_survival_rejects_reversed_times():
         survival(ConstantHazard(0.1), 2.0, 1.0)
 
 
+@pytest.mark.parametrize("t, s", [(math.nan, 1.0), (0.0, math.nan), (np.array([0.0, math.nan]), 1.0)])
+def test_survival_refuses_nan_time(t, s):
+    # survival(lambda, nan, 1.0) returned nan
+    with pytest.raises(ValidationError, match="need t <= s"):
+        survival(ConstantHazard(0.1), t, s)
+
+
+@pytest.mark.parametrize(
+    "hazard",
+    [
+        ConstantHazard(0.02),
+        AffineHazard(lambda0=0.005, lambda1=0.001125),
+        AffineHazard(lambda0=0.02, lambda1=-0.001),  # decreasing, zero at t = 20
+        AffineHazard(lambda0=0.0, lambda1=0.01),
+        AffineHazard(lambda0=0.03, lambda1=0.0),
+    ],
+    ids=["constant", "affine", "affine_decreasing", "affine_lambda0_zero", "affine_lambda1_zero"],
+)
+def test_inverse_cumulative_inverts_cumulative(hazard):
+    t = np.linspace(0.0, 15.0, 301)
+    assert np.max(np.abs(hazard.inverse_cumulative(hazard.cumulative(t)) - t)) <= 1e-12
+    assert abs(hazard.inverse_cumulative(hazard.cumulative(2.5)) - 2.5) <= 1e-12
+
+
+def test_inverse_cumulative_beyond_reach_is_infinite():
+    assert np.all(np.isinf(ConstantHazard(0.0).inverse_cumulative(np.array([0.5, 2.0]))))
+    # a hazard 0.02 - 0.001 t integrates to at most 0.02^2 / 0.002 = 0.2
+    assert math.isinf(AffineHazard(lambda0=0.02, lambda1=-0.001).inverse_cumulative(0.3))
+
+
 # ---------------------------------------------------------------------------
 # Kernels Q and q
 # ---------------------------------------------------------------------------
@@ -211,6 +250,21 @@ def test_kernel_Q_time_derivative_identity(experiment_spec):
     fd = (kernel_Q(spec, s, t + eps) - kernel_Q(spec, s, t - eps)) / (2 * eps)
     expected = (spec.mortality.rate(t) - spec.discount.log_derivative(s - t)) * kernel_Q(spec, s, t)
     assert fd == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("kernel", [kernel_Q, kernel_q], ids=["Q", "q"])
+@pytest.mark.parametrize(
+    "s, t",
+    [(-1.0, -2.0), (0.5, -0.1), (math.nan, 0.0), (0.5, math.nan), (1.0 + 1e-13, 0.0), (1.5, 0.5)],
+    ids=["negative", "negative_t", "nan_s", "nan_t", "just_beyond_T", "beyond_T"],
+)
+def test_kernels_refuse_times_outside_horizon(exp1_spec, kernel, s, t):
+    # kernel_Q(exp1, -1, -2) returned 0.887; NaN times were refused only by
+    # the lag check of h, and s up to T + 1e-12 was accepted
+    with pytest.raises(ValidationError, match=f"{kernel.__name__}: t outside"):
+        kernel(exp1_spec, s, t)
+    with pytest.raises(ValidationError, match=f"{kernel.__name__}: t outside"):
+        kernel(exp1_spec, np.array([1.0, s]), np.array([0.0, t]))
 
 
 def test_kernel_domain_errors(exp1_spec):
@@ -369,6 +423,13 @@ def test_log_taper_weight_refuses_time_outside_horizon(method, t):
         getattr(m, method)(t)
     with pytest.raises(ValidationError, match="outside"):
         getattr(m, method)(np.array([0.0, t]))
+
+
+def test_model_spec_refuses_infinite_horizon(exp1_spec):
+    # an infinite horizon constructed, and solve_a then refused it with a
+    # false "positivity assumption fails: min(...) = nan < 0"
+    with pytest.raises(ValidationError, match="finite"):
+        dataclasses.replace(exp1_spec, horizon=math.inf)
 
 
 def test_model_spec_horizon_consistency(market):

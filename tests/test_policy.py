@@ -21,6 +21,7 @@ from tcpolicy.closed_form import b_function
 from tcpolicy.ie_solver import solve_a
 from tcpolicy.policy import (
     consumption_rate,
+    feedback_rates,
     find_satiation,
     legacy,
     policy_at,
@@ -72,6 +73,15 @@ def test_nan_wealth_refused(exp1_spec, exp1_curves):
         policy_at(a_curve, b_curve, exp1_spec, 0.5, math.nan)
     with pytest.raises(ValidationError, match="floor"):
         value_function(a_curve, b_curve, exp1_spec.prefs.gamma, 0.5, math.nan)
+
+
+def test_infinite_wealth_refused(exp1_spec, exp1_curves):
+    # an infinite wealth passed the floor check and gave infinite policies
+    a_curve, b_curve = exp1_curves
+    with pytest.raises(ValidationError, match="floor"):
+        policy_at(a_curve, b_curve, exp1_spec, 0.5, math.inf)
+    with pytest.raises(ValidationError, match="floor"):
+        value_function(a_curve, b_curve, exp1_spec.prefs.gamma, 0.5, math.inf)
 
 
 def test_log_branch_uses_classical_merton_amount(log_spec):
@@ -126,6 +136,14 @@ def test_consumption_rate_examples():
     assert consumption_rate(lambda t: 2.0, 0.0, 0.0) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(ValidationError):
         consumption_rate(lambda t: 0.0, -1.0, 0.0)
+
+
+def test_nan_value_coefficient_refused(exp1_spec):
+    # a(t) = NaN passed the positivity check and gave a NaN consumption rate
+    with pytest.raises(ValidationError, match="positive"):
+        consumption_rate(lambda t: math.nan, -1.0, 0.0)
+    with pytest.raises(ValidationError, match="positive"):
+        feedback_rates(exp1_spec, np.array([1.0, math.nan]), np.array([0.0, 0.5]))
 
 
 def test_legacy_examples(exp1_spec):

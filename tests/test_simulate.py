@@ -867,6 +867,29 @@ def test_sim_config_validation():
         SimConfig(paths=10, seed=1, dt=1e-3, scheme="milstein")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+def test_sim_config_refuses_seed_outside_64_bits(seed):
+    # the stream key masked the seed to 64 bits: seeds -1 and 2^64 - 1 gave
+    # the same estimate, and so did 5 and 5 + 2^64
+    with pytest.raises(ValidationError, match="seed"):
+        SimConfig(paths=10, seed=seed, dt=1e-3)
+    assert SimConfig(paths=10, seed=2**64 - 1, dt=1e-3).seed == 2**64 - 1
+
+
+def test_sim_config_refuses_fractional_paths():
+    with pytest.raises(ValidationError, match="paths"):
+        SimConfig(paths=1.5, seed=1, dt=1e-3)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf])
+@pytest.mark.parametrize("run", [estimate_J_kernel, estimate_J_mortality, simulate_wealth])
+def test_nonfinite_start_wealth_refused(exp1_spec, exp1_solution, run, x0):
+    # x0 = nan gave NaN estimates and x0 = inf gave 0.0 +- 0.0
+    a_curve, b_curve = exp1_solution
+    with pytest.raises(ValidationError, match="floor"):
+        run(exp1_spec, a_curve, b_curve, 0.0, x0, SimConfig(paths=50, seed=1, dt=0.01))
+
+
 def test_start_state_validation(exp1_spec, exp1_solution):
     a_curve, b_curve = exp1_solution
     with pytest.raises(ValidationError, match="floor"):
