@@ -381,34 +381,33 @@ def emit_svg_plot(series, labels, path, title: str = "") -> None:
 
 
 def _solved_curves(rc: RunConfig):
+    """t, a, A and b at the solver's nodes, in ascending t.
+
+    The solvers march back from T; each curve is reversed into a contiguous
+    copy, because ``a ** p`` on a reversed view takes numpy's strided loop,
+    which rounds differently.
+    """
     from . import closed_form, ie_solver
 
-    return ie_solver.solve_a(rc.spec, rc.grid_n), closed_form.solve_b(rc.spec, rc.grid_n)
+    grid = ie_solver.solve_a(rc.spec, rc.grid_n)
+    curves = grid.times, grid.a_values, grid.A_values, closed_form.solve_b(rc.spec, rc.grid_n)
+    return [np.ascontiguousarray(x[::-1]) for x in curves]
 
 
 def _cmd_solve(rc: RunConfig, out: Path, svg: bool) -> None:
-    grid, b_vals = _solved_curves(rc)
-    order = np.argsort(grid.times)
-    rows = zip(grid.times[order], grid.a_values[order], grid.A_values[order], b_vals[order])
-    emit_csv(rows, ["t", "a", "A", "b"], out / "solution.csv")
+    t, a, A, b = _solved_curves(rc)
+    emit_csv(zip(t, a, A, b), ["t", "a", "A", "b"], out / "solution.csv")
     if svg:
-        emit_svg_plot(
-            [(grid.times[order], grid.a_values[order]), (grid.times[order], b_vals[order])],
-            ["a", "b"],
-            out / "solution.svg",
-            title="value coefficient and income floor",
-        )
+        emit_svg_plot([(t, a), (t, b)], ["a", "b"], out / "solution.svg", title="value coefficient and income floor")
 
 
 def _cmd_policies(rc: RunConfig, out: Path, svg: bool) -> None:
     from . import policy
 
-    grid, b_vals = _solved_curves(rc)
-    order = np.argsort(grid.times)
-    t = grid.times[order]
-    rates = policy.feedback_rates(rc.spec, grid.a_values[order], t)
+    t, a, _, b = _solved_curves(rc)
+    rates = policy.feedback_rates(rc.spec, a, t)
     rate, x_coef = rates.consumption, rates.premium_x
-    rows = zip(t, rate, np.full_like(t, rates.merton), x_coef, rates.premium_b * b_vals[order])
+    rows = zip(t, rate, np.full_like(t, rates.merton), x_coef, rates.premium_b * b)
     emit_csv(
         rows,
         ["t", "consumption_rate", "merton_fraction", "insurance_x_coef", "insurance_b_coef"],
@@ -486,12 +485,10 @@ def _cmd_converge(rc: RunConfig, out: Path, svg: bool) -> None:
 
 
 def _cmd_hump(rc: RunConfig, out: Path, svg: bool) -> None:
-    from . import ie_solver, policy
+    from . import policy
 
-    grid = ie_solver.solve_a(rc.spec, rc.grid_n)
-    order = np.argsort(grid.times)
-    t = grid.times[order]
-    rate = policy.consumption_rate(grid.interpolate, rc.spec.prefs.gamma, t)
+    t, a, _, _ = _solved_curves(rc)
+    rate = policy.feedback_rates(rc.spec, a, t).consumption
     emit_csv(zip(t, rate), ["t", "rate"], out / "hump.csv")
     satiation = policy.find_satiation(np.column_stack([t, rate]))
     print(f"satiation_time = {'none' if satiation is None else f'{satiation:.10g}'}")

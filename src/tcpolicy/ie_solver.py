@@ -266,11 +266,11 @@ class _SchemeTables:
         lags = np.linspace(0.0, T, N + 1)  # k * T/N
         step = T / N
 
-        h_log = np.asarray(spec.discount.log_derivative(lags), dtype=float)
+        h_log = spec.discount.log_derivative(lags)
         c = float(h_log[0])
         d = h_log - c
-        dbar = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float) - c
-        lam = np.asarray(spec.mortality.rate(self.times), dtype=float)
+        dbar = spec.hbar_log_derivative(lags[:N]) - c
+        lam = spec.mortality.rate(self.times)
         # the legacy-kernel scaling w/m(0) from U((a/m)^(1/(g-1)) Y); 1 at m(0) = 1
         q_weight = legacy_hazard_weight(prefs) / prefs.m0
         live_d = memoryview(d) if np.any(d) else None  # an exponential h: the d k row alone
@@ -285,14 +285,14 @@ class _SchemeTables:
             if kept:
                 # the lag rows [k, d k] inside one block
                 n_lags = min(_BLOCK, offset.size)
-                values = np.asarray(value(lags[:n_lags]), dtype=float)
+                values = value(lags[:n_lags])
                 rows = np.stack([values, offset[:n_lags] * values])
                 self.parts.append(_ExponentialSum(*terms_of(), c, step, N, rows, live_d, memoryview(weight)))
 
-        M = np.asarray(weight_M(prefs, ins, self.times), dtype=float)
-        inv_l = np.asarray(ins.payout.inverse(self.times), dtype=float)
-        psi = K * self.times + gamma * ins.eta * np.asarray(ins.payout.integrated_inverse(self.times), dtype=float)
-        e = psi - np.asarray(spec.mortality.cumulative(self.times), dtype=float)
+        M = weight_M(prefs, ins, self.times)
+        inv_l = ins.payout.inverse(self.times)
+        psi = K * self.times + gamma * ins.eta * ins.payout.integrated_inverse(self.times)
+        e = psi - spec.mortality.cumulative(self.times)
         # per-node tables seen through memoryviews, whose items are Python
         # floats: the march reads them one at a time, and numpy scalars would
         # cost about 3x as much per read
@@ -508,15 +508,13 @@ def a_priori_bounds(spec: ModelSpec) -> BoundsReport:
     gamma = spec.prefs.gamma
     K = constant_K(spec.market, gamma)
 
-    lam = np.asarray(spec.mortality.rate(t_closed), dtype=float)
+    lam = spec.mortality.rate(t_closed)
     margin = a1_margin(spec, t_closed)
     rho = max(
         float(np.max(np.abs(spec.discount.log_derivative(t_closed)))),
         float(np.max(np.abs(spec.hbar_log_derivative(t_open)))),
     )
-    rho_prime = float(
-        np.max(np.abs(gamma * spec.insurance.eta * np.asarray(spec.insurance.payout.inverse(t_closed))))
-    )
+    rho_prime = float(np.max(np.abs(gamma * spec.insurance.eta * spec.insurance.payout.inverse(t_closed))))
 
     c1 = float(np.min(margin))
     if c1 < 0.0:

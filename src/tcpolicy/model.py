@@ -70,8 +70,9 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def check_horizon_times(t, horizon: float, name: str) -> np.ndarray:
-    """``t`` as a float array, refused unless every time lies in [0, horizon]."""
+def check_horizon_times(t, horizon, name: str) -> np.ndarray:
+    """``t`` as a float array, refused unless every time lies in [0, horizon];
+    an array horizon bounds each time by its own, as numpy broadcasts them."""
     t = np.asarray(t, dtype=float)
     if not (np.all(t >= 0.0) and np.all(t <= horizon)):  # NaN fails too
         raise ValidationError(f"{name}: t outside [0, T]")
@@ -90,16 +91,21 @@ _LAG = "discount kernel: nonnegative lag needed"
 class DiscountKernel:
     """Discount function ``h`` with ``h(0) = 1``, positive and non-increasing.
 
-    Subclasses implement ``value`` and ``log_derivative`` (that is ``h'/h``),
-    both accepting scalars or arrays of nonnegative times, and
-    ``exponential_sum``.
+    ``value`` and ``log_derivative`` (that is ``h'/h``) take a scalar or an
+    array of nonnegative times and give a float or an array.  Subclasses
+    implement them as ``_value`` and ``_log_derivative`` on the checked
+    float array, and ``exponential_sum``.
     """
 
     def value(self, t):
-        raise NotImplementedError
+        t = check_horizon_times(t, math.inf, _LAG)
+        out = self._value(t)
+        return out if t.ndim else float(out)
 
     def log_derivative(self, t):
-        raise NotImplementedError
+        t = check_horizon_times(t, math.inf, _LAG)
+        out = self._log_derivative(t)
+        return out if t.ndim else float(out)
 
     def exponential_sum(self, horizon: float, step: float):
         """Arrays ``(w, r)``, real or complex, with ``h(t) = Re sum_i w_i
@@ -117,14 +123,11 @@ class Exponential(DiscountKernel):
     def __post_init__(self):
         _require(self.rho >= 0, "Exponential: rho must be >= 0")
 
-    def value(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
-        out = np.exp(-self.rho * t)
-        return out if t.ndim else float(out)
+    def _value(self, t):
+        return np.exp(-self.rho * t)
 
-    def log_derivative(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
-        return np.full_like(t, -self.rho) if t.ndim else -self.rho
+    def _log_derivative(self, t):
+        return np.full_like(t, -self.rho)
 
     def exponential_sum(self, horizon: float, step: float):
         return np.array([1.0]), np.array([self.rho])
@@ -152,11 +155,11 @@ class Hyperbolic(DiscountKernel):
         k2 = -k1 * math.log(h1) / math.log1p(k1)
         return cls(k1, k2)
 
-    def value(self, t):
-        return np.power(1.0 + self.k1 * check_horizon_times(t, math.inf, _LAG), -self.k2 / self.k1)
+    def _value(self, t):
+        return np.power(1.0 + self.k1 * t, -self.k2 / self.k1)
 
-    def log_derivative(self, t):
-        return -self.k2 / (1.0 + self.k1 * check_horizon_times(t, math.inf, _LAG))
+    def _log_derivative(self, t):
+        return -self.k2 / (1.0 + self.k1 * t)
 
     def exponential_sum(self, horizon: float, step: float):
         """Trapezoid nodes of ``(1 + k1 t)^(-p) = Gamma(p)^(-1) int exp(p x -
@@ -187,14 +190,12 @@ class SumOfExponentials(DiscountKernel):
         _require(0.0 <= self.weight <= 1.0, "SumOfExponentials: weight must lie in [0, 1]")
         _require(self.r1 >= 0 and self.r2 >= 0, "SumOfExponentials: rates must be >= 0")
 
-    def value(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
+    def _value(self, t):
         return self.weight * np.exp(-self.r1 * t) + (1.0 - self.weight) * np.exp(-self.r2 * t)
 
-    def log_derivative(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
+    def _log_derivative(self, t):
         num = -self.weight * self.r1 * np.exp(-self.r1 * t) - (1.0 - self.weight) * self.r2 * np.exp(-self.r2 * t)
-        return num / self.value(t)
+        return num / self._value(t)
 
     def exponential_sum(self, horizon: float, step: float):
         return np.array([self.weight, 1.0 - self.weight]), np.array([self.r1, self.r2])
@@ -213,12 +214,10 @@ class AffineExponential(DiscountKernel):
     def __post_init__(self):
         _require(0.0 <= self.a_coef <= self.r_rate, "AffineExponential: need 0 <= a_coef <= r_rate")
 
-    def value(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
+    def _value(self, t):
         return (1.0 + self.a_coef * t) * np.exp(-self.r_rate * t)
 
-    def log_derivative(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
+    def _log_derivative(self, t):
         return self.a_coef / (1.0 + self.a_coef * t) - self.r_rate
 
     def exponential_sum(self, horizon: float, step: float):
@@ -246,12 +245,12 @@ class ConstantHazard:
         _require(self.lambda0 >= 0, "ConstantHazard: lambda0 must be >= 0")
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.lambda0) if t.ndim else self.lambda0
+        t = check_horizon_times(t, math.inf, "ConstantHazard")
+        return np.full_like(t, self.lambda0) if t.ndim else float(self.lambda0)
 
     def cumulative(self, t):
         """Integrated hazard on [0, t]."""
-        t = np.asarray(t, dtype=float)
+        t = check_horizon_times(t, math.inf, "ConstantHazard")
         out = self.lambda0 * t
         return out if t.ndim else float(out)
 
@@ -273,12 +272,12 @@ class AffineHazard:
         _require(self.lambda0 >= 0, "AffineHazard: lambda0 must be >= 0")
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
+        t = check_horizon_times(t, math.inf, "AffineHazard")
         out = self.lambda0 + self.lambda1 * t
         return out if t.ndim else float(out)
 
     def cumulative(self, t):
-        t = np.asarray(t, dtype=float)
+        t = check_horizon_times(t, math.inf, "AffineHazard")
         out = self.lambda0 * t + 0.5 * self.lambda1 * t * t
         return out if t.ndim else float(out)
 
@@ -290,7 +289,10 @@ class AffineHazard:
             return ConstantHazard(lam0).inverse_cumulative(target)
         target = np.asarray(target, dtype=float)
         disc = lam0 * lam0 + 2.0 * lam1 * target
-        out = np.where(disc >= 0.0, (-lam0 + np.sqrt(np.maximum(disc, 0.0))) / lam1, np.inf)
+        # the root as 2 target / (lam0 + sqrt(disc)): (sqrt(disc) - lam0) / lam1
+        # cancels for a small lam1; the denominator is 0 only at lam0 = target = 0
+        root = np.divide(2.0 * target, lam0 + np.sqrt(np.abs(disc)), out=np.zeros_like(target), where=target != 0.0)
+        out = np.where(disc >= 0.0, root, np.inf)
         return out if target.ndim else float(out)
 
 
@@ -300,13 +302,10 @@ MortalityModel = ConstantHazard | AffineHazard
 def survival(mortality: MortalityModel, t, s):
     """Probability of surviving from t to s, ``exp(-int_t^s lambda)``.
 
-    Uses the closed-form integrated hazard; requires ``t <= s`` (NaN fails).
+    Uses the closed-form integrated hazard; requires ``0 <= t <= s`` (NaN fails).
     """
-    t_arr = np.asarray(t, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all(t_arr <= s_arr):
-        raise ValidationError("survival: need t <= s")
-    out = np.exp(mortality.cumulative(t_arr) - mortality.cumulative(s_arr))
+    check_horizon_times(t, s, "survival: need t <= s")
+    out = np.exp(mortality.cumulative(t) - mortality.cumulative(s))
     return out if out.ndim else float(out)
 
 
@@ -339,11 +338,11 @@ class ConstantWeight(ParetoWeight):
         _require(self.m0 > 0, "ConstantWeight: m0 must be > 0")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.m0) if t.ndim else self.m0
+        t = check_horizon_times(t, math.inf, "ConstantWeight")
+        return np.full_like(t, self.m0) if t.ndim else float(self.m0)
 
     def log_derivative(self, t):
-        t = np.asarray(t, dtype=float)
+        t = check_horizon_times(t, math.inf, "ConstantWeight")
         return np.zeros_like(t) if t.ndim else 0.0
 
     def exponential_sum(self, step: float):
@@ -430,15 +429,15 @@ class ConstantPayout(PayoutRatio):
         _require(self.payout > 0, "ConstantPayout: payout must be > 0")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.payout) if t.ndim else self.payout
+        t = check_horizon_times(t, math.inf, "ConstantPayout")
+        return np.full_like(t, self.payout) if t.ndim else float(self.payout)
 
     def inverse(self, t):
-        t = np.asarray(t, dtype=float)
+        t = check_horizon_times(t, math.inf, "ConstantPayout")
         return np.full_like(t, 1.0 / self.payout) if t.ndim else 1.0 / self.payout
 
     def integrated_inverse(self, t):
-        t = np.asarray(t, dtype=float)
+        t = check_horizon_times(t, math.inf, "ConstantPayout")
         out = (1.0 / self.payout) * t
         return out if t.ndim else float(out)
 
@@ -450,10 +449,10 @@ class InverseHazardPayout(PayoutRatio):
     hazard: MortalityModel
 
     def value(self, t):
-        lam = self.hazard.rate(t)
+        lam = np.asarray(self.hazard.rate(t))
         with np.errstate(divide="ignore"):
-            out = np.where(np.asarray(lam) > 0, 1.0 / np.asarray(lam, dtype=float), np.inf)
-        return out if np.ndim(lam) else float(out)
+            out = np.where(lam > 0, 1.0 / lam, np.inf)
+        return out if lam.ndim else float(out)
 
     def inverse(self, t):
         return self.hazard.rate(t)
@@ -520,7 +519,7 @@ class PreferenceParams:
     @property
     def m0(self) -> float:
         """The constant m = m(0) entering the policy maps and M(z)."""
-        return float(self.m_weight.value(0.0))
+        return self.m_weight.value(0.0)
 
 
 @dataclass(frozen=True)
@@ -637,9 +636,7 @@ def constant_K(market: MarketParams, gamma: float) -> float:
 
 def weight_M(prefs: PreferenceParams, insurance: InsuranceIncomeSpec, z):
     """Outflow multiplier ``M(z) = 1 + m^(1/(1-gamma))/l(z)`` with m = m(0)."""
-    inv_l = insurance.payout.inverse(z)
-    out = 1.0 + legacy_hazard_weight(prefs) * np.asarray(inv_l, dtype=float)
-    return out if np.ndim(inv_l) else float(out)
+    return 1.0 + legacy_hazard_weight(prefs) * insurance.payout.inverse(z)
 
 
 @dataclass(frozen=True)

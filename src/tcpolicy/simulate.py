@@ -174,7 +174,7 @@ class _SimContext:
         self.y0 = _shifted_wealth(x0, self.b[0])
 
         self.kappa = market.sigma * rates.merton
-        M = np.asarray(weight_M(spec.prefs, ins, self.times), dtype=float)
+        M = weight_M(spec.prefs, ins, self.times)
         # geometric drift of Y = X + b and its log-space counterpart
         self.nu = market.r + ins.eta * rates.inv_l + market.mu * rates.merton - rates.consumption * M
         g = self.nu - 0.5 * self.kappa**2
@@ -359,12 +359,11 @@ def _report_from_samples(samples: np.ndarray) -> EstimateReport:
 def _utility_terms(rate, gamma: float):
     """``(scale, shift)`` with ``U(rate y) = scale phi(y) + shift``.
 
-    ``phi(y) = y^gamma``, or ``log y`` at gamma = 0.
+    ``phi(y) = y^gamma``, or ``log y`` at gamma = 0: the scale is
+    ``U(rate)`` and the shift 0, or the scale 1 and the shift ``U(rate)``.
     """
-    rate = np.asarray(rate, dtype=float)
-    if gamma == 0.0:
-        return np.ones_like(rate), np.log(rate)
-    return rate**gamma / gamma, np.zeros_like(rate)
+    u = crra_utility(rate, gamma)
+    return (np.ones_like(u), u) if gamma == 0.0 else (u, np.zeros_like(u))
 
 
 def _node_weights(ctx: _SimContext, parts, terminal: float) -> tuple[np.ndarray, float]:
@@ -385,8 +384,8 @@ def _node_weights(ctx: _SimContext, parts, terminal: float) -> tuple[np.ndarray,
 
 def _kernel_weights(ctx: _SimContext) -> tuple[np.ndarray, float]:
     """Node weights of the kernel estimator: ``Q U(c Y) + q U(z Y)`` plus ``n Q(T) U(Y(T))``."""
-    Qv = np.asarray(kernel_Q(ctx.spec, ctx.times, ctx.t0), dtype=float)
-    qv = np.asarray(kernel_q(ctx.spec, ctx.times, ctx.t0), dtype=float)
+    Qv = kernel_Q(ctx.spec, ctx.times, ctx.t0)
+    qv = kernel_q(ctx.spec, ctx.times, ctx.t0)
     rates = ctx.rates
     return _node_weights(ctx, ((Qv, rates.consumption), (qv, rates.bequest)), ctx.spec.prefs.n * Qv[-1])
 
@@ -403,7 +402,7 @@ def _samples(spec, a_curve, b_curve, t0, x0, cfg: SimConfig) -> tuple[np.ndarray
     """
     ctx = _SimContext(spec, a_curve, b_curve, t0, x0, cfg)
     k_weights, k_offset = _kernel_weights(ctx)
-    hval = np.asarray(spec.discount.value(ctx.times - t0), dtype=float)
+    hval = spec.discount.value(ctx.times - t0)
     m_weights, m_offset = _node_weights(ctx, ((hval, ctx.rates.consumption),), spec.prefs.n * hval[-1])
 
     # blocks write into the caller's arrays: per-block results kept until the
@@ -489,9 +488,9 @@ def _died_samples(ctx: _SimContext, hval: np.ndarray, tau: np.ndarray, y: np.nda
     # geometric interpolation keeps Y positive between nodes
     y_tau = y[rows, k] ** (1.0 - frac) * y[rows, k + 1] ** frac
     rates_tau = feedback_rates(spec, ctx.a_curve(tau), tau)
-    f_tau = np.asarray(spec.discount.value(tau - t0)) * crra_utility(rates_tau.consumption * y_tau, gamma)
+    f_tau = spec.discount.value(tau - t0) * crra_utility(rates_tau.consumption * y_tau, gamma)
     j_cons = prefix[rows, k] + 0.5 * (f[rows, k] + f_tau) * (tau - ctx.times[k])
-    legacy_w = np.asarray(spec.hbar_value(tau - t0), dtype=float)
+    legacy_w = spec.hbar_value(tau - t0)
     return j_cons + legacy_w * crra_utility(rates_tau.bequest * y_tau, gamma)
 
 

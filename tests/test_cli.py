@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from tcpolicy.cli import (
     _FAMILIES,
+    _solved_curves,
     ConfigError,
     RunConfig,
     emit_csv,
@@ -779,6 +780,31 @@ def test_hump_command(tmp_path, capsys):
     with open(out / "hump.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "rate"]
+
+
+def test_hump_rate_is_the_policies_consumption_rate(tmp_path):
+    # hump re-interpolated a(t) through consumption_rate; both commands now
+    # take the rate from feedback_rates at the solver's nodes
+    cfg = CONFIGS / "hump_k5_n10.cfg"
+    for command in ("hump", "policies"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--no-svg"]) == 0
+    hump = [line.split(",")[:2] for line in (tmp_path / "hump.csv").read_text().splitlines()[1:]]
+    policies = [line.split(",")[:2] for line in (tmp_path / "policies.csv").read_text().splitlines()[1:]]
+    assert len(hump) == 1001 and hump == policies
+
+
+@pytest.mark.parametrize("config", ["exp1", "hump_k5_n10"])
+def test_solved_curves_are_ascending_contiguous_copies(config):
+    # a ** p on a reversed view takes numpy's strided loop, which rounds
+    # differently from the contiguous one the policies are written with
+    rc = parse_config((CONFIGS / f"{config}.cfg").read_text())
+    curves = _solved_curves(rc)
+    grid = solve_a(rc.spec, rc.grid_n)
+    assert np.all(np.diff(curves[0]) > 0.0)
+    for curve, backward in zip(curves, (grid.times, grid.a_values, grid.A_values)):
+        assert np.array_equal(curve, backward[::-1])
+    for curve in curves:
+        assert curve.flags.c_contiguous and curve.flags.owndata
 
 
 # ---------------------------------------------------------------------------

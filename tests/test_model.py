@@ -33,7 +33,10 @@ from tcpolicy import (
     survival,
     weight_M,
 )
+from tcpolicy.cli import parse_config
 from tcpolicy.model import a1_margin, legacy_hazard_weight
+
+from conftest import CONFIGS
 
 ALL_KERNELS = [
     Exponential(rho=0.1),
@@ -138,6 +141,13 @@ def test_exponential_scalar_value_bit_identical_to_array():
     assert np.array_equal([h.value(float(ti)) for ti in t], h.value(t))
 
 
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+def test_kernel_scalar_time_gives_python_float(kernel):
+    # all families but Exponential returned np.float64 for a scalar time
+    assert type(kernel.value(0.5)) is float
+    assert type(kernel.log_derivative(0.5)) is float
+
+
 def test_kernel_parameter_validation():
     with pytest.raises(ValidationError):
         Hyperbolic(k1=0.0, k2=1.0)
@@ -216,6 +226,51 @@ def test_inverse_cumulative_beyond_reach_is_infinite():
     assert math.isinf(AffineHazard(lambda0=0.02, lambda1=-0.001).inverse_cumulative(0.3))
 
 
+@pytest.mark.parametrize("lambda1", [1.125e-3, 1e-6, 1e-9, 1e-12])
+def test_affine_inverse_cumulative_does_not_cancel(lambda1):
+    # the root (sqrt(lambda0^2 + 2 lambda1 L) - lambda0) / lambda1 cancelled:
+    # off by up to 2.1e-8 relative at lambda1 = 1e-6 and 6.1e-3 at 1e-12
+    hazard = AffineHazard(lambda0=0.02, lambda1=lambda1)
+    t = np.linspace(1e-4, 4.0, 4001)
+    assert np.max(np.abs(hazard.inverse_cumulative(hazard.cumulative(t)) / t - 1.0)) <= 1e-14
+
+
+_AFFINE = AffineHazard(lambda0=0.005, lambda1=0.001125)
+_TIME_METHODS = [
+    (ConstantHazard(0.02), ("rate", "cumulative")),
+    (_AFFINE, ("rate", "cumulative")),
+    (ConstantWeight(2), ("value", "log_derivative")),  # value(0.5) returned the int 2
+    (ConstantPayout(50.0), ("value", "inverse", "integrated_inverse")),
+    (ConstantPayout(math.inf), ("value", "inverse", "integrated_inverse")),
+    (InverseHazardPayout(_AFFINE), ("value", "inverse", "integrated_inverse")),
+]
+_TIME_METHOD_CASES = [(obj, name) for obj, names in _TIME_METHODS for name in names]
+_TIME_METHOD_IDS = [f"{type(obj).__name__}.{name}" for obj, name in _TIME_METHOD_CASES]
+
+
+@pytest.mark.parametrize("obj, method", _TIME_METHOD_CASES, ids=_TIME_METHOD_IDS)
+@pytest.mark.parametrize("t", [-1.0, math.nan, np.array([0.5, -1.0]), np.array([0.5, math.nan])])
+def test_time_methods_refuse_negative_and_nan_times(obj, method, t):
+    # survival(ConstantHazard(0.1), -1, 0) read 0.905, ConstantPayout(50)
+    # .integrated_inverse(-2) read -0.04 and InverseHazardPayout(h).value(-1) 258
+    with pytest.raises(ValidationError, match="outside"):
+        getattr(obj, method)(t)
+
+
+@pytest.mark.parametrize("obj, method", _TIME_METHOD_CASES, ids=_TIME_METHOD_IDS)
+def test_time_methods_give_python_float_for_scalar_time(obj, method):
+    assert type(getattr(obj, method)(0.5)) is float
+    assert type(getattr(obj, method)(1)) is float
+
+
+@pytest.mark.parametrize(
+    "t, s", [(-1.0, 0.0), (-2.0, -1.0), (math.nan, 1.0), (0.0, math.nan), (np.array([0.0, -0.5]), 1.0)]
+)
+def test_survival_refuses_times_outside(t, s):
+    with pytest.raises(ValidationError, match="outside"):
+        survival(ConstantHazard(0.1), t, s)
+
+
 # ---------------------------------------------------------------------------
 # Kernels Q and q
 # ---------------------------------------------------------------------------
@@ -227,6 +282,14 @@ def test_kernel_Q_examples(exp1_spec, log_spec):
     assert kernel_Q(log_spec, 1.0, 0.0) == pytest.approx(math.exp(-0.1), rel=1e-14)
     # constant hazard stacks multiplicatively
     assert kernel_Q(exp1_spec, 1.0, 0.0) == pytest.approx(math.exp(-0.12), rel=1e-14)
+
+
+def test_kernels_give_python_float_on_hyperbolic_config():
+    # kernel_Q(spec, 1, 0) read np.float64(0.29999999999999993) on this config
+    spec = parse_config((CONFIGS / "hump_k5_n10.cfg").read_text()).spec
+    assert type(kernel_Q(spec, 1, 0)) is float
+    assert type(kernel_q(spec, 1, 0)) is float
+    assert type(spec.hbar_value(0.5)) is float
 
 
 def test_kernel_q_examples(exp1_spec, log_spec):
