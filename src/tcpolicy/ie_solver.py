@@ -269,7 +269,8 @@ class _SchemeTables:
         h_log = spec.discount.log_derivative(lags)
         c = float(h_log[0])
         d = h_log - c
-        dbar = spec.hbar_log_derivative(lags[:N]) - c
+        # m'/m + (h_hat'/h_hat - c): an h_hat equal to h leaves m'/m unrounded
+        dbar = prefs.m_weight.log_derivative(lags[:N]) + (prefs.bequest_discount.log_derivative(lags[:N]) - c)
         lam = spec.mortality.rate(self.times)
         # the legacy-kernel scaling w/m(0) from U((a/m)^(1/(g-1)) Y); 1 at m(0) = 1
         q_weight = legacy_hazard_weight(prefs) / prefs.m0

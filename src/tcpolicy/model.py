@@ -13,7 +13,10 @@ This module houses the parameter containers (the Monte Carlo settings
 ``SimConfig`` among them), the mortality-adjusted discount kernels
 ``Q(s, t)`` and ``q(s, t)``, and the derived constants ``K`` and ``M(z)``
 used throughout the solvers.  Everything here is a pure function of its
-inputs and safe to call concurrently.
+inputs and safe to call concurrently.  A family of primitives has a base
+class only where the base carries code (``DiscountKernel``'s checked
+``value`` and ``log_derivative``); any other family is the union of its
+classes, which ``isinstance`` accepts.
 """
 
 from __future__ import annotations
@@ -94,7 +97,10 @@ class DiscountKernel:
     ``value`` and ``log_derivative`` (that is ``h'/h``) take a scalar or an
     array of nonnegative times and give a float or an array.  Subclasses
     implement them as ``_value`` and ``_log_derivative`` on the checked
-    float array, and ``exponential_sum``.
+    float array, and ``exponential_sum(horizon, step)``: arrays ``(w, r)``,
+    real or complex, with ``h(t) = Re sum_i w_i e^(-r_i t)`` to double
+    precision for t in [step, horizon].  Every ``Re r_i >= 0``, so each
+    weight is its term's value at t = 0.
     """
 
     def value(self, t):
@@ -106,12 +112,6 @@ class DiscountKernel:
         t = check_horizon_times(t, math.inf, _LAG)
         out = self._log_derivative(t)
         return out if t.ndim else float(out)
-
-    def exponential_sum(self, horizon: float, step: float):
-        """Arrays ``(w, r)``, real or complex, with ``h(t) = Re sum_i w_i
-        e^(-r_i t)`` to double precision for t in [step, horizon].  Every
-        ``Re r_i >= 0``, so each weight is its term's value at t = 0."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ class ConstantHazard:
 
     def inverse_cumulative(self, target):
         """The t with ``cumulative(t) = target``; inf for a zero hazard."""
-        target = np.asarray(target, dtype=float)
+        target = check_horizon_times(target, math.inf, "ConstantHazard")
         out = target / self.lambda0 if self.lambda0 > 0.0 else np.full_like(target, np.inf)
         return out if target.ndim else float(out)
 
@@ -285,9 +285,9 @@ class AffineHazard:
         """The least t >= 0 with ``cumulative(t) = target``; inf past ``lambda0^2
         / (2 |lambda1|)``, all that a decreasing hazard (lambda1 < 0) integrates to."""
         lam0, lam1 = self.lambda0, self.lambda1
+        target = check_horizon_times(target, math.inf, "AffineHazard")
         if lam1 == 0.0:
             return ConstantHazard(lam0).inverse_cumulative(target)
-        target = np.asarray(target, dtype=float)
         disc = lam0 * lam0 + 2.0 * lam1 * target
         # the root as 2 target / (lam0 + sqrt(disc)): (sqrt(disc) - lam0) / lam1
         # cancels for a small lam1; the denominator is 0 only at lam0 = target = 0
@@ -314,24 +314,8 @@ def survival(mortality: MortalityModel, t, s):
 # ---------------------------------------------------------------------------
 
 
-class ParetoWeight:
-    """Aggregation weight ``m(t) > 0`` applied to the legacy utility."""
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def log_derivative(self, t):
-        """``m'(t)/m(t)``; zero for a constant weight."""
-        raise NotImplementedError
-
-    def exponential_sum(self, step: float):
-        """Real arrays ``(w, r)`` of m as a function of the lag, in the form of
-        :meth:`ModelSpec.hbar_exponential_sum`."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantWeight(ParetoWeight):
+class ConstantWeight:
     m0: float
 
     def __post_init__(self):
@@ -350,7 +334,7 @@ class ConstantWeight(ParetoWeight):
 
 
 @dataclass(frozen=True)
-class LogTaperWeight(ParetoWeight):
+class LogTaperWeight:
     """Decreasing weight ``m(t) = log((T + eps - t)/eps)``.
 
     Large at t = 0 and tapering to zero only at t = T exactly; with the
@@ -397,32 +381,19 @@ class LogTaperWeight(ParetoWeight):
         return np.append(const, -ds * np.exp(-u * self.eps)), np.append(0.0, -u)
 
 
+# The weight m(t) > 0 on the legacy utility: ``value``, ``log_derivative``
+# (m'/m) and ``exponential_sum(step)``, real ``(w, r)`` of m as a function
+# of the lag in the form of ``ModelSpec.hbar_exponential_sum``.
+ParetoWeight = ConstantWeight | LogTaperWeight
+
+
 # ---------------------------------------------------------------------------
 # Insurance payout, bequest fraction and income
 # ---------------------------------------------------------------------------
 
 
-class PayoutRatio:
-    """Insurance payout ``l(t)`` per unit of premium.
-
-    ``inverse`` returns ``1/l(t)``, which is what every formula actually
-    consumes; a constant payout of ``inf`` encodes "no insurance offered"
-    (the premium term then vanishes identically).
-    """
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def inverse(self, t):
-        raise NotImplementedError
-
-    def integrated_inverse(self, t):
-        """Closed-form ``int_0^t 1/l(u) du``."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantPayout(PayoutRatio):
+class ConstantPayout:
     payout: float
 
     def __post_init__(self):
@@ -443,7 +414,7 @@ class ConstantPayout(PayoutRatio):
 
 
 @dataclass(frozen=True)
-class InverseHazardPayout(PayoutRatio):
+class InverseHazardPayout:
     """Actuarially linked payout ``l(t) = 1/lambda(t)``."""
 
     hazard: MortalityModel
@@ -459,6 +430,12 @@ class InverseHazardPayout(PayoutRatio):
 
     def integrated_inverse(self, t):
         return self.hazard.cumulative(t)
+
+
+# The payout l(t) per unit of premium: ``value``, ``inverse`` (1/l, which
+# every formula consumes) and ``integrated_inverse`` (int_0^t 1/l).  A
+# payout of inf offers no insurance: the premium term vanishes.
+PayoutRatio = ConstantPayout | InverseHazardPayout
 
 
 @dataclass(frozen=True)
@@ -687,8 +664,5 @@ def check_assumption_a1(spec: ModelSpec) -> A1Check:
 def crra_utility(x, gamma: float):
     """CRRA utility ``x^gamma / gamma``, or ``log x`` when gamma = 0."""
     x = np.asarray(x, dtype=float)
-    if gamma == 0.0:
-        out = np.log(x)
-    else:
-        out = np.power(x, gamma) / gamma
+    out = np.log(x) if gamma == 0.0 else np.power(x, gamma) / gamma
     return out if x.ndim else float(out)

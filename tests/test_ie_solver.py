@@ -297,6 +297,12 @@ def _offsets(spec, N):
     return h_log - h_log[0], float(h_log[0])
 
 
+def _hbar_offsets(spec, lags, c):
+    """dbar = m'/m + (h_hat'/h_hat - c) at the lags, as the scheme tables
+    form it: an h_hat equal to h leaves m'/m unrounded."""
+    return spec.prefs.m_weight.log_derivative(lags) + (spec.prefs.bequest_discount.log_derivative(lags) - c)
+
+
 @pytest.mark.parametrize(
     "config, h_part, hbar_part",
     [
@@ -329,7 +335,7 @@ def test_memory_part_representations(config, h_part, hbar_part):
         terms = spec.discount.exponential_sum(T, step)
         expected.append(_ExponentialSum(*terms, c, step, N, h_rows[:, :_BLOCK], live_d, ones))
     hbar_val = spec.hbar_value(lags[:N])
-    hbar_rows = np.stack([hbar_val, (spec.hbar_log_derivative(lags[:N]) - c) * hbar_val])
+    hbar_rows = np.stack([hbar_val, _hbar_offsets(spec, lags[:N], c) * hbar_val])
     if hbar_part is _ExponentialSum:
         terms = spec.hbar_exponential_sum(step)
         expected.append(_ExponentialSum(*terms, c, step, N, hbar_rows[:, :_BLOCK], live_d, q_lam))
@@ -424,7 +430,7 @@ def _reference_parts(spec, N):
     T, step = spec.horizon, spec.horizon / N
     lags = np.linspace(0.0, T, N + 1)
     d, c = _offsets(spec, N)
-    dbar = np.asarray(spec.hbar_log_derivative(lags[:N]), dtype=float) - c
+    dbar = _hbar_offsets(spec, lags[:N], c)
     lam = np.asarray(spec.mortality.rate(np.linspace(T, 0.0, N + 1)), dtype=float)
     q_weight = legacy_hazard_weight(spec.prefs) / spec.prefs.m0
     parts = []
@@ -943,6 +949,26 @@ def test_experiment_h_part_vanishes(experiment_spec):
     f = (grid.a_values ** (gamma / (gamma - 1.0)) * grid.A_values).tolist()
     for n in range(N):
         assert part.bracket(n, f[n]) == 0.0
+
+
+def test_taper_dbar_rows_exact_when_h_hat_equals_h(market):
+    # h = h_hat = e^(-5t) under the log taper: dbar = m'/m exactly, so the
+    # d k row is m'/m m h_hat = -e^(-5t)/x with x = T + eps - t; forming
+    # hbar'/hbar - c rounded m'/m against 5 and read 6.9e-12 off
+    T, N, h = 400.0, 1000, Exponential(5.0)
+    spec = ModelSpec(
+        market=market,
+        mortality=ConstantHazard(0.02),
+        discount=h,
+        prefs=PreferenceParams(gamma=-1.0, n=1.0, m_weight=LogTaperWeight(T), bequest_discount=h),
+        insurance=InsuranceIncomeSpec(payout=ConstantPayout(math.inf)),
+        horizon=T,
+    )
+    (hbar_part,) = _SchemeTables(spec, N).parts
+    assert hbar_part.d is None  # the d k row alone, at lags B-1, ..., 1 for the block's last node
+    t = np.arange(1, _BLOCK) * (T / N)
+    exact = -np.exp(-5.0 * t) / ((T - t) + 1e-15)
+    assert np.max(np.abs(np.array(hbar_part.near[-1][::-1]) / exact - 1.0)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from tcpolicy import (
     survival,
     weight_M,
 )
+from tcpolicy import model
 from tcpolicy.cli import parse_config
-from tcpolicy.model import a1_margin, legacy_hazard_weight
+from tcpolicy.model import DiscountKernel, MortalityModel, ParetoWeight, PayoutRatio, a1_margin, legacy_hazard_weight
 
 from conftest import CONFIGS
 
@@ -237,8 +238,9 @@ def test_affine_inverse_cumulative_does_not_cancel(lambda1):
 
 _AFFINE = AffineHazard(lambda0=0.005, lambda1=0.001125)
 _TIME_METHODS = [
-    (ConstantHazard(0.02), ("rate", "cumulative")),
-    (_AFFINE, ("rate", "cumulative")),
+    # AffineHazard(0.02, 0.001).inverse_cumulative(-0.1) read -5.86
+    (ConstantHazard(0.02), ("rate", "cumulative", "inverse_cumulative")),
+    (_AFFINE, ("rate", "cumulative", "inverse_cumulative")),
     (ConstantWeight(2), ("value", "log_derivative")),  # value(0.5) returned the int 2
     (ConstantPayout(50.0), ("value", "inverse", "integrated_inverse")),
     (ConstantPayout(math.inf), ("value", "inverse", "integrated_inverse")),
@@ -510,3 +512,37 @@ def test_model_spec_horizon_consistency(market):
             insurance=InsuranceIncomeSpec(payout=ConstantPayout(math.inf)),
             horizon=4.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+# each family name with its classes: a base class for the kernels, a union of
+# the classes for the others
+_FAMILIES = [
+    (DiscountKernel, ALL_KERNELS),
+    (MortalityModel, [ConstantHazard(0.02), _AFFINE]),
+    (ParetoWeight, [ConstantWeight(1.0), LogTaperWeight(4.0)]),
+    (PayoutRatio, [ConstantPayout(50.0), InverseHazardPayout(_AFFINE)]),
+]
+
+
+@pytest.mark.parametrize("family, members", _FAMILIES, ids=["kernel", "hazard", "weight", "payout"])
+def test_each_family_member_is_an_instance_of_its_family_alone(family, members):
+    others = tuple(other for other, _ in _FAMILIES if other is not family)
+    for obj in members:
+        assert isinstance(obj, family)
+        assert not any(isinstance(obj, other) for other in others)
+
+
+def test_model_public_names_are_pinned():
+    assert model.__all__ == [
+        "ValidationError", "MarketParams", "DiscountKernel", "Exponential", "Hyperbolic", "SumOfExponentials",
+        "AffineExponential", "ConstantHazard", "AffineHazard", "MortalityModel", "ParetoWeight", "ConstantWeight",
+        "LogTaperWeight", "PayoutRatio", "ConstantPayout", "InverseHazardPayout", "InsuranceIncomeSpec",
+        "PreferenceParams", "ModelSpec", "EXACT_Y", "EULER", "SimConfig", "A1Check", "survival", "kernel_Q",
+        "kernel_q", "constant_K", "weight_M", "a1_margin", "check_assumption_a1", "legacy_hazard_weight",
+        "crra_utility", "check_horizon_times",
+    ]
+    assert all(hasattr(model, name) for name in model.__all__)
