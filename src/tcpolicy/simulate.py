@@ -16,10 +16,15 @@ Euler-Maruyama step of the wealth SDE in X shifted by b, because the X
 drift ``r x + mu f1 - c y - premium + i`` equals ``nu y - ((r + eta/l) b - i)``;
 ``e_k`` is what b's own Euler step misses (0 without income).
 
-Randomness is fully deterministic: each path owns a fixed range of Philox
-counter blocks keyed by (seed, stream) and each path is reduced to its
-sample on its own, so results are bit-identical for identical (seed, paths,
-dt, scheme) whatever the block size or the number of worker threads.
+Randomness is fully deterministic.  The Brownian increments and the
+death times each have their own PCG64DXSM stream, seeded by
+``SeedSequence(seed, spawn_key=(stream,))``, and each stream is cut into
+consecutive per-path segments: path i owns the Brownian draws
+``[i n_steps, (i+1) n_steps)`` and the death draw i, and a block jumps to
+its first path's segment with ``advance``.  Each path is reduced to its
+sample on its own, so results are bit-identical for identical (seed,
+paths, dt, scheme) whatever the block size or the number of worker
+threads.
 
 Paths are built and reduced in blocks of about ``_BLOCK_BYTES`` per
 array, whatever the horizon and dt, on one worker thread per available
@@ -34,7 +39,7 @@ this one pass: the kernel and mortality samples of the last
 ``(spec, a_curve, b_curve, t0, x0, cfg)`` are kept, so a kernel and a
 mortality estimate with equal arguments draw each path's normals once.
 
-The normals are Philox uniforms mapped by ``scipy.special.ndtri``, the
+The normals are PCG64DXSM uniforms mapped by ``scipy.special.ndtri``, the
 package's only use of scipy.  scipy.special is imported when a pass first
 needs it, on the calling thread before any worker starts: no command
 without a Monte Carlo pass loads scipy, and no worker thread imports a
@@ -74,7 +79,7 @@ __all__ = [
 # 260 at 4000 (the Monte Carlo passes ran faster at 8 MiB than at 4 or 16).
 # One worker thread per CPU this process may run on.  Both are read at call
 # time so tests can vary them; results do not depend on them because each
-# path owns fixed counter blocks and is reduced alone.
+# path owns a fixed segment of each stream and is reduced alone.
 _BLOCK_BYTES = 8 << 20
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _STREAM_BROWNIAN = 0
@@ -109,39 +114,34 @@ class FixedPointReport:
 
 
 # ---------------------------------------------------------------------------
-# Counter-based substreams
+# Per-path substreams
 # ---------------------------------------------------------------------------
 
 
-def _stream_key(seed: int, stream: int) -> int:
-    return (stream << 64) | (seed & 0xFFFFFFFFFFFFFFFF)
+def _stream(seed: int, stream: int, first_draw: int) -> np.random.Generator:
+    """The generator of ``stream`` at ``seed``, advanced to its draw ``first_draw``."""
+    bg = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    bg.advance(first_draw)
+    return np.random.Generator(bg)
 
 
 def _path_normals(seed: int, first_path: int, n_steps: int, out: np.ndarray) -> np.ndarray:
     """Standard normals for paths [first_path, first_path + len(out)), drawn into ``out``.
 
-    ``out`` is a C-contiguous (paths, 4 bpp) array, bpp = ceil(n_steps/4)
-    Philox counter blocks of four draws per path.  Path i consumes the
-    blocks [i*bpp, (i+1)*bpp) of the Brownian stream, so a path's
-    increments depend only on (seed, path index).  Returns the
-    (paths, n_steps) view of ``out`` that holds the normals.
+    ``out`` is a C-contiguous (paths, n_steps) array.  Path i owns the
+    draws [i*n_steps, (i+1)*n_steps) of the Brownian stream, so a path's
+    increments depend only on (seed, path index).  Returns ``out``.
     """
     from scipy.special import ndtri  # loaded by map_blocks before its workers start
 
-    bg = np.random.Philox(key=_stream_key(seed, _STREAM_BROWNIAN))
-    bg.advance(first_path * (out.shape[1] // 4))
-    np.random.Generator(bg).random(out=out)
-    u = out[:, :n_steps]
-    np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u, out=u)
+    _stream(seed, _STREAM_BROWNIAN, first_path * n_steps).random(out=out)
+    np.maximum(out, _U_FLOOR, out=out)
+    return ndtri(out, out=out)
 
 
 def _path_death_uniforms(seed: int, first_path: int, n_paths: int) -> np.ndarray:
-    """One uniform per path from the death stream; path i owns block i."""
-    bg = np.random.Philox(key=_stream_key(seed, _STREAM_DEATH))
-    bg.advance(first_path)
-    u = np.random.Generator(bg).random((n_paths, 4))[:, 0]
-    return np.maximum(u, _U_FLOOR)
+    """One uniform per path from the death stream; path i owns draw i."""
+    return np.maximum(_stream(seed, _STREAM_DEATH, first_path).random(n_paths), _U_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +190,8 @@ class _SimContext:
             b_drift = (market.r + ins.eta * rates.inv_l) * self.b - ins.income
             shift = self.b[1:] - self.b[:-1] - self.h * b_drift[:-1]
             self.euler_shift = list(map(np.asarray, shift.tolist()))
-        # a path's uniforms fill whole Philox blocks of four; a scratch row
-        # holds either them or the path's steps + 1 nodes
-        self.draw_width = 4 * ((n_steps + 3) // 4)
-        self.row_bytes = 8 * max(self.draw_width, n_steps + 1)
+        # a scratch row holds either a path's uniforms or its steps + 1 nodes
+        self.row_bytes = 8 * (n_steps + 1)
 
     # -- path blocks ------------------------------------------------------
 
@@ -247,7 +245,7 @@ class _SimContext:
         """
         draws, paths = scratch
         steps, nodes = self.n_steps, self.n_steps + 1
-        normals = _path_normals(self.cfg.seed, start, steps, draws[: count * self.draw_width].reshape(count, -1))
+        normals = _path_normals(self.cfg.seed, start, steps, draws[: count * steps].reshape(count, steps))
         log_y = paths[: count * nodes].reshape(count, nodes)
         if self.cfg.scheme == EXACT_Y:
             return self.exact_y_block(normals, log_y), np.ones(count, dtype=bool)

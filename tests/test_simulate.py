@@ -290,8 +290,15 @@ def test_memo_hit_still_warns_on_euler_rejection(exp1_spec, monkeypatch):
 
 def _normals(seed, first_path, paths, steps):
     """``_path_normals`` of ``paths`` paths, drawn into an array of their own
-    (whole Philox blocks of four uniforms per path)."""
-    return _path_normals(seed, first_path, steps, np.empty((paths, 4 * ((steps + 3) // 4))))
+    (one row of ``steps`` Brownian draws per path)."""
+    return _path_normals(seed, first_path, steps, np.empty((paths, steps)))
+
+
+def _brownian_uniforms(seed, draws):
+    """The first ``draws`` uniforms of the Brownian stream, in one contiguous
+    draw from the stream's documented construction."""
+    bg = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(sim_module._STREAM_BROWNIAN,)))
+    return np.random.Generator(bg).random(draws)
 
 
 def test_path_normals_are_per_path_substreams():
@@ -302,10 +309,41 @@ def test_path_normals_are_per_path_substreams():
     assert np.array_equal(_path_death_uniforms(7, 2, 5), _path_death_uniforms(7, 0, 10)[2:7])
 
 
+@pytest.mark.parametrize("steps", [25, 1001])  # neither a multiple of 4
+def test_path_normals_cut_one_stream_into_consecutive_segments(steps):
+    # path i owns the Brownian draws [i steps, (i+1) steps): the rows of a
+    # full draw are ndtri of one contiguous draw, and a draw that starts at
+    # any path, a block boundary or not, reproduces the same rows
+    from scipy.special import ndtri
+
+    paths = 9
+    full = _normals(11, 0, paths, steps)
+    u = np.maximum(_brownian_uniforms(11, paths * steps), sim_module._U_FLOOR)
+    assert np.array_equal(full, ndtri(u).reshape(paths, steps))
+    for first in range(paths):
+        assert np.array_equal(_normals(11, first, paths - first, steps), full[first:]), first
+        assert np.array_equal(_normals(11, first, 1, steps), full[first : first + 1]), first
+
+
+def test_path_normals_are_standard_normal():
+    # 1e6 normals: mean within 5 SE (1/sqrt(n)) of 0 and variance within 5 SE
+    # (sqrt(2/n)) of 1
+    z = _normals(5, 0, 1000, 1000).ravel()
+    n = z.size
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.var(ddof=1) - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+
+
 def test_streams_differ_by_purpose():
-    n = _normals(7, 0, 4, 8)
-    m = _normals(8, 0, 4, 8)
-    assert not np.array_equal(n, m)
+    # at one seed the Brownian and death streams are two streams, not one
+    # read twice: no draw repeats across them, and over 1e5 paths their
+    # uniforms correlate by no more than 4 standard errors (1/sqrt(n))
+    n = 100_000
+    brownian = _brownian_uniforms(7, n)
+    death = _path_death_uniforms(7, 0, n)
+    assert not np.any(brownian == death)
+    assert abs(np.corrcoef(brownian, death)[0, 1]) <= 4.0 / math.sqrt(n)
+    assert not np.array_equal(_normals(7, 0, 4, 8), _normals(8, 0, 4, 8))
 
 
 def test_wealth_ensemble_deterministic(exp1_spec, exp1_solution):
@@ -606,14 +644,22 @@ def test_stderr_scales_with_paths(exp1_spec, exp1_solution):
 
 
 def _reference_kernel_samples(spec, ctx, y, alive):
+    """The kernel samples and, per sample, the sum of the magnitudes of the
+    terms it adds up: each node's trapezoid-weighted ``Q U(c Y)`` and
+    ``q U(z Y)``, and the terminal ``n Q(T) U(Y(T))``."""
     t0, gamma, rates = ctx.t0, ctx.gamma, ctx.rates
     Qv = np.asarray(kernel_Q(spec, ctx.times, t0), dtype=float)
     qv = np.asarray(kernel_q(spec, ctx.times, t0), dtype=float)
+    trapezoid = np.full(ctx.n_steps + 1, ctx.h)
+    trapezoid[[0, -1]] *= 0.5
     with np.errstate(invalid="ignore", divide="ignore"):
-        f = Qv * crra_utility(rates.consumption * y, gamma) + qv * crra_utility(rates.bequest * y, gamma)
-        j = np.sum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1)
-        j += spec.prefs.n * Qv[-1] * crra_utility(y[:, -1], gamma)
-    return j[alive]
+        consumption = Qv * crra_utility(rates.consumption * y, gamma)
+        bequest = qv * crra_utility(rates.bequest * y, gamma)
+        terminal = spec.prefs.n * Qv[-1] * crra_utility(y[:, -1], gamma)
+        f = consumption + bequest
+        j = np.sum(0.5 * ctx.h * (f[:, :-1] + f[:, 1:]), axis=1) + terminal
+        size = (np.abs(consumption) + np.abs(bequest)) @ trapezoid + np.abs(terminal)
+    return j[alive], size[alive]
 
 
 def _reference_mortality_samples(spec, ctx, y, alive, seed):
@@ -798,7 +844,8 @@ def test_node_weight_estimators_match_per_node_formulas(exp1_spec, experiment_sp
         assert np.array_equal(np.exp(log_y), y)  # the paths are unchanged
     else:
         assert 0.0 < alive.mean() < 1.0
-    expected = {"kernel": _reference_kernel_samples(spec, ctx, y, alive)}
+    expected = {}
+    expected["kernel"], kernel_sizes = _reference_kernel_samples(spec, ctx, y, alive)
     expected["mortality"], died = _reference_mortality_samples(spec, ctx, y, alive, cfg.seed)
     assert died > 0
     run = {"kernel": estimate_J_kernel, "mortality": estimate_J_mortality}
@@ -812,7 +859,15 @@ def test_node_weight_estimators_match_per_node_formulas(exp1_spec, experiment_sp
         (got,) = captured
         ref = expected[estimator]
         assert got.shape == ref.shape and np.all(np.isfinite(ref))
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, estimator
+        if name == "log_utility":
+            # log Y takes both signs, so a sample's terms can cancel (one
+            # sample of -5.5e-4 sums terms of order 1) and its rounding is
+            # bounded against the sum of their magnitudes; measured at most
+            # 1.6e-15 of it
+            assert np.max(np.abs(got - ref) / kernel_sizes) <= 1e-14, estimator
+        else:
+            # U(c Y) has one sign for power utility: the terms never cancel
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, estimator
 
 
 @pytest.mark.parametrize("name, dt", [("exp1", 1e-3), ("experiment", 4e-3)])
