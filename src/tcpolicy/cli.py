@@ -508,6 +508,8 @@ _DISPATCH = {
 
 def run(command: str, config_path: str, out_dir: str | None = None, emit_svg: bool | None = None) -> None:
     """Execute one command against a config file; raises on any failure."""
+    if command not in _DISPATCH:
+        raise ConfigError(f"unknown command: {command!r}")
     path = Path(config_path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {config_path}")

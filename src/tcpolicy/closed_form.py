@@ -25,6 +25,7 @@ from .model import (
     Exponential,
     ModelSpec,
     ValidationError,
+    _check_grid_size,
     a1_margin,
     check_horizon_times,
     constant_K,
@@ -98,8 +99,7 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
     Simpson panel of the solver grid at a time, so that b stays finite
     however large ``int_0^T (r + eta/l)`` grows.
     """
-    if N < 2:
-        raise ValidationError("solve_b: N must be >= 2")
+    _check_grid_size(N, 2, "solve_b")
     times = np.linspace(spec.horizon, 0.0, N + 1)
     if _b_is_exact(spec):
         return _exact_b(spec, times)
@@ -119,6 +119,7 @@ def b_function(spec: ModelSpec, N: int = 4096):
     constant; otherwise a linear interpolant of the Simpson grid values.
     The callable refuses a time outside [0, T], NaN included.
     """
+    _check_grid_size(N, 2, "b_function")
     exact = _b_is_exact(spec)
     if not exact:
         times = np.linspace(spec.horizon, 0.0, N + 1)[::-1]
@@ -182,8 +183,9 @@ def a_exponential(spec: ModelSpec, t):
         return a1_margin(spec, u) / one_mg
 
     # the sorted union of the two, as np.union1d gives it, whose np.unique
-    # would import numpy.ma (about 17 ms) on first use
-    merged = np.sort(np.concatenate([t_req.ravel(), np.linspace(t_req.min(), spec.horizon, _SIMPSON_PANELS + 1)]))
+    # would import numpy.ma (about 17 ms) on first use; no times march from T to T
+    start = t_req.min(initial=spec.horizon)
+    merged = np.sort(np.concatenate([t_req.ravel(), np.linspace(start, spec.horizon, _SIMPSON_PANELS + 1)]))
     ascending = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
     w = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))[::-1]
     if not np.all(np.isfinite(w)):

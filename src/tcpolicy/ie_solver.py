@@ -32,6 +32,11 @@ takes one CRRA power, the consumption rate ``a^(1/(gamma-1))``, and per
 memory part one call, and one exp of the node's log-scale if there is a
 part; an exponential h leaves a part its ``d k`` row alone.
 
+Every gamma < 1 takes the equation above.  At gamma = 0 it is log
+utility's, with K = 0, ``a^(gamma/(gamma-1)) = 1`` and A = 1, and the
+value is ``v(t, x) = a(t) log(x + b(t))`` plus a term in t alone;
+:func:`closed_form.a_log` gives the same a by quadrature.
+
 :func:`solve_a` is the only code that drives the scheme tables; the
 discrete derivative at node n is the march's own step quotient
 ``(a_(n+1) - a_n) / epsilon``.  Once the march ends, a grid whose local
@@ -60,6 +65,7 @@ from . import closed_form
 from .model import (
     ModelSpec,
     ValidationError,
+    _check_grid_size,
     a1_margin,
     check_assumption_a1,
     check_horizon_times,
@@ -304,10 +310,7 @@ class _SchemeTables:
 
 
 def _check_preconditions(spec: ModelSpec, N: int) -> None:
-    if N < 2:
-        raise ValidationError("solve_a: N must be >= 2")
-    if spec.prefs.is_log:
-        raise ValidationError("solve_a: gamma = 0 is served by the log-utility closed form")
+    _check_grid_size(N, 2, "solve_a")
     a1 = check_assumption_a1(spec)
     if not a1.holds:
         raise AssumptionViolatedError(
@@ -324,6 +327,10 @@ _MAX_STIFFNESS = 10.0
 
 def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
     """March the explicit scheme backward from a(T) = n, A(T) = 1.
+
+    Any gamma < 1 is marched, gamma = 0 included: there the equation is
+    log utility's, with K = 0 and A = 1 at every node, and
+    ``a(t) log(x + b(t))`` is the value up to a term in t alone.
 
     Refuses to run when the positivity assumption fails; raises
     :class:`SchemeBreakdownError` if an iterate leaves the positive cone or
@@ -429,8 +436,7 @@ def convergence_report(spec: ModelSpec, N: int) -> ConvergenceReport:
     Exponential instances are compared against the closed form; otherwise
     each resolution is compared against its own 4x refinement.
     """
-    if N < 4:
-        raise ValidationError("convergence_report: N must be >= 4")
+    _check_grid_size(N, 4, "convergence_report")
     exact = closed_form.exponential_applies(spec)
     err_coarse, err_fine = _max_err(spec, N, exact), _max_err(spec, 2 * N, exact)
     ratio = err_coarse / err_fine if err_fine > 0.0 else float("inf")

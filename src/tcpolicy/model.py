@@ -82,6 +82,11 @@ def check_horizon_times(t, horizon, name: str) -> np.ndarray:
     return t
 
 
+def _check_grid_size(N, minimum: int, name: str) -> None:
+    """Refuse a grid size that is not an integer >= ``minimum``; numpy integers pass."""
+    _require(isinstance(N, numbers.Integral) and N >= minimum, f"{name}: N must be an integer >= {minimum}")
+
+
 # ---------------------------------------------------------------------------
 # Discount kernels
 # ---------------------------------------------------------------------------

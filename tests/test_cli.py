@@ -27,9 +27,10 @@ from tcpolicy.cli import (
     emit_svg_plot,
     main,
     parse_config,
+    run,
     serialize_config,
 )
-from tcpolicy.closed_form import b_function
+from tcpolicy.closed_form import a_log, b_function
 from tcpolicy.ie_solver import solve_a
 from tcpolicy.model import (
     AffineExponential,
@@ -887,17 +888,48 @@ def test_exit_1_on_overflow_without_numpy_warning(tmp_path, capsys):
     assert "overflow: the iterate is not finite" in capsys.readouterr().err
 
 
+def _log_utility_exp1(tmp_path):
+    text = (CONFIGS / "exp1.cfg").read_text().replace("preferences.gamma = -1", "preferences.gamma = 0")
+    return _write(tmp_path, text)
+
+
 @pytest.mark.parametrize(
     "command, status",
-    [("solve", 2), ("policies", 2), ("simulate", 2), ("hump", 2), ("converge", 2), ("stationary", 0)],
+    [("solve", 0), ("policies", 0), ("simulate", 2), ("hump", 0), ("converge", 0), ("stationary", 0)],
 )
-def test_log_utility_served_by_stationary_only(tmp_path, capsys, command, status):
-    # gamma = 0 has no backward scheme; only the stationary closed form takes it
-    text = (CONFIGS / "exp1.cfg").read_text().replace("preferences.gamma = -1", "preferences.gamma = 0")
-    cfg = _write(tmp_path, text)
+def test_log_utility_served_by_every_command_but_simulate(tmp_path, capsys, command, status):
+    # the backward march takes gamma = 0; the fixed-point check cannot, since
+    # the log value a log(x + b) leaves out a term in t alone
+    cfg = _log_utility_exp1(tmp_path)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--no-svg"]) == status
     if status == 2:
-        assert "gamma = 0 is served by the log-utility closed form" in capsys.readouterr().err
+        assert "verify_fixed_point: log utility value omits an additive term" in capsys.readouterr().err
+
+
+def test_log_utility_solve_and_policies_match_a_log(tmp_path):
+    cfg = _log_utility_exp1(tmp_path)
+    out = tmp_path / "o"
+    for command in ("solve", "policies"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
+    with open(out / "solution.csv", newline="") as fh:
+        solution = list(csv.reader(fh))[1:]
+    with open(out / "policies.csv", newline="") as fh:
+        policies = list(csv.reader(fh))[1:]
+    spec = parse_config(cfg.read_text()).spec
+    assert float(solution[0][0]) == 0.0
+    assert float(solution[0][1]) == pytest.approx(a_log(spec, 0.0), rel=1e-4)
+    assert len(policies) == len(solution)
+    for sol, pol in zip(solution, policies):
+        assert sol[0] == pol[0]
+        # the consumption rate a^(1/(gamma-1)) is 1/a at gamma = 0
+        assert float(pol[1]) == pytest.approx(1.0 / float(sol[1]), rel=1e-15)
+
+
+def test_run_refuses_unknown_command_before_reading_config(tmp_path):
+    out = tmp_path / "made_dir"
+    with pytest.raises(ConfigError, match="unknown command: 'bogus'"):
+        run("bogus", str(CONFIGS / "exp1.cfg"), str(out))
+    assert not out.exists()
 
 
 def test_exit_2_on_nonfinite_value(tmp_path, capsys):

@@ -254,6 +254,13 @@ def test_a_exponential_array_equals_scalar_calls(exp1_spec, experiment_spec, cas
     assert got[0, 2] == scalar[0, 2]  # a(T) = n from both
 
 
+@pytest.mark.parametrize("times", [[], np.empty((0, 3))])
+def test_a_exponential_of_no_times_is_empty(exp1_spec, times):
+    # t_req.min() of no times raised numpy's zero-size reduction error
+    got = a_exponential(exp1_spec, times)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == np.shape(times)
+
+
 def test_a_exponential_value_at_zero(exp1_spec):
     assert a_exponential(exp1_spec, 0.0) == pytest.approx(3.4645, abs=2e-4)
 

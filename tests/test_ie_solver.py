@@ -100,6 +100,25 @@ def test_no_insurance_matches_closed_form(market):
     assert np.max(np.abs(grid.a_values - ref) / ref) < 5e-3
 
 
+# max relative error against a_log at t = 0, T/4, T/2, 3T/4, T measured at N = 1000
+@pytest.mark.parametrize("config, err_1000", [("exp1", 2.59e-5), ("experiment", 3.12e-4), ("hump_k5_n10", 6.98e-3)])
+def test_log_utility_converges_to_a_log(config, err_1000):
+    # at gamma = 0 the march solves log utility's equation: K = 0, A = 1
+    spec = parse_config((CONFIGS / f"{config}.cfg").read_text()).spec
+    spec = dataclasses.replace(spec, prefs=dataclasses.replace(spec.prefs, gamma=0.0))
+    times = spec.horizon * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    ref = np.array([closed_form.a_log(spec, t) for t in times])
+    grids = [solve_a(spec, N) for N in (1000, 2000, 4000)]
+    err = [float(np.max(np.abs(grid.interpolate(times) - ref) / ref)) for grid in grids]
+    assert err[0] <= 1.5 * err_1000
+    assert 1.9 <= err[0] / err[1] <= 2.1 and 1.9 <= err[1] / err[2] <= 2.1
+    grid = grids[0]
+    assert np.all(grid.A_values == 1.0)
+    rep = a_priori_bounds(spec)
+    assert np.all(rep.lower_curve(grid.times) <= grid.a_values)
+    assert np.all(grid.a_values <= rep.upper_curve(grid.times))
+
+
 def test_experiment_runs_positive(experiment_spec):
     grid = solve_a(experiment_spec, 200)
     assert np.all(grid.a_values > 0.0)
@@ -112,11 +131,9 @@ def test_all_iterates_positive(exp1_spec):
     assert np.all(grid.A_values > 0.0)
 
 
-def test_refusals(exp1_spec, log_spec, market):
+def test_refusals(exp1_spec, market):
     with pytest.raises(ValidationError):
         solve_a(exp1_spec, 1)
-    with pytest.raises(ValidationError):
-        solve_a(log_spec, 100)  # log branch lives in closed_form
     failing = ModelSpec(
         market=market,
         mortality=ConstantHazard(0.0),
@@ -129,6 +146,30 @@ def test_refusals(exp1_spec, log_spec, market):
     )
     with pytest.raises(AssumptionViolatedError, match="min"):
         solve_a(failing, 100)
+
+
+@pytest.mark.parametrize(
+    "call, N, minimum",
+    [
+        (solve_a, 1000.0, 2),
+        (solve_a, 2.5, 2),
+        (closed_form.solve_b, 2.5, 2),
+        (closed_form.b_function, 1, 2),
+        (closed_form.b_function, 2.5, 2),
+        (convergence_report, 4.0, 4),
+        (convergence_report, 3, 4),
+    ],
+)
+def test_grid_size_must_be_an_integer(exp1_spec, call, N, minimum):
+    # a float N raised TypeError from range or linspace, and b_function,
+    # exact on exp1, never looked at its N
+    with pytest.raises(ValidationError, match=rf"{call.__name__}: N must be an integer >= {minimum}"):
+        call(exp1_spec, N)
+
+
+def test_grid_size_accepts_numpy_integers(exp1_spec):
+    assert np.array_equal(solve_a(exp1_spec, np.int64(100)).a_values, solve_a(exp1_spec, 100).a_values)
+    assert closed_form.b_function(exp1_spec, np.int32(2))(0.5) == closed_form.b_function(exp1_spec)(0.5)
 
 
 def test_scheme_breakdown_reports_increase_N(market):
@@ -626,7 +667,8 @@ def _marches(draw):
     taken at that rate, is at most 0.1: a larger error on A inflates the
     ratios A_j/A_n of the memory term until a turns negative.  With that
     rate as a_decay the bound is N >= 5 (T a_decay)^2, so at most 400 steps
-    need T a_decay <= sqrt(80)."""
+    need T a_decay <= sqrt(80).  Log utility (gamma = 0) is drawn too; its A
+    does not decay, so a_decay = 0 bounds no horizon."""
     discount = draw(_KERNELS)
     bequest = draw(st.just(discount) | _KERNELS)
     r = draw(_between(0.0, 0.08))
@@ -635,7 +677,7 @@ def _marches(draw):
         st.builds(ConstantHazard, _between(0.0, 0.1))
         | st.builds(AffineHazard, _between(0.0, 0.05), _between(0.0, 0.01))
     )
-    gamma = draw(_between(-3.0, -0.05) | _between(0.05, 0.5))
+    gamma = draw(_between(-3.0, -0.05) | st.just(0.0) | _between(0.05, 0.5))
     n = draw(_between(0.5, 10.0))
     m0 = draw(_between(0.5, 2.0) | st.none())  # None: a tapering weight, m(0) < 38 for T <= 20
     payout = draw(st.builds(ConstantPayout, _between(1.0, 100.0)) | st.just(ConstantPayout(math.inf)))
@@ -643,7 +685,7 @@ def _marches(draw):
     M = 1.0 + payout.inverse(0.0) * (38.0 if m0 is None else m0) ** (1.0 / (1.0 - gamma))
     a_decay = abs(gamma) * M * n ** (1.0 / (gamma - 1.0))
     rate = max(1.0, -discount.log_derivative(0.0), -bequest.log_derivative(0.0), a_decay)
-    horizon = min(draw(_between(0.5, 20.0)) / rate, math.sqrt(80.0) / a_decay)
+    horizon = min(draw(_between(0.5, 20.0)) / rate, math.sqrt(80.0) / a_decay if a_decay else math.inf)
     m_weight = LogTaperWeight(horizon) if m0 is None else ConstantWeight(m0)
     prefs = PreferenceParams(gamma=gamma, n=n, m_weight=m_weight, bequest_discount=bequest)
     spec = ModelSpec(market, mortality, discount, prefs, insurance, horizon)
