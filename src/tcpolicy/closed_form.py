@@ -23,6 +23,7 @@ from .model import (
     ConstantPayout,
     ConstantWeight,
     Exponential,
+    InverseHazardPayout,
     ModelSpec,
     ValidationError,
     _check_grid_size,
@@ -72,8 +73,17 @@ def _backward_linear(times, kappa, source, w_T: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _constant_payout(spec: ModelSpec) -> bool:
+    """True when ``1/l`` is constant: a constant payout, or the actuarial
+    payout ``l = 1/lambda`` over a constant hazard."""
+    payout = spec.insurance.payout
+    return isinstance(payout, ConstantPayout) or (
+        isinstance(payout, InverseHazardPayout) and isinstance(payout.hazard, ConstantHazard)
+    )
+
+
 def _b_is_exact(spec: ModelSpec) -> bool:
-    return spec.insurance.income == 0.0 or isinstance(spec.insurance.payout, ConstantPayout)
+    return spec.insurance.income == 0.0 or _constant_payout(spec)
 
 
 def _exact_b(spec: ModelSpec, t):
@@ -94,10 +104,10 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
     b discounts future income at the augmented rate ``r + eta/l``:
     it solves ``i + b' - (r + eta/l) b = 0`` with ``b(T) = 0``, i.e.
     ``b(s) = int_s^T i exp(-int_s^u (r + eta/l)) du``.  Constant ``i`` and
-    ``eta/l`` give the exact exponential form; an actuarial payout makes
-    ``eta/l`` time varying and the integral is marched back from T one
-    Simpson panel of the solver grid at a time, so that b stays finite
-    however large ``int_0^T (r + eta/l)`` grows.
+    ``eta/l`` give the exact exponential form; an actuarial payout over a
+    time-varying hazard makes ``eta/l`` time varying and the integral is
+    marched back from T one Simpson panel of the solver grid at a time, so
+    that b stays finite however large ``int_0^T (r + eta/l)`` grows.
     """
     _check_grid_size(N, 2, "solve_b")
     times = np.linspace(spec.horizon, 0.0, N + 1)
@@ -228,7 +238,9 @@ class StationarySolution:
         1/x = 1/(alpha1 + gamma beta x) + lambda m^(1/(1-gamma)) / (alpha2 + gamma beta x)
 
     and the transversality values ``alpha_j + gamma beta x`` must both be
-    strictly positive for the infinite-horizon integrals to converge.
+    strictly positive for the infinite-horizon integrals to converge.  At
+    ``lambda = 0`` the legacy term has no weight and ``tc2`` constrains no
+    integral, but it is still required.
     """
 
     a: float
@@ -251,12 +263,10 @@ def _check_stationary(spec: ModelSpec) -> None:
         raise ValidationError("stationary: requires constant mortality")
     if not isinstance(spec.prefs.m_weight, ConstantWeight):
         raise ValidationError("stationary: requires a constant Pareto weight")
-    if not isinstance(spec.insurance.payout, ConstantPayout):
+    if not _constant_payout(spec):
         raise ValidationError("stationary: requires a constant payout ratio")
     if not (isinstance(spec.discount, Exponential) and isinstance(spec.prefs.bequest_discount, Exponential)):
         raise ValidationError("stationary: requires exponential discount kernels")
-    if not spec.mortality.lambda0 > 0:
-        raise ValidationError("stationary: requires lambda0 > 0")
 
 
 def _stationary_pieces(spec: ModelSpec):
@@ -319,13 +329,15 @@ def solve_stationary(spec: ModelSpec) -> StationarySolution:
     """Solve the stationary fixed-point equation and transversality check.
 
     The stationary case is the constant-coefficient spec: constant hazard
-    ``lambda0 > 0``, exponential ``h`` and ``h_hat`` (the consumption kernel
+    ``lambda0 >= 0``, exponential ``h`` and ``h_hat`` (the consumption kernel
     decays at ``lambda + rho``, the legacy kernel carries weight ``m lambda``
-    and decays at ``lambda + rho_hat``), and constant m and payout; any other
-    spec is refused with :class:`ValidationError`.  The horizon and ``n``
-    do not enter.  Clearing the denominators of the equation in
-    :class:`StationarySolution` gives one quadratic in x for every m and
-    gamma (linear when ``gamma beta = 0``).  A root is accepted when
+    and decays at ``lambda + rho_hat``), constant m and constant ``1/l`` (a
+    constant payout, or the actuarial ``l = 1/lambda`` over a constant
+    hazard); any other spec is refused with :class:`ValidationError`.
+    ``lambda0 = 0`` is Merton's problem, ``x = alpha1 / (1 - gamma beta)``.
+    The horizon and ``n`` do not enter.  Clearing the denominators of the
+    equation in :class:`StationarySolution` gives one quadratic in x for
+    every m and gamma (linear when ``gamma beta = 0``).  A root is accepted when
     ``x > 0``, both transversality values are strictly positive and the
     relative residual ``|x (1/x - rhs(x))|`` is at most 1e-9.  The last
     test drops the spurious root ``alpha + gamma beta x = 0`` that clearing

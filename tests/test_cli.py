@@ -562,11 +562,20 @@ def test_stationary_command(tmp_path, capsys):
     assert vals["tc1"] > 0.0 and vals["tc2"] > 0.0
 
 
-@pytest.mark.parametrize("rho_c, rho_b, m", [(0.1, 0.3, 1.0), (0.3, 0.1, 1.0), (0.1, 0.3, 2.0)])
-def test_stationary_matches_long_horizon_solve(tmp_path, rho_c, rho_b, m):
+@pytest.mark.parametrize(
+    "rho_c, rho_b, m, lam",
+    [
+        pytest.param(0.1, 0.3, 1.0, 0.02, id="0.1-0.3-1.0"),
+        pytest.param(0.3, 0.1, 1.0, 0.02, id="0.3-0.1-1.0"),
+        pytest.param(0.1, 0.3, 2.0, 0.02, id="0.1-0.3-2.0"),
+        pytest.param(0.1, 0.3, 1.0, 0.0, id="zero-hazard"),  # Merton's problem, with the payout of 50
+    ],
+)
+def test_stationary_matches_long_horizon_solve(tmp_path, rho_c, rho_b, m, lam):
     # stationary a is the reciprocal of a(0) from a long-horizon backward solve
     text = (
         EXP1_TEXT.replace("horizon = 1.0", "horizon = 100.0")
+        .replace("mortality.lambda0 = 0.02", f"mortality.lambda0 = {lam}")
         .replace(
             "discount.rho = 0.1",
             f"discount.rho = {rho_c}\nbequest_discount.family = exponential\nbequest_discount.rho = {rho_b}",
@@ -582,6 +591,22 @@ def test_stationary_matches_long_horizon_solve(tmp_path, rho_c, rho_b, m):
     rc = parse_config(text)
     a0 = solve_a(rc.spec, rc.grid_n).a_values[-1]
     assert float(rows[1][0]) == pytest.approx(1.0 / a0, rel=1e-2)
+
+
+def test_stationary_actuarial_payout_over_constant_hazard(tmp_path):
+    # l = 1/lambda = 1/0.02 is exp1's payout of 50 (1/50 == 0.02 as doubles),
+    # so the two write the same bytes
+    exp1 = (CONFIGS / "exp1.cfg").read_text()
+    fair = exp1.replace(
+        "insurance.payout.family = constant\ninsurance.payout.value = 50\n", "insurance.payout.family = inverse_hazard\n"
+    )
+    assert fair != exp1
+    out = {}
+    for name, text in (("constant", exp1), ("inverse_hazard", fair)):
+        cfg = _write(tmp_path, text, name=f"{name}.cfg")
+        assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / name), "--no-svg"]) == 0
+        out[name] = (tmp_path / name / "stationary.csv").read_bytes()
+    assert out["inverse_hazard"] == out["constant"]
 
 
 @pytest.mark.parametrize("payout, gamma, status", [(50, -1, 0), (20, 0.3, 2)])
@@ -614,18 +639,11 @@ _STATIONARY_REFUSALS = [
         "constant mortality",
         id="affine-mortality",
     ),
-    pytest.param("mortality.lambda0 = 0.02", "mortality.lambda0 = 0", "lambda0 > 0", id="zero-hazard"),
     pytest.param(
         "preferences.m.family = constant\npreferences.m.value = 1.0\n",
         "preferences.m.family = log_taper\n",
         "a constant Pareto weight",
         id="log-taper-weight",
-    ),
-    pytest.param(
-        "insurance.payout.family = constant\ninsurance.payout.value = 50\n",
-        "insurance.payout.family = inverse_hazard\n",
-        "a constant payout ratio",
-        id="inverse-hazard-payout",
     ),
     pytest.param(
         "discount.family = exponential\ndiscount.rho = 0.1\n",

@@ -92,6 +92,24 @@ def test_b_constant_rate_closed_form(exp1_spec):
     assert b_function(spec)(0.0) == pytest.approx(expected, rel=1e-12)
 
 
+def test_b_actuarial_payout_over_constant_hazard_closed_form(exp1_spec):
+    # l = 1/lambda over a constant hazard is the constant rate r + eta lambda:
+    # b is the closed form at any N, not an interpolant of the Simpson grid
+    # (about 1e-3 relative off next to T at N = 1000)
+    spec = dataclasses.replace(
+        _with_income(exp1_spec, income=1.0, payout=InverseHazardPayout(exp1_spec.mortality)), horizon=40.0
+    )
+    rate = 0.05 + 1.0 * 0.02
+
+    def closed_form(t):  # i (1 - e^(-rate (T - t)))/rate with i = 1
+        return -np.expm1(-rate * (40.0 - t)) / rate
+
+    t = np.linspace(0.0, 40.0, 4000, endpoint=False)  # b(T) = 0
+    assert np.max(np.abs(b_function(spec, 1000)(t) / closed_form(t) - 1.0)) <= 1e-14
+    nodes = np.linspace(40.0, 0.0, 1001)
+    assert np.max(np.abs(solve_b(spec, 1000)[1:] / closed_form(nodes[1:]) - 1.0)) <= 1e-14
+
+
 def test_b_ode_residual_constant_rate(exp1_spec):
     # i + b' - (r + eta/l) b = 0 at interior nodes, b' by central difference
     spec = _with_income(exp1_spec, income=2.5)
@@ -534,7 +552,7 @@ _rates = st.floats(0.001, 0.5)
 @st.composite
 def _stationary_specs(draw):
     r1 = draw(_rates)
-    lam = draw(_rates)
+    lam = draw(st.just(0.0) | _rates)
     r2 = draw(st.one_of(st.just(r1), _rates))
     m = draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0)))
     payout = draw(st.one_of(st.just(math.inf), st.floats(0.5, 100.0)))
@@ -566,20 +584,47 @@ def test_stationary_root_properties(spec):
         sol = solve_stationary(spec)
     except StationaryInfeasibleError:
         sol = None
-    if gamma <= 0.0:
+    lam = spec.mortality.lambda0
+    if gamma <= 0.0 and lam > 0.0:
         # the equation is monotone on the transversality region, which is
         # non-empty exactly when both alphas are positive
         assert (sol is not None) == (min(alpha1, alpha2) > 0.0)
+    elif gamma <= 0.0:
+        # Merton's x = alpha1/(1 - gamma beta); tc2 is still required
+        gb = gamma * weight_M(spec.prefs, spec.insurance, 0.0)
+        assert (sol is not None) == (alpha1 > 0.0 and alpha2 + gb * alpha1 / (1.0 - gb) > 0.0)
     if sol is None:
         return
     assert sol.tc1 > 0.0 and sol.tc2 > 0.0
     assert sol.x * sol.residual <= 1e-9
-    if spec.discount.rho == spec.prefs.bequest_discount.rho:
+    if lam == 0.0 or spec.discount.rho == spec.prefs.bequest_discount.rho:
         w = spec.mortality.lambda0 * spec.prefs.m0 ** (1.0 / (1.0 - gamma))
         assert sol.x == pytest.approx(alpha1 / (1.0 + w - gamma * sol.beta), rel=1e-12)
 
 
-def test_stationary_parameter_validation(stationary_fixture):
-    spec = dataclasses.replace(stationary_fixture, mortality=ConstantHazard(0.0))
-    with pytest.raises(ValidationError, match="stationary: requires lambda0 > 0"):
+@pytest.mark.parametrize("payout", ["inf", "inverse_hazard"])
+@pytest.mark.parametrize("gamma", [-5.0, -1.0, -0.3, 0.0, 0.3, 0.5])
+def test_stationary_zero_mortality_is_merton(stationary_fixture, gamma, payout):
+    # lambda0 = 0 with no insurance (l = inf, or l = 1/lambda = inf): the
+    # Merton (1969) value a = ((rho - K)/(1 - gamma))^(1 - gamma)
+    insurance = InsuranceIncomeSpec(
+        payout=ConstantPayout(math.inf) if payout == "inf" else InverseHazardPayout(ConstantHazard(0.0))
+    )
+    spec = dataclasses.replace(
+        stationary_fixture,
+        mortality=ConstantHazard(0.0),
+        prefs=dataclasses.replace(stationary_fixture.prefs, gamma=gamma),
+        insurance=insurance,
+    )
+    sol = solve_stationary(spec)
+    K = constant_K(spec.market, gamma)
+    assert sol.a == pytest.approx(((0.1 - K) / (1.0 - gamma)) ** (1.0 - gamma), rel=1e-12)
+    assert sol.tc1 > 0.0 and sol.tc2 > 0.0 and sol.b == 0.0
+
+
+def test_stationary_refuses_time_varying_actuarial_payout(stationary_fixture):
+    # constant mortality, but l = 1/lambda over an affine hazard: 1/l varies
+    payout = InverseHazardPayout(AffineHazard(0.01, 0.004))
+    spec = dataclasses.replace(stationary_fixture, insurance=InsuranceIncomeSpec(payout=payout))
+    with pytest.raises(ValidationError, match="stationary: requires a constant payout ratio"):
         solve_stationary(spec)
