@@ -15,7 +15,7 @@ check (``fixedpoint.csv`` is still written), 1 on a runtime failure.
 Each command imports only the solver modules it runs: at module level the
 CLI loads the model, numpy and the standard library it needs to parse
 configs and write artifacts, so only ``simulate`` loads the Monte Carlo
-pass and scipy, and ``stationary`` loads no backward march.
+pass, and ``stationary`` loads no backward march.  No command loads scipy.
 """
 
 from __future__ import annotations

@@ -239,8 +239,9 @@ class StationarySolution:
 
     and the transversality values ``alpha_j + gamma beta x`` must both be
     strictly positive for the infinite-horizon integrals to converge.  At
-    ``lambda = 0`` the legacy term has no weight and ``tc2`` constrains no
-    integral, but it is still required.
+    ``lambda = 0`` the legacy term has no weight: the equation is linear,
+    ``x = alpha1 / (1 - gamma beta)``, and ``tc2`` bounds no integral, so
+    only ``tc1`` is required and ``tc2`` may take any sign.
     """
 
     a: float
@@ -288,10 +289,20 @@ def _tc_ok(alpha1, alpha2, gb, x) -> bool:
 
 
 def _residual(alpha1, alpha2, gb, legacy_weight, x) -> float:
-    return 1.0 / x - 1.0 / (alpha1 + gb * x) - legacy_weight / (alpha2 + gb * x)
+    legacy = legacy_weight / (alpha2 + gb * x) if legacy_weight else 0.0
+    return 1.0 / x - 1.0 / (alpha1 + gb * x) - legacy
 
 
 def _quadratic_root(gb, alpha1, alpha2, legacy_weight):
+    if legacy_weight == 0.0:
+        # 1/x = 1/(alpha1 + gb x) is linear, and tc1 = alpha1 + gb x = x;
+        # clearing alpha2 + gb x would add its zero as a spurious root
+        x = alpha1 / (1.0 - gb) if gb != 1.0 else math.nan
+        if not (x > 0.0 and alpha1 + gb * x > 0.0):
+            raise StationaryInfeasibleError(
+                "no transversality-feasible root; model misconfiguration (roots: [%s])" % x
+            )
+        return x
     # multiplying by x (alpha1 + gb x)(alpha2 + gb x) gives A x^2 + B x + C = 0
     A = gb * (1.0 - gb + legacy_weight)
     B = alpha2 * (1.0 - gb) + alpha1 * (legacy_weight - gb)
@@ -337,9 +348,11 @@ def solve_stationary(spec: ModelSpec) -> StationarySolution:
     ``lambda0 = 0`` is Merton's problem, ``x = alpha1 / (1 - gamma beta)``.
     The horizon and ``n`` do not enter.  Clearing the denominators of the
     equation in :class:`StationarySolution` gives one quadratic in x for
-    every m and gamma (linear when ``gamma beta = 0``).  A root is accepted when
-    ``x > 0``, both transversality values are strictly positive and the
-    relative residual ``|x (1/x - rhs(x))|`` is at most 1e-9.  The last
+    every m and gamma (linear when ``gamma beta = 0``), or at ``lambda0 = 0``
+    the linear equation ``x = alpha1 + gamma beta x``, solved directly.  A
+    root is accepted when ``x > 0``, both transversality values (``tc1``
+    alone at ``lambda0 = 0``) are strictly positive and the relative
+    residual ``|x (1/x - rhs(x))|`` is at most 1e-9.  The last
     test drops the spurious root ``alpha + gamma beta x = 0`` that clearing
     adds when ``alpha1 = alpha2``.  No accepted root, or two, raises
     :class:`StationaryInfeasibleError`.  ``b = i / (r + eta/l)``.

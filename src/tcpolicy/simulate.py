@@ -18,32 +18,31 @@ drift ``r x + mu f1 - c y - premium + i`` equals ``nu y - ((r + eta/l) b - i)``;
 
 Randomness is fully deterministic.  The Brownian increments and the
 death times each have their own PCG64DXSM stream, seeded by
-``SeedSequence(seed, spawn_key=(stream,))``, and each stream is cut into
-consecutive per-path segments: path i owns the Brownian draws
-``[i n_steps, (i+1) n_steps)`` and the death draw i, and a block jumps to
-its first path's segment with ``advance``.  Each path is reduced to its
-sample on its own, so results are bit-identical for identical (seed,
-paths, dt, scheme) whatever the block size or the number of worker
-threads.
+``SeedSequence(seed, spawn_key=(stream,))``.  The Brownian stream is cut
+into chunks of ``C = max(1, 2**16 // n_steps)`` consecutive paths: chunk c
+jumps the stream to its draw ``c << 64`` with ``advance`` and fills its C
+paths' rows, in order, from one call of numpy's ziggurat
+``standard_normal``.  The ziggurat takes about one 64-bit draw per normal,
+so a chunk of about 2**16 normals stays far inside its 2**64 draws.  Path i
+owns the death draw i.  A block starts on a chunk boundary and each path
+is reduced to its sample on its own, so a path's sample depends only on
+(seed, dt, scheme, path index), and results are bit-identical for
+identical (seed, paths, dt, scheme) whatever the block size or the number
+of worker threads.  A last, partial chunk takes a prefix of its chunk's
+normals, so the first k paths are the same whatever the number of paths.
 
 Paths are built and reduced in blocks of about ``_BLOCK_BYTES`` per
-array, whatever the horizon and dt, on one worker thread per available
-CPU.  Each worker reuses one pair of scratch arrays that the calling
-thread allocates for the pass, so the working set is two such arrays per
-worker and no block allocates a paths x steps array.  Writing
-``U(r y) = r^gamma/gamma y^gamma`` (``log r + log y`` at gamma = 0) folds
-the trapezoid weights, the kernels and the feedback rates into one
-node-weight vector per estimator, so a block costs one exp and two
-row-wise mat-vecs on its log-wealth paths.  Both estimators come from
+array, a whole number of chunks, whatever the horizon and dt, on one
+worker thread per available CPU.  Each worker reuses one pair of scratch
+arrays that the calling thread allocates for the pass, so the working set
+is two such arrays per worker and no block allocates a paths x steps
+array.  Writing ``U(r y) = r^gamma/gamma y^gamma`` (``log r + log y`` at
+gamma = 0) folds the trapezoid weights, the kernels and the feedback rates
+into one node-weight vector per estimator, so a block costs one exp and
+two row-wise mat-vecs on its log-wealth paths.  Both estimators come from
 this one pass: the kernel and mortality samples of the last
 ``(spec, a_curve, b_curve, t0, x0, cfg)`` are kept, so a kernel and a
 mortality estimate with equal arguments draw each path's normals once.
-
-The normals are PCG64DXSM uniforms mapped by ``scipy.special.ndtri``, the
-package's only use of scipy.  scipy.special is imported when a pass first
-needs it, on the calling thread before any worker starts: no command
-without a Monte Carlo pass loads scipy, and no worker thread imports a
-module.
 """
 
 from __future__ import annotations
@@ -75,16 +74,18 @@ __all__ = [
     "verify_fixed_point",
 ]
 
-# Bytes per scratch array of a block: about 1000 paths at 1000 steps and
-# 260 at 4000 (the Monte Carlo passes ran faster at 8 MiB than at 4 or 16).
-# One worker thread per CPU this process may run on.  Both are read at call
-# time so tests can vary them; results do not depend on them because each
-# path owns a fixed segment of each stream and is reduced alone.
+# Bytes per scratch array of a block, rounded down to whole chunks: 1040
+# paths at 1000 steps and 256 at 4000 (the Monte Carlo passes ran faster at
+# 8 MiB than at 4 or 16).  One worker thread per CPU this process may run
+# on.  Both are read at call time so tests can vary them; results do not
+# depend on them because each block is a whole number of chunks, each chunk
+# owns a fixed substream of the Brownian stream and each path is reduced
+# alone.
 _BLOCK_BYTES = 8 << 20
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _STREAM_BROWNIAN = 0
 _STREAM_DEATH = 1
-_U_FLOOR = 2.0**-64  # uniforms of exactly 0 would map to -inf normals
+_U_FLOOR = 2.0**-64  # death uniforms of exactly 0 would map to infinite Exp(1) draws
 
 
 @dataclass(frozen=True)
@@ -125,18 +126,27 @@ def _stream(seed: int, stream: int, first_draw: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _chunk_paths(n_steps: int) -> int:
+    """Paths per chunk of the Brownian stream: about 2**16 normals."""
+    return max(1, 2**16 // n_steps)
+
+
 def _path_normals(seed: int, first_path: int, n_steps: int, out: np.ndarray) -> np.ndarray:
     """Standard normals for paths [first_path, first_path + len(out)), drawn into ``out``.
 
-    ``out`` is a C-contiguous (paths, n_steps) array.  Path i owns the
-    draws [i*n_steps, (i+1)*n_steps) of the Brownian stream, so a path's
-    increments depend only on (seed, path index).  Returns ``out``.
+    ``out`` is a C-contiguous (paths, n_steps) array and ``first_path`` a
+    multiple of the chunk ``_chunk_paths(n_steps)``.  Chunk c's paths take
+    consecutive rows of ziggurat normals from the Brownian stream advanced
+    to its draw ``c << 64``, so a path's increments depend only on (seed,
+    n_steps, path index).  Returns ``out``.
     """
-    from scipy.special import ndtri  # loaded by map_blocks before its workers start
-
-    _stream(seed, _STREAM_BROWNIAN, first_path * n_steps).random(out=out)
-    np.maximum(out, _U_FLOOR, out=out)
-    return ndtri(out, out=out)
+    chunk = _chunk_paths(n_steps)
+    if first_path % chunk:
+        raise ValueError(f"first path {first_path} does not start a chunk of {chunk} paths")
+    for row in range(0, len(out), chunk):
+        substream = _stream(seed, _STREAM_BROWNIAN, (first_path + row) // chunk << 64)
+        substream.standard_normal(out=out[row : row + chunk])
+    return out
 
 
 def _path_death_uniforms(seed: int, first_path: int, n_paths: int) -> np.ndarray:
@@ -174,6 +184,7 @@ class _SimContext:
         self.y0 = _shifted_wealth(x0, self.b[0])
 
         self.kappa = market.sigma * rates.merton
+        self.vol_step = self.kappa * math.sqrt(self.h)  # kappa sqrt(h), a step's log-volatility
         M = weight_M(spec.prefs, ins, self.times)
         # geometric drift of Y = X + b and its log-space counterpart
         self.nu = market.r + ins.eta * rates.inv_l + market.mu * rates.merton - rates.consumption * M
@@ -190,7 +201,7 @@ class _SimContext:
             b_drift = (market.r + ins.eta * rates.inv_l) * self.b - ins.income
             shift = self.b[1:] - self.b[:-1] - self.h * b_drift[:-1]
             self.euler_shift = list(map(np.asarray, shift.tolist()))
-        # a scratch row holds either a path's uniforms or its steps + 1 nodes
+        # a scratch row holds either a path's normals or its steps + 1 nodes
         self.row_bytes = 8 * (n_steps + 1)
 
     # -- path blocks ------------------------------------------------------
@@ -199,8 +210,7 @@ class _SimContext:
         """log Y of shifted-wealth paths by exact Gaussian increments, built in ``log_y``."""
         log_y[:, 0] = 0.0
         np.cumsum(normals, axis=1, out=log_y[:, 1:])
-        log_y *= math.sqrt(self.h)
-        log_y *= self.kappa
+        log_y *= self.vol_step
         log_y += math.log(self.y0) + self.log_drift_prefix
         return log_y
 
@@ -215,7 +225,7 @@ class _SimContext:
         and writes contiguous rows.  A path is rejected (NaN from then on)
         at the step where Y reaches 0 or below.
         """
-        np.multiply(normals.T, self.kappa * math.sqrt(self.h), out=factors)
+        np.multiply(normals.T, self.vol_step, out=factors)
         factors += self.euler_growth
         multiply, add, less_equal, copyto = np.multiply, np.add, np.less_equal, np.copyto
         zero, nan = np.asarray(0.0), np.asarray(np.nan)
@@ -239,9 +249,9 @@ class _SimContext:
     def path_block(self, start: int, count: int, scratch) -> tuple[np.ndarray, np.ndarray]:
         """``(log Y, alive)`` of paths [start, start + count); rejected rows are NaN.
 
-        ``scratch`` is a pair from ``scratch(n)``, n >= count: the uniforms
-        are drawn into the first array and log Y is built in the second,
-        whose view is returned.
+        ``start`` is a multiple of the chunk.  ``scratch`` is a pair from
+        ``scratch(n)``, n >= count: the normals are drawn into the first
+        array and log Y is built in the second, whose view is returned.
         """
         draws, paths = scratch
         steps, nodes = self.n_steps, self.n_steps + 1
@@ -258,23 +268,28 @@ class _SimContext:
     def map_blocks(self, reduce) -> None:
         """``reduce(start, log_y, alive)`` on every block of paths.
 
-        A block holds ``_BLOCK_BYTES // row_bytes`` paths.  Each block is
-        built and reduced on one worker thread, so at most one block per
-        worker is in flight, in a copy of the caller's context (so numpy's
-        error state carries over).  The calling thread allocates one pair of
-        scratch arrays per worker and the blocks take them from a queue:
-        ``log_y`` is a view into that scratch, valid only during the
-        ``reduce`` call, which may overwrite it.  ``reduce`` writes its
-        results into the caller's arrays; it must not call the module's
-        kernel functions, which belong to the calling thread.
+        A block holds ``_BLOCK_BYTES // row_bytes`` paths rounded down to a
+        positive multiple of the chunk, so every block starts a chunk of
+        the Brownian stream and draws the same normals for a path whatever
+        the block size.  Each block is built and reduced on one worker
+        thread, so at most one block per worker is in flight, in a copy of
+        the caller's context (so numpy's error state carries over).  The
+        calling thread allocates one pair of scratch arrays per worker and
+        the blocks take them from a queue: ``log_y`` is a view into that
+        scratch, valid only during the ``reduce`` call, which may overwrite
+        it.  ``reduce`` writes its results into the caller's arrays; it must
+        not call the module's kernel functions, which belong to the calling
+        thread.
         """
-        # _path_normals needs scipy.special: load it here, on the calling
-        # thread.  Loaded first on a worker thread, its 200 or so modules
-        # raised the peak RSS of perfbench's mc_verify from 218 to 249 MiB.
-        import scipy.special  # noqa: F401
+        # numpy.random is loaded here, on the calling thread: a module that a
+        # worker imports first lands in that worker's malloc arena (so
+        # scipy.special raised the peak RSS of perfbench's mc_verify from 218
+        # to 249 MiB), and loaded with this module it would add about 2 MiB
+        # to a process that imports it and runs no pass
+        import numpy.random  # noqa: F401
 
-        paths = self.cfg.paths
-        block = min(paths, max(1, _BLOCK_BYTES // self.row_bytes))
+        paths, chunk = self.cfg.paths, _chunk_paths(self.n_steps)
+        block = min(paths, max(1, _BLOCK_BYTES // self.row_bytes // chunk) * chunk)
         ranges = [(start, min(block, paths - start)) for start in range(0, paths, block)]
         workers = min(_WORKERS, len(ranges))
         # allocated here, not on the workers, whose own malloc arenas would

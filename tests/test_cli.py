@@ -593,6 +593,31 @@ def test_stationary_matches_long_horizon_solve(tmp_path, rho_c, rho_b, m, lam):
     assert float(rows[1][0]) == pytest.approx(1.0 / a0, rel=1e-2)
 
 
+def test_stationary_zero_mortality_serves_negative_tc2(tmp_path):
+    # lambda0 = 0: the legacy term has no weight, so tc2 = -0.0917 bounds no
+    # integral; a is 1/a(0) of a backward solve at T = 200
+    text = (
+        (CONFIGS / "exp1.cfg").read_text()
+        .replace("mortality.lambda0 = 0.02", "mortality.lambda0 = 0")
+        .replace(
+            "discount.rho = 0.1",
+            "discount.rho = 0.3\nbequest_discount.family = exponential\nbequest_discount.rho = 0.01",
+        )
+    )
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "stat"
+    assert main(["stationary", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
+    with open(out / "stationary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    vals = dict(zip(rows[0], map(float, rows[1])))
+    assert vals["a"] == pytest.approx(0.0393345, abs=5e-8)
+    assert vals["x"] == pytest.approx(vals["alpha1"] / (1.0 + vals["beta"]), rel=1e-15)
+    assert vals["tc1"] > 0.0 > vals["tc2"]
+    rc = parse_config(text.replace("horizon = 1.0", "horizon = 200.0"))
+    for n in (8000, 16000):
+        assert vals["a"] == pytest.approx(1.0 / solve_a(rc.spec, n).a_values[-1], rel=1e-12)
+
+
 def test_stationary_actuarial_payout_over_constant_hazard(tmp_path):
     # l = 1/lambda = 1/0.02 is exp1's payout of 50 (1/50 == 0.02 as doubles),
     # so the two write the same bytes
@@ -683,16 +708,18 @@ for command in ("solve", "policies", "hump", "stationary", "converge"):
 loaded.append(scipy_modules())
 masked = "numpy.ma" in sys.modules
 status.append(tcpolicy.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3], "--no-svg"]))
-print(json.dumps({"loaded": loaded, "masked": masked, "special": "scipy.special" in sys.modules, "status": status}))
+loaded.append(scipy_modules())
+print(json.dumps({"loaded": loaded, "masked": masked, "status": status}))
 """
 
 
-def test_cli_loads_scipy_only_for_simulate(tmp_path):
-    # importing scipy.special took about 0.3 s of every CLI start, and only
-    # simulate's normals use it (ndtri); one fresh interpreter runs the
-    # commands in turn, with simulate's paths cut down.  numpy.ma (about
-    # 17 ms), which np.unique imports, is not loaded by the five commands
-    # either, converge's closed form included
+def test_cli_loads_no_scipy(tmp_path):
+    # importing scipy.special took about 0.3 s of every CLI start; the
+    # normals are numpy's ziggurat, so no command loads any scipy module,
+    # simulate included.  One fresh interpreter runs the commands in turn,
+    # with simulate's paths cut down.  numpy.ma (about 17 ms), which
+    # np.unique imports, is not loaded by the five other commands either,
+    # converge's closed form included
     sim_cfg = _write(tmp_path, (CONFIGS / "exp1.cfg").read_text().replace("mc.paths = 100000", "mc.paths = 2000"))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     args = [str(CONFIGS / "exp1.cfg"), str(sim_cfg), str(tmp_path / "out")]
@@ -700,9 +727,8 @@ def test_cli_loads_scipy_only_for_simulate(tmp_path):
         [sys.executable, "-c", _SCIPY_PROBE, *args], env=env, capture_output=True, text=True, check=True
     )
     probe = json.loads(result.stdout.splitlines()[-1])
-    assert probe["loaded"] == [[], []]
+    assert probe["loaded"] == [[], [], []]
     assert not probe["masked"]
-    assert probe["special"]
     assert probe["status"] == [0] * 6
 
 

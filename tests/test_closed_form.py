@@ -590,12 +590,12 @@ def test_stationary_root_properties(spec):
         # non-empty exactly when both alphas are positive
         assert (sol is not None) == (min(alpha1, alpha2) > 0.0)
     elif gamma <= 0.0:
-        # Merton's x = alpha1/(1 - gamma beta); tc2 is still required
-        gb = gamma * weight_M(spec.prefs, spec.insurance, 0.0)
-        assert (sol is not None) == (alpha1 > 0.0 and alpha2 + gb * alpha1 / (1.0 - gb) > 0.0)
+        # Merton's x = alpha1/(1 - gamma beta), with 1 - gamma beta >= 1:
+        # the legacy term has no weight, so tc2 bounds no integral
+        assert (sol is not None) == (alpha1 > 0.0)
     if sol is None:
         return
-    assert sol.tc1 > 0.0 and sol.tc2 > 0.0
+    assert sol.tc1 > 0.0 and (sol.tc2 > 0.0 or lam == 0.0)
     assert sol.x * sol.residual <= 1e-9
     if lam == 0.0 or spec.discount.rho == spec.prefs.bequest_discount.rho:
         w = spec.mortality.lambda0 * spec.prefs.m0 ** (1.0 / (1.0 - gamma))
@@ -620,6 +620,18 @@ def test_stationary_zero_mortality_is_merton(stationary_fixture, gamma, payout):
     K = constant_K(spec.market, gamma)
     assert sol.a == pytest.approx(((0.1 - K) / (1.0 - gamma)) ** (1.0 - gamma), rel=1e-12)
     assert sol.tc1 > 0.0 and sol.tc2 > 0.0 and sol.b == 0.0
+
+
+@pytest.mark.parametrize("gamma", [-5.0, -1.0, 0.0, 0.5])
+def test_stationary_zero_mortality_ignores_tc2(market, gamma):
+    # lambda0 = 0 with rho_b far below rho: at gamma < 0, alpha2 + gamma beta x
+    # <= 0 at Merton's root, which is served, since the legacy term has no weight
+    spec = make_stationary_spec(market, lam=0.0, r1=0.3, r2=0.01, m=1.0, payout=50.0, gamma=gamma)
+    sol = solve_stationary(spec)
+    assert sol.x == pytest.approx(sol.alpha1 / (1.0 - gamma * sol.beta), rel=1e-15)
+    assert sol.a == pytest.approx(sol.x ** (1.0 - gamma), rel=1e-15)
+    assert sol.tc1 > 0.0 and sol.x * sol.residual <= 1e-15
+    assert sol.tc2 <= 0.0 or gamma >= 0.0
 
 
 def test_stationary_refuses_time_varying_actuarial_payout(stationary_fixture):

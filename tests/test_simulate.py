@@ -71,9 +71,15 @@ def _same_ensemble(e1, e2):
     return np.array_equal(e1.wealth, e2.wealth, equal_nan=True) and np.array_equal(e1.alive, e2.alive)
 
 
-def _block_bytes(paths, spec, cfg):
-    """The ``_BLOCK_BYTES`` that makes blocks of ``paths`` paths for ``spec`` and ``cfg``."""
-    return paths * sim_module._SimContext(spec, *_constant_curves(1.0), 0.0, 1.0, cfg).row_bytes
+def _chunk(spec, cfg):
+    """The chunk of the Brownian stream for ``spec`` and ``cfg``, in paths."""
+    return sim_module._chunk_paths(sim_module._SimContext(spec, *_constant_curves(1.0), 0.0, 1.0, cfg).n_steps)
+
+
+def _block_bytes(chunks, spec, cfg):
+    """The ``_BLOCK_BYTES`` that makes blocks of ``chunks`` chunks for ``spec`` and ``cfg``."""
+    ctx = sim_module._SimContext(spec, *_constant_curves(1.0), 0.0, 1.0, cfg)
+    return chunks * sim_module._chunk_paths(ctx.n_steps) * ctx.row_bytes
 
 
 def _rejecting_euler_case(exp1_spec):
@@ -96,39 +102,64 @@ _RUNS = {"kernel": (estimate_J_kernel, operator.eq), "mortality": (estimate_J_mo
 def test_estimates_independent_of_chunking(exp1_spec, exp1_solution, monkeypatch, run, same, case):
     # neither the block size nor the number of worker threads moves a bit of
     # any path's sample; a short switch interval makes the threads interleave.
-    # Blocks of 37 paths leave a last, partial block (8000 = 216 x 37 + 8 and
-    # 1000 = 27 x 37 + 1), which must not read the scratch rows of the last
-    # full block
+    # Blocks of 1, 2 and 7 chunks leave a last, partial block and chunk: at
+    # 500 steps the chunk is 131 paths and 8000 = 61 x 131 + 9; at 10 steps
+    # it is 6553 and 20000 = 3 x 6553 + 341.  The last block must not read
+    # the scratch rows of the last full block
     if case == "exp1":
         spec, (a_curve, b_curve), cfg = exp1_spec, exp1_solution, CFG
     else:
         spec, a_curve, b_curve, cfg = _rejecting_euler_case(exp1_spec)
+        cfg = dataclasses.replace(cfg, paths=20_000)
     samples = []
     report = sim_module._report_from_samples
     monkeypatch.setattr(sim_module, "_report_from_samples", lambda s: samples.append(s) or report(s))
     base = run(spec, a_curve, b_curve, 0.0, 1.0, cfg)
-    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(37, spec, cfg))
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(sim_module, "_WORKERS", workers)
-            sim_module._samples.cache_clear()  # recompute at this block size and thread count
-            chunked = run(spec, a_curve, b_curve, 0.0, 1.0, cfg)
-            assert same(base, chunked), f"{workers} workers"
+        for chunks in (1, 2, 7):
+            monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(chunks, spec, cfg))
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(sim_module, "_WORKERS", workers)
+                sim_module._samples.cache_clear()  # recompute at this block size and thread count
+                chunked = run(spec, a_curve, b_curve, 0.0, 1.0, cfg)
+                assert same(base, chunked), f"blocks of {chunks} chunks, {workers} workers"
     finally:
         sys.setswitchinterval(interval)
+    assert len(samples) == (0 if run is simulate_wealth else 10)
     assert all(np.array_equal(samples[0], s) for s in samples[1:])
 
 
-def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeypatch):
+@pytest.mark.parametrize("scheme", [EXACT_Y, EULER])
+def test_first_paths_independent_of_path_count(exp1_spec, exp1_solution, monkeypatch, scheme):
+    # a last, partial chunk takes a prefix of its chunk's normals, so the
+    # first k paths' samples are the same at k and k + 50 paths: at 1000
+    # steps the chunk is 65 paths and k = 100 is not a multiple of it, and
+    # blocks of one chunk make both counts end in a partial block
     a_curve, b_curve = exp1_solution
-    ctx = sim_module._SimContext(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(64, 1, 0.1))
-    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", 16 * ctx.row_bytes)
+    k, cfg = 100, SimConfig(paths=100, seed=31, dt=1e-3, scheme=scheme)
+    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(1, exp1_spec, cfg))
+    assert k % _chunk(exp1_spec, cfg)
+    kernel, mortality = sim_module._samples(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    more = sim_module._samples(exp1_spec, a_curve, b_curve, 0.0, 1.0, dataclasses.replace(cfg, paths=k + 50))
+    assert kernel.size == mortality.size == k
+    assert np.array_equal(more[0][:k], kernel) and np.array_equal(more[1][:k], mortality)
+    wealth = simulate_wealth(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
+    more_wealth = simulate_wealth(exp1_spec, a_curve, b_curve, 0.0, 1.0, dataclasses.replace(cfg, paths=k + 50))
+    assert np.array_equal(more_wealth.wealth[:k], wealth.wealth)
+
+
+def test_blocks_run_in_the_callers_error_state(exp1_spec, exp1_solution, monkeypatch):
+    # 10000 steps make chunks of 6 paths, and blocks of one chunk make 4
+    a_curve, b_curve = exp1_solution
+    ctx = sim_module._SimContext(exp1_spec, a_curve, b_curve, 0.0, 1.0, SimConfig(24, 1, 1e-4))
+    assert sim_module._chunk_paths(ctx.n_steps) == 6
+    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", 6 * ctx.row_bytes)
     states = [None] * 4
 
     def reduce(start, log_y, ok):
-        states[start // 16] = np.geterr()["over"]
+        states[start // 6] = np.geterr()["over"]
 
     with np.errstate(over="raise"):
         ctx.map_blocks(reduce)
@@ -166,6 +197,7 @@ import json, sys, threading
 import tcpolicy as tc
 from tcpolicy import simulate
 
+random_on_import = "numpy.random" in sys.modules
 spec = tc.ModelSpec(
     market=tc.MarketParams(r=0.05, alpha=0.12, sigma=0.2),
     mortality=tc.ConstantHazard(0.02),
@@ -185,24 +217,29 @@ def hook(event, args):
 sys.addaudithook(hook)
 draw = simulate._path_normals
 simulate._path_normals = lambda *args: block_threads.append(threading.get_ident()) or draw(*args)
-simulate._WORKERS, simulate._BLOCK_BYTES = 2, 64 * 8 * 101  # blocks of 64 paths of 101 nodes
-tc.verify_fixed_point(spec, grid.a_curve, b, 0.0, 1.0, tc.SimConfig(paths=256, seed=1, dt=1e-2))
-print(json.dumps({"off_main": off_main, "special": "scipy.special" in sys.modules,
+simulate._WORKERS, simulate._BLOCK_BYTES = 2, 65 * 8 * 1001  # blocks of one chunk, 65 paths of 1001 nodes
+tc.verify_fixed_point(spec, grid.a_curve, b, 0.0, 1.0, tc.SimConfig(paths=260, seed=1, dt=1e-3))
+print(json.dumps({"off_main": off_main, "random_on_import": random_on_import,
+                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"],
                   "blocks": len(block_threads), "main": threading.main_thread().ident in block_threads}))
 """
 
 
 def test_no_module_is_first_imported_on_a_worker_thread():
-    # scipy.special, which the normals need, must be loaded on the calling
-    # thread: imported first by a worker, its 200 or so modules raised the
+    # a module imported first by a worker thread lands in that thread's
+    # malloc arena: scipy.special, which the normals once needed, raised the
     # peak RSS of perfbench's mc_verify from 218 to 249 MiB in 3 of 3 runs
+    # that way.  numpy.random, which the draws need, is imported by the pass
+    # on the calling thread, not with the module (it adds about 2 MiB to a
+    # process that runs no pass), and the pass loads no scipy at all
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run(
         [sys.executable, "-c", _WORKER_IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
     )
     probe = json.loads(result.stdout.splitlines()[-1])
     assert probe["off_main"] == []
-    assert probe["special"]
+    assert not probe["random_on_import"]
+    assert probe["scipy"] == []
     assert probe["blocks"] == 4 and not probe["main"]
 
 
@@ -220,20 +257,21 @@ def _count_normal_draws(monkeypatch):
 
 
 def test_kernel_and_mortality_draw_each_block_once(exp1_spec, exp1_solution, monkeypatch):
+    # at 1000 steps the chunk is 65 paths: blocks of two chunks, 130 paths
     a_curve, b_curve = exp1_solution
-    cfg = SimConfig(paths=450, seed=9, dt=1e-2)
-    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(100, exp1_spec, cfg))
+    cfg = SimConfig(paths=450, seed=9, dt=1e-3)
+    monkeypatch.setattr(sim_module, "_BLOCK_BYTES", _block_bytes(2, exp1_spec, cfg))
     calls = _count_normal_draws(monkeypatch)
     estimate_J_kernel(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
     estimate_J_mortality(exp1_spec, a_curve, b_curve, 0.0, 1.0, cfg)
-    assert sorted(start for _, start, _, _ in calls) == [0, 100, 200, 300, 400]
+    assert sorted(start for _, start, _, _ in calls) == [0, 130, 260, 390]
     # the bound method compares equal to itself under another name
     grid = solve_a(exp1_spec, 1000)
     assert grid.interpolate == grid.a_curve
     calls.clear()
     verify_fixed_point(exp1_spec, grid.a_curve, b_curve, 0.0, 1.0, cfg)
     estimate_J_mortality(exp1_spec, grid.interpolate, b_curve, 0.0, 1.0, cfg)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("scheme", [EXACT_Y, EULER])
@@ -301,28 +339,43 @@ def _brownian_uniforms(seed, draws):
     return np.random.Generator(bg).random(draws)
 
 
+def _chunk_normals(seed, chunk, paths, steps):
+    """``paths`` rows of ``steps`` ziggurat normals from the Brownian stream
+    jumped to draw ``chunk << 64``, from the stream's documented construction."""
+    bg = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(sim_module._STREAM_BROWNIAN,)))
+    bg.advance(chunk << 64)
+    return np.random.Generator(bg).standard_normal((paths, steps))
+
+
 def test_path_normals_are_per_path_substreams():
-    # path i's increments do not depend on how many paths are drawn
-    a = _normals(7, 0, 10, 25)
-    b = _normals(7, 3, 4, 25)
-    assert np.array_equal(a[3:7], b)
+    # path i's increments depend neither on how many paths are drawn nor on
+    # which chunk the draw starts at: 1001 steps make chunks of 65 paths
+    a = _normals(7, 0, 200, 1001)
+    assert np.array_equal(_normals(7, 65, 100, 1001), a[65:165])
+    assert np.array_equal(_normals(7, 130, 1, 1001), a[130:131])
     assert np.array_equal(_path_death_uniforms(7, 2, 5), _path_death_uniforms(7, 0, 10)[2:7])
 
 
-@pytest.mark.parametrize("steps", [25, 1001])  # neither a multiple of 4
-def test_path_normals_cut_one_stream_into_consecutive_segments(steps):
-    # path i owns the Brownian draws [i steps, (i+1) steps): the rows of a
-    # full draw are ndtri of one contiguous draw, and a draw that starts at
-    # any path, a block boundary or not, reproduces the same rows
-    from scipy.special import ndtri
-
-    paths = 9
+@pytest.mark.parametrize("steps", [25, 1001, 2**16 + 1])  # chunks of 2621, 65 and 1 paths
+def test_path_normals_draw_each_chunk_from_its_substream(steps):
+    # chunk c's rows are one standard_normal draw of the Brownian stream
+    # jumped to draw c << 64, and a last, partial chunk is a prefix of it;
+    # a draw that starts at any chunk reproduces the same rows
+    chunk = sim_module._chunk_paths(steps)
+    assert chunk == max(1, 2**16 // steps)
+    paths = 2 * chunk + (chunk + 1) // 2
     full = _normals(11, 0, paths, steps)
-    u = np.maximum(_brownian_uniforms(11, paths * steps), sim_module._U_FLOOR)
-    assert np.array_equal(full, ndtri(u).reshape(paths, steps))
-    for first in range(paths):
-        assert np.array_equal(_normals(11, first, paths - first, steps), full[first:]), first
-        assert np.array_equal(_normals(11, first, 1, steps), full[first : first + 1]), first
+    for c, first in enumerate(range(0, paths, chunk)):
+        rows = full[first : first + chunk]
+        assert np.array_equal(rows, _chunk_normals(11, c, chunk, steps)[: len(rows)]), c
+        assert np.array_equal(_normals(11, first, paths - first, steps), full[first:]), c
+        assert np.array_equal(_normals(11, first, 1, steps), full[first : first + 1]), c
+
+
+@pytest.mark.parametrize("steps, first", [(1001, 1), (1001, 64), (1001, 66), (25, 2620), (25, 1)])
+def test_path_normals_refuse_a_misaligned_first_path(steps, first):
+    with pytest.raises(ValueError, match="does not start a chunk"):
+        _normals(3, first, 1, steps)
 
 
 def test_path_normals_are_standard_normal():
@@ -806,10 +859,11 @@ def _reference_paths(ctx, cfg):
     normals = _normals(cfg.seed, 0, cfg.paths, ctx.n_steps)
     if cfg.scheme == EULER:
         return _reference_euler_y(ctx, normals)
-    w = np.concatenate(
-        [np.zeros((cfg.paths, 1)), np.cumsum(normals, axis=1) * math.sqrt(ctx.h)], axis=1
+    # one multiply by the step's volatility kappa sqrt(h), as the sampler does
+    log_noise = np.concatenate(
+        [np.zeros((cfg.paths, 1)), np.cumsum(normals, axis=1) * (ctx.kappa * math.sqrt(ctx.h))], axis=1
     )
-    y = np.exp(math.log(ctx.y0) + ctx.log_drift_prefix + ctx.kappa * w)
+    y = np.exp(math.log(ctx.y0) + ctx.log_drift_prefix + log_noise)
     return y, np.ones(cfg.paths, dtype=bool)
 
 
