@@ -118,7 +118,8 @@ def _read_pairs(text: str, source: str) -> dict[str, tuple[str, int]]:
 # serialize_config both read these tables.  Dataclass fields a table does
 # not name (LogTaperWeight.horizon, InverseHazardPayout.hazard) come from
 # the model parsed so far.  A key whose default is inf also accepts inf
-# (insurance.payout.value: no insurance offered).
+# (insurance.payout.value: no insurance offered).  serialize_config writes the
+# first family whose class matches, so `constant` precedes its base `affine`.
 _KERNELS = {
     "exponential": (Exponential, (("rho", "rho", _REQUIRED),)),
     "hyperbolic": (Hyperbolic, (("k1", "k1", _REQUIRED), ("k2", "k2", _REQUIRED))),
@@ -171,7 +172,7 @@ def _parse_family(cfg: _Config, section: str, default=_REQUIRED, **context):
         field: cfg.take(f"{section}.{key}", _to_float_or_inf if fallback == math.inf else _to_float, fallback)
         for key, field, fallback in keys
     }
-    values.update((f.name, context[f.name]) for f in fields(cls) if f.name not in values)
+    values.update((f.name, context[f.name]) for f in fields(cls) if f.init and f.name not in values)
     return cls(**values)
 
 

@@ -8,7 +8,8 @@ integral-equation solver.  Every function here takes the same
 a special case refuse a spec outside it.  :func:`exponential_applies` is
 the one test of the exponential case, shared with the solver's convergence
 report.  ``b``, the exponential ``a`` and the log ``a`` share one quadrature,
-the backward march of :func:`_backward_linear`.
+the backward march of :func:`_backward_linear`; the exact ``b`` and the
+solver's a-priori envelopes share one closed form, :func:`_linear_closed_form`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ConstantHazard,
     ConstantPayout,
     ConstantWeight,
     Exponential,
@@ -49,23 +49,45 @@ __all__ = [
 _SIMPSON_PANELS = 10_000
 
 
-def _backward_linear(times, kappa, source, w_T: float) -> np.ndarray:
+def _backward_linear(times, kappa, source, w_T: float):
     """``w(t) = e^(-kappa(t)) [w_T e^(kappa(T)) + int_t^T source e^kappa]`` at
     ``times``, which decrease from T; ``kappa`` and ``source`` are vectorized.
 
     Each step adds one Simpson panel with its midpoint, ``w_(n+1) =
     e^(kappa_n - kappa_(n+1)) w_n + int_(t_(n+1))^(t_n) source e^(kappa - kappa_(n+1))``,
     so each exponent spans one panel and grows with its width, not with T.
+    Returns ``(v, rescaled)``: v is divided by 2^512, exactly, at each node
+    where it passes 2^512, so that w may leave the double range; ``w = v
+    2^(512 k)`` at a node past k of the ``rescaled`` nodes, ascending.
     """
     mids = 0.5 * (times[:-1] + times[1:])
     k_nodes, g_nodes, g_mids = kappa(times), source(times), source(mids)
     carry = np.exp(k_nodes[:-1] - k_nodes[1:])
     inner = np.exp(kappa(mids) - k_nodes[1:])
     panels = (times[:-1] - times[1:]) / 6.0 * (g_nodes[1:] + 4.0 * g_mids * inner + g_nodes[:-1] * carry)
-    w = [w_T]
+    ldexp, top = math.ldexp, 2.0**512
+    v, s, w, rescaled = w_T, 0, [w_T], []
     for c, p in zip(carry.tolist(), panels.tolist()):
-        w.append(c * w[-1] + p)
-    return np.array(w)
+        v = c * v + (ldexp(p, -s) if s else p)
+        if v > top:
+            v, s = ldexp(v, -512), s + 512
+            rescaled.append(len(w))
+        w.append(v)
+    return np.array(w), rescaled
+
+
+def _linear_closed_form(lin: float, const: float, y_T, tau):
+    """``y(T - tau)`` for ``y' = lin y + const`` from y(T) = y_T: ``y_T e^x +
+    const expm1(x) / lin``, ``x = -lin tau`` (``y_T - const tau`` at lin = 0).
+    expm1 keeps y(T) exact and cancels nothing at a small lin, which divides
+    last (const / lin overflows at a subnormal lin); a term with a zero
+    factor is left out, so that b without income is 0 where e^x overflows."""
+    if lin == 0.0:
+        return y_T - const * tau
+    x = -lin * tau
+    with np.errstate(over="ignore"):
+        y = y_T * np.exp(x) if y_T else np.zeros_like(x)
+        return y + const * np.expm1(x) / lin if const else y
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +97,10 @@ def _backward_linear(times, kappa, source, w_T: float) -> np.ndarray:
 
 def _constant_payout(spec: ModelSpec) -> bool:
     """True when ``1/l`` is constant: a constant payout, or the actuarial
-    payout ``l = 1/lambda`` over a constant hazard."""
+    payout ``l = 1/lambda`` over a hazard with ``lambda1 = 0``."""
     payout = spec.insurance.payout
     return isinstance(payout, ConstantPayout) or (
-        isinstance(payout, InverseHazardPayout) and isinstance(payout.hazard, ConstantHazard)
+        isinstance(payout, InverseHazardPayout) and payout.hazard.lambda1 == 0.0
     )
 
 
@@ -87,15 +109,10 @@ def _b_is_exact(spec: ModelSpec) -> bool:
 
 
 def _exact_b(spec: ModelSpec, t):
-    """``b(t)`` in closed form; valid when :func:`_b_is_exact` holds."""
-    income = spec.insurance.income
-    tau = spec.horizon - np.asarray(t, dtype=float)
-    if income == 0.0:
-        return np.zeros_like(tau)
+    """``b(t)`` in closed form, ``b' = (r + eta/l) b - i`` from b(T) = 0;
+    valid when :func:`_b_is_exact` holds."""
     rate = spec.market.r + spec.insurance.eta * spec.insurance.payout.inverse(0.0)
-    if rate == 0.0:
-        return income * tau
-    return income * (-np.expm1(-rate * tau)) / rate
+    return _linear_closed_form(rate, -spec.insurance.income, 0.0, spec.horizon - np.asarray(t, dtype=float))
 
 
 def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
@@ -119,7 +136,8 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
     def kappa(t):
         return -(spec.market.r * t + eta * spec.insurance.payout.integrated_inverse(t))
 
-    return _backward_linear(times, kappa, lambda t: np.full_like(t, income), 0.0)
+    b, rescaled = _backward_linear(times, kappa, lambda t: np.full_like(t, income), 0.0)
+    return np.ldexp(b, 512 * np.searchsorted(rescaled, np.arange(b.size), side="right"))
 
 
 def b_function(spec: ModelSpec, N: int = 4096):
@@ -172,8 +190,8 @@ def a_exponential(spec: ModelSpec, t):
     legacy-kernel weight ``w = m^(1/(1-g))`` (= 1 for the unit weight).
     ``t`` is a time or an array of times; one backward march serves them
     all, on the requested times merged with ``_SIMPSON_PANELS`` equal
-    panels from the earliest of them to T.  Raises ``OverflowError`` when
-    w leaves the double range.
+    panels from the earliest of them to T.  The march rescales w past the
+    double range, so only an a that leaves it raises ``OverflowError``.
     """
     if not exponential_applies(spec):
         raise ValidationError(
@@ -197,11 +215,13 @@ def a_exponential(spec: ModelSpec, t):
     start = t_req.min(initial=spec.horizon)
     merged = np.sort(np.concatenate([t_req.ravel(), np.linspace(start, spec.horizon, _SIMPSON_PANELS + 1)]))
     ascending = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
-    w = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))[::-1]
-    if not np.all(np.isfinite(w)):
-        # the march in a can stay finite where w = a^(1/(1-g)) does not
-        raise OverflowError("a_exponential: overflow: w = a^(1/(1-gamma)) is not finite")
-    a = w[np.searchsorted(ascending, t_req)] ** one_mg
+    w, rescaled = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))
+    at = ascending.size - 1 - np.searchsorted(ascending, t_req)
+    shift = 512 * np.searchsorted(rescaled, at, side="right")
+    with np.errstate(over="ignore"):  # (w 2^shift)^(1-g); 2^0 = 1 leaves an unshifted w's bits
+        a = w[at] ** one_mg * np.exp2(one_mg * shift)
+    if np.any(np.isinf(a)):
+        raise OverflowError("a_exponential: overflow: a is not finite")
     return a if np.ndim(t) else float(a)
 
 
@@ -221,7 +241,8 @@ def a_log(spec: ModelSpec, t: float) -> float:
 
     times = np.linspace(spec.horizon, t, _SIMPSON_PANELS + 1)
     boundary = spec.prefs.n * kernel_Q(spec, spec.horizon, t)
-    return float(_backward_linear(times, np.zeros_like, source, 0.0)[-1] + boundary)
+    w, rescaled = _backward_linear(times, np.zeros_like, source, 0.0)
+    return float(math.ldexp(w[-1], 512 * len(rescaled)) + boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +281,7 @@ class StationaryInfeasibleError(ValidationError):
 
 
 def _check_stationary(spec: ModelSpec) -> None:
-    if not isinstance(spec.mortality, ConstantHazard):
+    if spec.mortality.lambda1 != 0.0:
         raise ValidationError("stationary: requires constant mortality")
     if not isinstance(spec.prefs.m_weight, ConstantWeight):
         raise ValidationError("stationary: requires a constant Pareto weight")
@@ -339,10 +360,11 @@ def _quadratic_root(gb, alpha1, alpha2, legacy_weight):
 def solve_stationary(spec: ModelSpec) -> StationarySolution:
     """Solve the stationary fixed-point equation and transversality check.
 
-    The stationary case is the constant-coefficient spec: constant hazard
-    ``lambda0 >= 0``, exponential ``h`` and ``h_hat`` (the consumption kernel
-    decays at ``lambda + rho``, the legacy kernel carries weight ``m lambda``
-    and decays at ``lambda + rho_hat``), constant m and constant ``1/l`` (a
+    The stationary case is the constant-coefficient spec: a constant hazard
+    ``lambda0 >= 0`` (any hazard with ``lambda1 = 0``), exponential ``h``
+    and ``h_hat`` (the consumption kernel decays at ``lambda + rho``, the
+    legacy kernel carries weight ``m lambda`` and decays at ``lambda +
+    rho_hat``), constant m and constant ``1/l`` (a
     constant payout, or the actuarial ``l = 1/lambda`` over a constant
     hazard); any other spec is refused with :class:`ValidationError`.
     ``lambda0 = 0`` is Merton's problem, ``x = alpha1 / (1 - gamma beta)``.

@@ -226,7 +226,7 @@ class _ExponentialSum:
         x[p] = self.weight[n] * f_n
         return out
 
-    def rescale(self, n: int, shift: float) -> None:
+    def rescale(self, shift: float) -> None:
         self.state *= shift
         self.block = [x * shift for x in self.block]
         self.far = [v * shift for v in self.far]
@@ -314,7 +314,8 @@ def _check_preconditions(spec: ModelSpec, N: int) -> None:
     a1 = check_assumption_a1(spec)
     if not a1.holds:
         raise AssumptionViolatedError(
-            f"positivity assumption fails: min(1 - gamma M + lambda) = {a1.min_value:.6g} < 0"
+            f"positivity assumption fails: min(1 + w lambda(t) - gamma M(t)) = {a1.min_value:.6g} < 0 "
+            "with w = m(0)^(1/(1-gamma))"
         )
 
 
@@ -369,7 +370,7 @@ def solve_a(spec: ModelSpec, N: int) -> SolutionGrid:
                 if abs(log_scale - ref) > _MAX_LOG_DRIFT:
                     shift = exp(ref - log_scale)
                     for part in parts:
-                        part.rescale(n, shift)
+                        part.rescale(shift)
                     ref = log_scale
                 scale = exp(log_scale - ref)
                 f_n = scale * a_pow
@@ -473,31 +474,20 @@ class BoundsReport:
     gamma: float
     horizon: float
 
-    def _w_backward(self, c_lin: float, c_const: float, t):
-        # w' = (c_lin w + c_const)/(1-g) integrated backward from w(T)
+    def _curve(self, c_lin: float, c_const: float, t):
+        # w' = (c_lin w + c_const)/(1-g) solved backward from w(T) = n^(1/(1-g))
         tau = self.horizon - check_horizon_times(t, self.horizon, "BoundsReport")
         one_mg = 1.0 - self.gamma
-        w_T = self.terminal ** (1.0 / one_mg)
-        if c_lin == 0.0:
-            return w_T - c_const * tau / one_mg
-        # (w_T + c/l) e^x - c/l written with expm1, so that w(T) = w_T
-        # exactly and nothing cancels when |l| is small against |c|
-        x = -c_lin * tau / one_mg
+        w = closed_form._linear_closed_form(c_lin / one_mg, c_const / one_mg, self.terminal ** (1.0 / one_mg), tau)
         with np.errstate(over="ignore"):
-            if c_const == 0.0:
-                return w_T * np.exp(x)  # 0 * expm1(x) would be NaN where it overflows
-            return w_T * np.exp(x) + c_const / c_lin * np.expm1(x)
+            out = np.maximum(w, 0.0) ** one_mg
+        return out if np.ndim(t) else float(out)
 
     def lower_curve(self, t):
-        w = np.maximum(self._w_backward(self.c0, -self.c1, t), 0.0)
-        out = w ** (1.0 - self.gamma)
-        return out if np.ndim(t) else float(out)
+        return self._curve(self.c0, -self.c1, t)
 
     def upper_curve(self, t):
-        w = self._w_backward(-self.d0, -self.d1, t)
-        with np.errstate(over="ignore"):
-            out = w ** (1.0 - self.gamma)
-        return out if np.ndim(t) else float(out)
+        return self._curve(-self.d0, -self.d1, t)
 
 
 _BOUNDS_GRID_POINTS = 10_000

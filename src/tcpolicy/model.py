@@ -16,14 +16,16 @@ used throughout the solvers.  Everything here is a pure function of its
 inputs and safe to call concurrently.  A family of primitives has a base
 class only where the base carries code (``DiscountKernel``'s checked
 ``value`` and ``log_derivative``); any other family is the union of its
-classes, which ``isinstance`` accepts.
+classes, which ``isinstance`` accepts.  ``ConstantHazard`` is the affine
+hazard at ``lambda1 = 0``; what needs a constant hazard (``stationary``,
+the exact b under the actuarial payout) takes any hazard with lambda1 = 0.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -246,32 +248,6 @@ class AffineExponential(DiscountKernel):
 
 
 @dataclass(frozen=True)
-class ConstantHazard:
-    """Constant force of mortality ``lambda(t) = lambda0``."""
-
-    lambda0: float
-
-    def __post_init__(self):
-        _require(self.lambda0 >= 0, "ConstantHazard: lambda0 must be >= 0")
-
-    def rate(self, t):
-        t = check_horizon_times(t, math.inf, "ConstantHazard")
-        return np.full_like(t, self.lambda0) if t.ndim else float(self.lambda0)
-
-    def cumulative(self, t):
-        """Integrated hazard on [0, t]."""
-        t = check_horizon_times(t, math.inf, "ConstantHazard")
-        out = self.lambda0 * t
-        return out if t.ndim else float(out)
-
-    def inverse_cumulative(self, target):
-        """The t with ``cumulative(t) = target``; inf for a zero hazard."""
-        target = check_horizon_times(target, math.inf, "ConstantHazard")
-        out = target / self.lambda0 if self.lambda0 > 0.0 else np.full_like(target, np.inf)
-        return out if target.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class AffineHazard:
     """Linearly increasing force of mortality ``lambda(t) = lambda0 + lambda1 t``."""
 
@@ -279,31 +255,40 @@ class AffineHazard:
     lambda1: float
 
     def __post_init__(self):
-        _require(self.lambda0 >= 0, "AffineHazard: lambda0 must be >= 0")
+        _require(self.lambda0 >= 0, f"{type(self).__name__}: lambda0 must be >= 0")
 
     def rate(self, t):
-        t = check_horizon_times(t, math.inf, "AffineHazard")
+        t = check_horizon_times(t, math.inf, type(self).__name__)
         out = self.lambda0 + self.lambda1 * t
         return out if t.ndim else float(out)
 
     def cumulative(self, t):
-        t = check_horizon_times(t, math.inf, "AffineHazard")
+        """Integrated hazard on [0, t]."""
+        t = check_horizon_times(t, math.inf, type(self).__name__)
         out = self.lambda0 * t + 0.5 * self.lambda1 * t * t
         return out if t.ndim else float(out)
 
     def inverse_cumulative(self, target):
         """The least t >= 0 with ``cumulative(t) = target``; inf past ``lambda0^2
-        / (2 |lambda1|)``, all that a decreasing hazard (lambda1 < 0) integrates to."""
+        / (2 |lambda1|)``, all that a decreasing hazard (lambda1 < 0) integrates
+        to, and past 0 for a zero hazard."""
         lam0, lam1 = self.lambda0, self.lambda1
-        target = check_horizon_times(target, math.inf, "AffineHazard")
-        if lam1 == 0.0:
-            return ConstantHazard(lam0).inverse_cumulative(target)
+        target = check_horizon_times(target, math.inf, type(self).__name__)
         disc = lam0 * lam0 + 2.0 * lam1 * target
         # the root as 2 target / (lam0 + sqrt(disc)): (sqrt(disc) - lam0) / lam1
-        # cancels for a small lam1; the denominator is 0 only at lam0 = target = 0
-        root = np.divide(2.0 * target, lam0 + np.sqrt(np.abs(disc)), out=np.zeros_like(target), where=target != 0.0)
+        # cancels for a small lam1; at lam1 = 0 it is target / lam0 bit for bit
+        # for 1.5e-154 < lam0 < 1.3e154, and inf past 0 for a zero hazard
+        with np.errstate(divide="ignore"):
+            root = np.divide(2.0 * target, lam0 + np.sqrt(np.abs(disc)), out=np.zeros_like(target), where=target != 0.0)
         out = np.where(disc >= 0.0, root, np.inf)
         return out if target.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class ConstantHazard(AffineHazard):
+    """Constant force of mortality ``lambda(t) = lambda0``: lambda1 = 0."""
+
+    lambda1: float = field(default=0.0, init=False, repr=False)
 
 
 MortalityModel = ConstantHazard | AffineHazard

@@ -618,6 +618,21 @@ def test_stationary_zero_mortality_serves_negative_tc2(tmp_path):
         assert vals["a"] == pytest.approx(1.0 / solve_a(rc.spec, n).a_values[-1], rel=1e-12)
 
 
+def test_stationary_affine_hazard_at_lambda1_zero_writes_exp1_bytes(tmp_path):
+    # mortality.family = affine with lambda1 = 0 was refused as "requires
+    # constant mortality"; it is the constant hazard
+    exp1 = (CONFIGS / "exp1.cfg").read_text()
+    old = "mortality.family = constant\nmortality.lambda0 = 0.02\n"
+    assert exp1.count(old) == 1
+    affine = exp1.replace(old, "mortality.family = affine\nmortality.lambda0 = 0.02\nmortality.lambda1 = 0\n")
+    out = {}
+    for name, text in (("constant", exp1), ("affine", affine)):
+        cfg = _write(tmp_path, text, name=f"{name}.cfg")
+        assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / name), "--no-svg"]) == 0
+        out[name] = (tmp_path / name / "stationary.csv").read_bytes()
+    assert out["affine"] == out["constant"]
+
+
 def test_stationary_actuarial_payout_over_constant_hazard(tmp_path):
     # l = 1/lambda = 1/0.02 is exp1's payout of 50 (1/50 == 0.02 as doubles),
     # so the two write the same bytes
@@ -788,22 +803,38 @@ def test_converge_command(tmp_path):
     assert float(rows[1][2]) == pytest.approx(2.0, abs=0.4)
 
 
-def test_converge_exit_1_on_overflowed_oracle(tmp_path, capsys):
-    # the closed form's w = a^10 overflows on T = 400 while the march stays
-    # finite: converge reported err = inf and ratio = nan and exited 0
+def _exp1_long_horizon_text(horizon):
     text = EXP1_TEXT
     for old, new in (
-        ("horizon = 1.0", "horizon = 400.0"),
+        ("horizon = 1.0", f"horizon = {horizon}"),
         ("preferences.gamma = -1", "preferences.gamma = 0.9"),
         ("grid.N = 200", "grid.N = 4000"),
     ):
         assert old in text
         text = text.replace(old, new)
-    cfg = _write(tmp_path, text)
+    return text
+
+
+def test_converge_exit_1_on_overflowed_oracle(tmp_path, capsys):
+    # the closed form's a overflows on T = 1500 (a(0) = 1e322) while the
+    # march stays finite: converge reported err = inf and ratio = nan and exited 0
+    cfg = _write(tmp_path, _exp1_long_horizon_text(1500.0))
     out = tmp_path / "conv"
     assert main(["converge", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 1
-    assert "overflow: w = a^(1/(1-gamma)) is not finite" in capsys.readouterr().err
+    assert "a_exponential: overflow: a is not finite" in capsys.readouterr().err
     assert not (out / "convergence.csv").exists()
+
+
+def test_converge_serves_oracle_past_the_range_of_w(tmp_path):
+    # on T = 400 the closed form's w = a^10 reaches 4.8e858, and converge
+    # exited 1 with "overflow: w = a^(1/(1-gamma)) is not finite"; a(0) is 7.4e85
+    cfg = _write(tmp_path, _exp1_long_horizon_text(400.0))
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--no-svg"]) == 0
+    with open(out / "convergence.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["N", "err", "ratio"] and [row[0] for row in rows[1:]] == ["4000", "8000"]
+    assert all(0.0 < float(row[1]) < 7.4e85 for row in rows[1:])
 
 
 def test_hump_command(tmp_path, capsys):

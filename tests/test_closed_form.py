@@ -347,14 +347,39 @@ def test_a_exponential_refusals(exp1_spec, market):
         a_exponential(mixed, 0.0)
 
 
+def _exp1_long_horizon(exp1_spec, horizon):
+    # exp1 at gamma = 0.9, whose a grows like e^(0.49425 (T - t))
+    return dataclasses.replace(exp1_spec, horizon=horizon, prefs=dataclasses.replace(exp1_spec.prefs, gamma=0.9))
+
+
+def test_a_exponential_long_horizon_matches_closed_form(exp1_spec):
+    # w = a^10 passes the double range near t = 0 at T = 400 (a(0) = 7.4e85,
+    # w(0) = 4.8e858), and the march carries it rescaled by powers of 2^512.
+    # With constant coefficients a = exp((1-g) (k tau + log(n^q + s (1 -
+    # e^(-k tau))/k))), q = 1/(1-g), k = (K - rho + g eta/l - lambda)/(1-g)
+    # and s = (1 + lambda - g M)/(1-g).  Measured 9.1e-9 at each time: the
+    # Simpson error of the 1e4 panels, which the rescaling leaves alone
+    spec = _exp1_long_horizon(exp1_spec, 400.0)
+    gamma, inv_l, lam = 0.9, 1.0 / 50.0, 0.02
+    k = (constant_K(spec.market, gamma) - 0.1 + gamma * inv_l - lam) / (1.0 - gamma)
+    s = (1.0 + lam - gamma * (1.0 + inv_l)) / (1.0 - gamma)
+    t = np.array([0.0, 200.0, 399.0])
+    tau = spec.horizon - t
+    exact = np.exp((1.0 - gamma) * (k * tau + np.log(1.0 + s * -np.expm1(-k * tau) / k)))
+    assert exact == pytest.approx([7.3819e85, 8.6728e42, 1.6701], rel=1e-4)
+    # one call, and one call per time, each on its own panels
+    for got in (a_exponential(spec, t), [a_exponential(spec, u) for u in t]):
+        assert np.max(np.abs(got / exact - 1.0)) <= 1e-8
+
+
 def test_a_exponential_overflow_raises(exp1_spec):
-    # gamma = 0.9 over T = 400: w = a^10 leaves the double range, while the
-    # march's a(0) stays finite (about 5e85)
-    prefs = dataclasses.replace(exp1_spec.prefs, gamma=0.9)
-    spec = dataclasses.replace(exp1_spec, horizon=400.0, prefs=prefs)
-    assert math.isfinite(a_exponential(spec, 399.0))  # w is finite near T
-    with pytest.raises(OverflowError, match=r"overflow: w = a\^\(1/\(1-gamma\)\) is not finite"):
-        a_exponential(spec, np.linspace(400.0, 0.0, 4001))
+    # gamma = 0.9 over T = 1500: a itself leaves the double range where
+    # T - t passes 1436 (a(0) = 1e322); over T = 400 only w = a^10 did, and
+    # that raised too
+    spec = _exp1_long_horizon(exp1_spec, 1500.0)
+    assert math.isfinite(a_exponential(spec, 100.0))
+    with pytest.raises(OverflowError, match=r"^a_exponential: overflow: a is not finite$"):
+        a_exponential(spec, np.linspace(1500.0, 0.0, 4001))
     with pytest.raises(OverflowError, match="overflow"):
         a_exponential(spec, 0.0)
 
@@ -632,6 +657,32 @@ def test_stationary_zero_mortality_ignores_tc2(market, gamma):
     assert sol.a == pytest.approx(sol.x ** (1.0 - gamma), rel=1e-15)
     assert sol.tc1 > 0.0 and sol.x * sol.residual <= 1e-15
     assert sol.tc2 <= 0.0 or gamma >= 0.0
+
+
+@pytest.mark.parametrize("payout", ["constant", "inverse_hazard"])
+def test_stationary_accepts_affine_hazard_at_lambda1_zero(stationary_fixture, payout):
+    # AffineHazard(0.02, 0) was refused as "requires constant mortality"
+    def solve(hazard):
+        insurance = stationary_fixture.insurance
+        if payout == "inverse_hazard":
+            insurance = InsuranceIncomeSpec(payout=InverseHazardPayout(hazard))
+        return solve_stationary(dataclasses.replace(stationary_fixture, mortality=hazard, insurance=insurance))
+
+    assert solve(AffineHazard(0.02, 0.0)) == solve(ConstantHazard(0.02))
+
+
+def test_exact_b_serves_actuarial_payout_over_affine_hazard_at_lambda1_zero(exp1_spec):
+    # 1/l = lambda is constant at lambda1 = 0: the closed form, bit for bit
+    # the b of a constant hazard, not the Simpson interpolant
+    def b_of(hazard):
+        insurance = InsuranceIncomeSpec(payout=InverseHazardPayout(hazard), income=1.0)
+        return b_function(dataclasses.replace(exp1_spec, mortality=hazard, insurance=insurance))
+
+    t = np.linspace(0.0, exp1_spec.horizon, 1001)
+    b = b_of(AffineHazard(0.02, 0.0))(t)
+    assert np.array_equal(b, b_of(ConstantHazard(0.02))(t))
+    # r + eta/l = 0.07: i (1 - e^(-0.07 tau)) / 0.07
+    assert np.max(np.abs(b - -np.expm1(-0.07 * (1.0 - t)) / 0.07)) <= 1e-16
 
 
 def test_stationary_refuses_time_varying_actuarial_payout(stationary_fixture):

@@ -227,6 +227,41 @@ def test_inverse_cumulative_beyond_reach_is_infinite():
     assert math.isinf(AffineHazard(lambda0=0.02, lambda1=-0.001).inverse_cumulative(0.3))
 
 
+@pytest.mark.parametrize("lambda0", [0.0, 0.02])
+@pytest.mark.parametrize("t", [0.0, 0.3, 17.25, np.linspace(0.0, 40.0, 801), np.array([[0.0, 1.5], [2.5, 1e6]])])
+def test_constant_hazard_is_affine_hazard_at_lambda1_zero(lambda0, t):
+    # the affine root 2 L / (lambda0 + sqrt(lambda0^2)) is L / lambda0 bit
+    # for bit, and a zero hazard's root is 0 at L = 0 and inf past it
+    constant, affine = ConstantHazard(lambda0), AffineHazard(lambda0, 0.0)
+    assert isinstance(constant, AffineHazard) and constant.lambda1 == 0.0
+    for method in ("rate", "cumulative", "inverse_cumulative"):
+        got, want = getattr(constant, method)(t), getattr(affine, method)(t)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    # the values of the constant hazard's own methods, which are gone
+    np.testing.assert_array_equal(constant.rate(t), np.full_like(np.asarray(t, dtype=float), lambda0))
+    np.testing.assert_array_equal(constant.cumulative(t), lambda0 * np.asarray(t))
+    if lambda0:
+        np.testing.assert_array_equal(constant.inverse_cumulative(t), np.asarray(t) / lambda0)
+
+
+def test_zero_hazard_inverse_cumulative_at_zero_is_zero():
+    # the least t with Lambda(t) = 0; a constant zero hazard answered inf
+    assert ConstantHazard(0.0).inverse_cumulative(0.0) == 0.0
+    np.testing.assert_array_equal(ConstantHazard(0.0).inverse_cumulative(np.array([0.0, 0.5])), [0.0, math.inf])
+
+
+def test_constant_hazard_refusals_name_constant_hazard():
+    with pytest.raises(ValidationError, match="^ConstantHazard: lambda0 must be >= 0$"):
+        ConstantHazard(-0.1)
+    for method in ("rate", "cumulative", "inverse_cumulative"):
+        with pytest.raises(ValidationError, match="^ConstantHazard: t outside"):
+            getattr(ConstantHazard(0.02), method)(-1.0)
+    with pytest.raises(TypeError):
+        ConstantHazard(0.02, 0.001)  # lambda1 is no argument
+    assert repr(ConstantHazard(0.02)) == "ConstantHazard(lambda0=0.02)"
+
+
 @pytest.mark.parametrize("lambda1", [1.125e-3, 1e-6, 1e-9, 1e-12])
 def test_affine_inverse_cumulative_does_not_cancel(lambda1):
     # the root (sqrt(lambda0^2 + 2 lambda1 L) - lambda0) / lambda1 cancelled:
