@@ -27,6 +27,7 @@ from .model import (
     ModelSpec,
     ValidationError,
     _check_grid_size,
+    _on_times,
     a1_margin,
     check_horizon_times,
     constant_K,
@@ -56,9 +57,9 @@ def _backward_linear(times, kappa, source, w_T: float):
     Each step adds one Simpson panel with its midpoint, ``w_(n+1) =
     e^(kappa_n - kappa_(n+1)) w_n + int_(t_(n+1))^(t_n) source e^(kappa - kappa_(n+1))``,
     so each exponent spans one panel and grows with its width, not with T.
-    Returns ``(v, rescaled)``: v is divided by 2^512, exactly, at each node
-    where it passes 2^512, so that w may leave the double range; ``w = v
-    2^(512 k)`` at a node past k of the ``rescaled`` nodes, ascending.
+    Returns ``(v, e)`` with ``w = v 2^e`` at each node: v is divided by
+    2^512, exactly, where it passes 2^512, so that w may leave the double
+    range, and e counts those divisions in steps of 512.
     """
     mids = 0.5 * (times[:-1] + times[1:])
     k_nodes, g_nodes, g_mids = kappa(times), source(times), source(mids)
@@ -66,14 +67,14 @@ def _backward_linear(times, kappa, source, w_T: float):
     inner = np.exp(kappa(mids) - k_nodes[1:])
     panels = (times[:-1] - times[1:]) / 6.0 * (g_nodes[1:] + 4.0 * g_mids * inner + g_nodes[:-1] * carry)
     ldexp, top = math.ldexp, 2.0**512
-    v, s, w, rescaled = w_T, 0, [w_T], []
+    v, s, w, e = w_T, 0, [w_T], [0]
     for c, p in zip(carry.tolist(), panels.tolist()):
         v = c * v + (ldexp(p, -s) if s else p)
         if v > top:
             v, s = ldexp(v, -512), s + 512
-            rescaled.append(len(w))
         w.append(v)
-    return np.array(w), rescaled
+        e.append(s)
+    return np.array(w), np.array(e)
 
 
 def _linear_closed_form(lin: float, const: float, y_T, tau):
@@ -136,8 +137,7 @@ def solve_b(spec: ModelSpec, N: int) -> np.ndarray:
     def kappa(t):
         return -(spec.market.r * t + eta * spec.insurance.payout.integrated_inverse(t))
 
-    b, rescaled = _backward_linear(times, kappa, lambda t: np.full_like(t, income), 0.0)
-    return np.ldexp(b, 512 * np.searchsorted(rescaled, np.arange(b.size), side="right"))
+    return np.ldexp(*_backward_linear(times, kappa, lambda t: np.full_like(t, income), 0.0))
 
 
 def b_function(spec: ModelSpec, N: int = 4096):
@@ -154,9 +154,7 @@ def b_function(spec: ModelSpec, N: int = 4096):
         values = solve_b(spec, N)[::-1]
 
     def b(t):
-        t_arr = check_horizon_times(t, spec.horizon, "b")
-        out = _exact_b(spec, t_arr) if exact else np.interp(t_arr, times, values)
-        return out if np.ndim(t) else float(out)
+        return _on_times(lambda t: _exact_b(spec, t) if exact else np.interp(t, times, values), t, "b", spec.horizon)
 
     return b
 
@@ -197,8 +195,6 @@ def a_exponential(spec: ModelSpec, t):
         raise ValidationError(
             "a_exponential: requires h = h_hat exponential with one rate and a constant Pareto weight"
         )
-    t_req = check_horizon_times(t, spec.horizon, "a_exponential")
-
     gamma = spec.prefs.gamma
     K = constant_K(spec.market, gamma)
     one_mg = 1.0 - gamma
@@ -210,19 +206,21 @@ def a_exponential(spec: ModelSpec, t):
     def source(u):
         return a1_margin(spec, u) / one_mg
 
-    # the sorted union of the two, as np.union1d gives it, whose np.unique
-    # would import numpy.ma (about 17 ms) on first use; no times march from T to T
-    start = t_req.min(initial=spec.horizon)
-    merged = np.sort(np.concatenate([t_req.ravel(), np.linspace(start, spec.horizon, _SIMPSON_PANELS + 1)]))
-    ascending = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
-    w, rescaled = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))
-    at = ascending.size - 1 - np.searchsorted(ascending, t_req)
-    shift = 512 * np.searchsorted(rescaled, at, side="right")
-    with np.errstate(over="ignore"):  # (w 2^shift)^(1-g); 2^0 = 1 leaves an unshifted w's bits
-        a = w[at] ** one_mg * np.exp2(one_mg * shift)
-    if np.any(np.isinf(a)):
-        raise OverflowError("a_exponential: overflow: a is not finite")
-    return a if np.ndim(t) else float(a)
+    def march(t_req):
+        # the sorted union of the two, as np.union1d gives it, whose np.unique
+        # would import numpy.ma (about 17 ms) on first use; no times march from T to T
+        start = t_req.min(initial=spec.horizon)
+        merged = np.sort(np.concatenate([t_req.ravel(), np.linspace(start, spec.horizon, _SIMPSON_PANELS + 1)]))
+        ascending = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+        w, e = _backward_linear(ascending[::-1], kappa, source, spec.prefs.n ** (1.0 / one_mg))
+        at = ascending.size - 1 - np.searchsorted(ascending, t_req)
+        with np.errstate(over="ignore"):  # (w 2^e)^(1-g); 2^0 = 1 leaves an unscaled w's bits
+            a = w[at] ** one_mg * np.exp2(one_mg * e[at])
+        if np.any(np.isinf(a)):
+            raise OverflowError("a_exponential: overflow: a is not finite")
+        return a
+
+    return _on_times(march, t, "a_exponential", spec.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +239,8 @@ def a_log(spec: ModelSpec, t: float) -> float:
 
     times = np.linspace(spec.horizon, t, _SIMPSON_PANELS + 1)
     boundary = spec.prefs.n * kernel_Q(spec, spec.horizon, t)
-    w, rescaled = _backward_linear(times, np.zeros_like, source, 0.0)
-    return float(math.ldexp(w[-1], 512 * len(rescaled)) + boundary)
+    w, e = _backward_linear(times, np.zeros_like, source, 0.0)
+    return float(np.ldexp(w[-1], e[-1]) + boundary)
 
 
 # ---------------------------------------------------------------------------

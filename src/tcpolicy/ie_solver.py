@@ -66,9 +66,9 @@ from .model import (
     ModelSpec,
     ValidationError,
     _check_grid_size,
+    _on_times,
     a1_margin,
     check_assumption_a1,
-    check_horizon_times,
     constant_K,
     legacy_hazard_weight,
     weight_M,
@@ -118,9 +118,7 @@ class SolutionGrid:
 
     def interpolate(self, t):
         """Piecewise-linear interpolation of a; exact at the nodes."""
-        t_arr = check_horizon_times(t, self.times[0], "interpolate")
-        out = np.interp(t_arr, self.times[::-1], self.a_values[::-1])
-        return out if t_arr.ndim else float(out)
+        return _on_times(lambda t: np.interp(t, self.times[::-1], self.a_values[::-1]), t, "interpolate", self.times[0])
 
     @property
     def a_curve(self):
@@ -476,12 +474,14 @@ class BoundsReport:
 
     def _curve(self, c_lin: float, c_const: float, t):
         # w' = (c_lin w + c_const)/(1-g) solved backward from w(T) = n^(1/(1-g))
-        tau = self.horizon - check_horizon_times(t, self.horizon, "BoundsReport")
         one_mg = 1.0 - self.gamma
-        w = closed_form._linear_closed_form(c_lin / one_mg, c_const / one_mg, self.terminal ** (1.0 / one_mg), tau)
-        with np.errstate(over="ignore"):
-            out = np.maximum(w, 0.0) ** one_mg
-        return out if np.ndim(t) else float(out)
+        lin, const, w_T = c_lin / one_mg, c_const / one_mg, self.terminal ** (1.0 / one_mg)
+
+        def envelope(t):
+            with np.errstate(over="ignore"):
+                return np.maximum(closed_form._linear_closed_form(lin, const, w_T, self.horizon - t), 0.0) ** one_mg
+
+        return _on_times(envelope, t, "BoundsReport", self.horizon)
 
     def lower_curve(self, t):
         return self._curve(self.c0, -self.c1, t)

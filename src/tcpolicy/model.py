@@ -13,12 +13,12 @@ This module houses the parameter containers (the Monte Carlo settings
 ``SimConfig`` among them), the mortality-adjusted discount kernels
 ``Q(s, t)`` and ``q(s, t)``, and the derived constants ``K`` and ``M(z)``
 used throughout the solvers.  Everything here is a pure function of its
-inputs and safe to call concurrently.  A family of primitives has a base
-class only where the base carries code (``DiscountKernel``'s checked
-``value`` and ``log_derivative``); any other family is the union of its
-classes, which ``isinstance`` accepts.  ``ConstantHazard`` is the affine
-hazard at ``lambda1 = 0``; what needs a constant hazard (``stationary``,
-the exact b under the actuarial payout) takes any hazard with lambda1 = 0.
+inputs and safe to call concurrently.  Every family of primitives is the
+union of its classes, which ``isinstance`` accepts, and every time query
+checks and shapes its times with one helper, :func:`_on_times`.
+``ConstantHazard`` is the affine hazard at ``lambda1 = 0``; what needs a
+constant hazard (``stationary``, the exact b under the actuarial payout)
+takes any hazard with lambda1 = 0.
 """
 
 from __future__ import annotations
@@ -84,6 +84,14 @@ def check_horizon_times(t, horizon, name: str) -> np.ndarray:
     return t
 
 
+def _on_times(f, t, name: str, horizon=math.inf):
+    """``f`` of the times ``t``, checked by :func:`check_horizon_times` and
+    given as a float array: an array for an array, a Python float for a scalar."""
+    t = check_horizon_times(t, horizon, name)
+    out = f(t)
+    return out if t.ndim else float(out)
+
+
 def _check_grid_size(N, minimum: int, name: str) -> None:
     """Refuse a grid size that is not an integer >= ``minimum``; numpy integers pass."""
     _require(isinstance(N, numbers.Integral) and N >= minimum, f"{name}: N must be an integer >= {minimum}")
@@ -98,31 +106,8 @@ _LOG_TAIL = math.log(1e-17)
 _LAG = "discount kernel: nonnegative lag needed"
 
 
-class DiscountKernel:
-    """Discount function ``h`` with ``h(0) = 1``, positive and non-increasing.
-
-    ``value`` and ``log_derivative`` (that is ``h'/h``) take a scalar or an
-    array of nonnegative times and give a float or an array.  Subclasses
-    implement them as ``_value`` and ``_log_derivative`` on the checked
-    float array, and ``exponential_sum(horizon, step)``: arrays ``(w, r)``,
-    real or complex, with ``h(t) = Re sum_i w_i e^(-r_i t)`` to double
-    precision for t in [step, horizon].  Every ``Re r_i >= 0``, so each
-    weight is its term's value at t = 0.
-    """
-
-    def value(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
-        out = self._value(t)
-        return out if t.ndim else float(out)
-
-    def log_derivative(self, t):
-        t = check_horizon_times(t, math.inf, _LAG)
-        out = self._log_derivative(t)
-        return out if t.ndim else float(out)
-
-
 @dataclass(frozen=True)
-class Exponential(DiscountKernel):
+class Exponential:
     """Classical exponential discounting, ``h(t) = exp(-rho t)``."""
 
     rho: float
@@ -130,18 +115,18 @@ class Exponential(DiscountKernel):
     def __post_init__(self):
         _require(self.rho >= 0, "Exponential: rho must be >= 0")
 
-    def _value(self, t):
-        return np.exp(-self.rho * t)
+    def value(self, t):
+        return _on_times(lambda t: np.exp(-self.rho * t), t, _LAG)
 
-    def _log_derivative(self, t):
-        return np.full_like(t, -self.rho)
+    def log_derivative(self, t):
+        return _on_times(lambda t: np.full_like(t, -self.rho), t, _LAG)
 
     def exponential_sum(self, horizon: float, step: float):
         return np.array([1.0]), np.array([self.rho])
 
 
 @dataclass(frozen=True)
-class Hyperbolic(DiscountKernel):
+class Hyperbolic:
     """Hyperbolic discounting, ``h(t) = (1 + k1 t)^(-k2/k1)``.
 
     The instantaneous discount rate ``k2 / (1 + k1 t)`` starts at ``k2`` and
@@ -162,11 +147,11 @@ class Hyperbolic(DiscountKernel):
         k2 = -k1 * math.log(h1) / math.log1p(k1)
         return cls(k1, k2)
 
-    def _value(self, t):
-        return np.power(1.0 + self.k1 * t, -self.k2 / self.k1)
+    def value(self, t):
+        return _on_times(lambda t: np.power(1.0 + self.k1 * t, -self.k2 / self.k1), t, _LAG)
 
-    def _log_derivative(self, t):
-        return -self.k2 / (1.0 + self.k1 * t)
+    def log_derivative(self, t):
+        return _on_times(lambda t: -self.k2 / (1.0 + self.k1 * t), t, _LAG)
 
     def exponential_sum(self, horizon: float, step: float):
         """Trapezoid nodes of ``(1 + k1 t)^(-p) = Gamma(p)^(-1) int exp(p x -
@@ -191,7 +176,7 @@ class Hyperbolic(DiscountKernel):
 
 
 @dataclass(frozen=True)
-class SumOfExponentials(DiscountKernel):
+class SumOfExponentials:
     """Quasi-exponential mixture ``h(t) = w e^(-r1 t) + (1-w) e^(-r2 t)``."""
 
     weight: float
@@ -202,19 +187,30 @@ class SumOfExponentials(DiscountKernel):
         _require(0.0 <= self.weight <= 1.0, "SumOfExponentials: weight must lie in [0, 1]")
         _require(self.r1 >= 0 and self.r2 >= 0, "SumOfExponentials: rates must be >= 0")
 
-    def _value(self, t):
-        return self.weight * np.exp(-self.r1 * t) + (1.0 - self.weight) * np.exp(-self.r2 * t)
+    def value(self, t):
+        return _on_times(
+            lambda t: self.weight * np.exp(-self.r1 * t) + (1.0 - self.weight) * np.exp(-self.r2 * t), t, _LAG
+        )
 
-    def _log_derivative(self, t):
-        num = -self.weight * self.r1 * np.exp(-self.r1 * t) - (1.0 - self.weight) * self.r2 * np.exp(-self.r2 * t)
-        return num / self._value(t)
+    def log_derivative(self, t):
+        # each term relative to the slowest one of positive weight: taken
+        # as they are, both sums underflow to 0/0 once min(r1, r2) t passes
+        # about 745; a zero weight goes first, as 0 e^(+x) overflows to nan
+        w, r = self.exponential_sum(math.inf, 0.0)
+        w, r = w[w > 0.0], r[w > 0.0]
+
+        def ratio(t):
+            terms = w * np.exp(np.multiply.outer(t, r.min() - r))
+            return -(terms @ r) / terms.sum(axis=-1)
+
+        return _on_times(ratio, t, _LAG)
 
     def exponential_sum(self, horizon: float, step: float):
         return np.array([self.weight, 1.0 - self.weight]), np.array([self.r1, self.r2])
 
 
 @dataclass(frozen=True)
-class AffineExponential(DiscountKernel):
+class AffineExponential:
     """Quasi-exponential family ``h(t) = (1 + a t) e^(-r t)``.
 
     Requires ``0 <= a <= r`` so that ``h`` is non-increasing for all t >= 0.
@@ -226,11 +222,11 @@ class AffineExponential(DiscountKernel):
     def __post_init__(self):
         _require(0.0 <= self.a_coef <= self.r_rate, "AffineExponential: need 0 <= a_coef <= r_rate")
 
-    def _value(self, t):
-        return (1.0 + self.a_coef * t) * np.exp(-self.r_rate * t)
+    def value(self, t):
+        return _on_times(lambda t: (1.0 + self.a_coef * t) * np.exp(-self.r_rate * t), t, _LAG)
 
-    def _log_derivative(self, t):
-        return self.a_coef / (1.0 + self.a_coef * t) - self.r_rate
+    def log_derivative(self, t):
+        return _on_times(lambda t: self.a_coef / (1.0 + self.a_coef * t) - self.r_rate, t, _LAG)
 
     def exponential_sum(self, horizon: float, step: float):
         """``e^(-r t)`` and the complex step ``a t e^(-r t) = Re (-i a/delta)
@@ -240,6 +236,14 @@ class AffineExponential(DiscountKernel):
         product with a state is one product and nothing cancels."""
         delta = 1e-8 / horizon
         return np.array([1.0, -1j * self.a_coef / delta]), np.array([self.r_rate, self.r_rate - 1j * delta])
+
+
+# The discount function h > 0 with h(0) = 1, non-increasing: ``value`` and
+# ``log_derivative`` (h'/h) of nonnegative times, and ``exponential_sum
+# (horizon, step)``: arrays ``(w, r)``, real or complex, with ``h(t) = Re
+# sum_i w_i e^(-r_i t)`` to double precision for t in [step, horizon].
+# Every ``Re r_i >= 0``, so each weight is its term's value at t = 0.
+DiscountKernel = Exponential | Hyperbolic | SumOfExponentials | AffineExponential
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +262,28 @@ class AffineHazard:
         _require(self.lambda0 >= 0, f"{type(self).__name__}: lambda0 must be >= 0")
 
     def rate(self, t):
-        t = check_horizon_times(t, math.inf, type(self).__name__)
-        out = self.lambda0 + self.lambda1 * t
-        return out if t.ndim else float(out)
+        return _on_times(lambda t: self.lambda0 + self.lambda1 * t, t, type(self).__name__)
 
     def cumulative(self, t):
         """Integrated hazard on [0, t]."""
-        t = check_horizon_times(t, math.inf, type(self).__name__)
-        out = self.lambda0 * t + 0.5 * self.lambda1 * t * t
-        return out if t.ndim else float(out)
+        return _on_times(lambda t: self.lambda0 * t + 0.5 * self.lambda1 * t * t, t, type(self).__name__)
 
     def inverse_cumulative(self, target):
         """The least t >= 0 with ``cumulative(t) = target``; inf past ``lambda0^2
         / (2 |lambda1|)``, all that a decreasing hazard (lambda1 < 0) integrates
         to, and past 0 for a zero hazard."""
         lam0, lam1 = self.lambda0, self.lambda1
-        target = check_horizon_times(target, math.inf, type(self).__name__)
-        disc = lam0 * lam0 + 2.0 * lam1 * target
-        # the root as 2 target / (lam0 + sqrt(disc)): (sqrt(disc) - lam0) / lam1
-        # cancels for a small lam1; at lam1 = 0 it is target / lam0 bit for bit
-        # for 1.5e-154 < lam0 < 1.3e154, and inf past 0 for a zero hazard
+
+        def root(target):
+            disc = lam0 * lam0 + 2.0 * lam1 * target
+            # the root as 2 target / (lam0 + sqrt(disc)): (sqrt(disc) - lam0) / lam1
+            # cancels for a small lam1; at lam1 = 0 it is target / lam0 bit for bit
+            # for 1.5e-154 < lam0 < 1.3e154, and inf past 0 for a zero hazard
+            x = np.divide(2.0 * target, lam0 + np.sqrt(np.abs(disc)), out=np.zeros_like(target), where=target != 0.0)
+            return np.where(disc >= 0.0, x, np.inf)
+
         with np.errstate(divide="ignore"):
-            root = np.divide(2.0 * target, lam0 + np.sqrt(np.abs(disc)), out=np.zeros_like(target), where=target != 0.0)
-        out = np.where(disc >= 0.0, root, np.inf)
-        return out if target.ndim else float(out)
+            return _on_times(root, target, type(self).__name__)
 
 
 @dataclass(frozen=True)
@@ -317,12 +319,10 @@ class ConstantWeight:
         _require(self.m0 > 0, "ConstantWeight: m0 must be > 0")
 
     def value(self, t):
-        t = check_horizon_times(t, math.inf, "ConstantWeight")
-        return np.full_like(t, self.m0) if t.ndim else float(self.m0)
+        return _on_times(lambda t: np.full_like(t, self.m0), t, "ConstantWeight")
 
     def log_derivative(self, t):
-        t = check_horizon_times(t, math.inf, "ConstantWeight")
-        return np.zeros_like(t) if t.ndim else 0.0
+        return _on_times(np.zeros_like, t, "ConstantWeight")
 
     def exponential_sum(self, step: float):
         return np.array([self.m0]), np.array([0.0])
@@ -346,16 +346,17 @@ class LogTaperWeight:
         _require(self.eps > 0, "LogTaperWeight: eps must be > 0")
 
     def value(self, t):
-        t = check_horizon_times(t, self.horizon, "LogTaperWeight")
         # grouping (T - t) + eps keeps the boundary exact: m(T) = log(1) = 0
-        out = np.log(((self.horizon - t) + self.eps) / self.eps)
-        return out if t.ndim else float(out)
+        return _on_times(
+            lambda t: np.log(((self.horizon - t) + self.eps) / self.eps), t, "LogTaperWeight", self.horizon
+        )
 
     def log_derivative(self, t):
-        t = check_horizon_times(t, self.horizon, "LogTaperWeight")
-        rem = (self.horizon - t) + self.eps
-        out = -1.0 / (rem * np.log(rem / self.eps))
-        return out if t.ndim else float(out)
+        def ratio(t):
+            rem = (self.horizon - t) + self.eps
+            return -1.0 / (rem * np.log(rem / self.eps))
+
+        return _on_times(ratio, t, "LogTaperWeight", self.horizon)
 
     def exponential_sum(self, step: float):
         """With X = T + eps and x = X - t, ``m(t) = log(X/eps) - int (e^(-u
@@ -395,17 +396,13 @@ class ConstantPayout:
         _require(self.payout > 0, "ConstantPayout: payout must be > 0")
 
     def value(self, t):
-        t = check_horizon_times(t, math.inf, "ConstantPayout")
-        return np.full_like(t, self.payout) if t.ndim else float(self.payout)
+        return _on_times(lambda t: np.full_like(t, self.payout), t, "ConstantPayout")
 
     def inverse(self, t):
-        t = check_horizon_times(t, math.inf, "ConstantPayout")
-        return np.full_like(t, 1.0 / self.payout) if t.ndim else 1.0 / self.payout
+        return _on_times(lambda t: np.full_like(t, 1.0 / self.payout), t, "ConstantPayout")
 
     def integrated_inverse(self, t):
-        t = check_horizon_times(t, math.inf, "ConstantPayout")
-        out = (1.0 / self.payout) * t
-        return out if t.ndim else float(out)
+        return _on_times(lambda t: (1.0 / self.payout) * t, t, "ConstantPayout")
 
 
 @dataclass(frozen=True)
@@ -531,8 +528,8 @@ class ModelSpec:
         m's real sum and h_hat's, so that the real part of the product is
         the product of the real parts.
 
-        A term of ``Re r >= 0`` is ``w e^(-r t)``, as in
-        ``DiscountKernel.exponential_sum``.  A term of ``Re r < 0`` grows
+        A term of ``Re r >= 0`` is ``w e^(-r t)``, as in a discount
+        kernel's ``exponential_sum``.  A term of ``Re r < 0`` grows
         with the lag; it is ``w e^(r (T - t))``, its weight being its value
         at t = T, so that no factor of a term exceeds 1 in modulus on
         [0, T].  A constant m has one term; the log taper's some 200 times

@@ -901,6 +901,19 @@ def test_long_horizon_hyperbolic_inside_envelopes(exp1_spec):
     assert np.all(grid.a_values <= rep.upper_curve(grid.times) + tol)
 
 
+def test_long_horizon_two_rate_inside_envelopes(exp1_spec):
+    # exp1 at T = 400 with h = h_hat = (e^(-2t) + e^(-3t))/2: both sums of
+    # h'/h underflowed past a lag of 373, the march broke down at step 3722
+    # with a nan and the envelopes read rho = nan
+    spec = _long_horizon(exp1_spec, 400.0, 0.02, SumOfExponentials(0.5, 2.0, 3.0))
+    grid = solve_a(spec, 4000)
+    assert np.all(np.isfinite(grid.a_values)) and np.all(grid.a_values > 0.0)
+    rep = a_priori_bounds(spec)
+    assert rep.rho == 2.5
+    assert np.all(grid.a_values >= rep.lower_curve(grid.times))
+    assert np.all(grid.a_values <= rep.upper_curve(grid.times))
+
+
 def test_long_horizon_A_underflow_leaves_a_unchanged():
     # hump_k5_n10 at hazard 1: A(0) underflows the double range at T = 2000.
     # The march depends only on T - t, so doubling T at the same step must

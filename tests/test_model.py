@@ -1,7 +1,9 @@
 """Primitive kernels, survival law, and derived constants."""
 
 import dataclasses
+import functools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -26,10 +28,14 @@ from tcpolicy import (
     PreferenceParams,
     SumOfExponentials,
     ValidationError,
+    a_exponential,
+    a_priori_bounds,
+    b_function,
     check_assumption_a1,
     constant_K,
     kernel_Q,
     kernel_q,
+    solve_a,
     survival,
     weight_M,
 )
@@ -158,6 +164,43 @@ def test_kernel_parameter_validation():
         AffineExponential(a_coef=0.5, r_rate=0.2)  # would increase near 0
 
 
+def _direct_two_rate_log_derivative(kernel, t):
+    # h'/h as the ratio of the two sums as they stand
+    w, r1, r2 = kernel.weight, kernel.r1, kernel.r2
+    num = -w * r1 * np.exp(-r1 * t) - (1.0 - w) * r2 * np.exp(-r2 * t)
+    return num / (w * np.exp(-r1 * t) + (1.0 - w) * np.exp(-r2 * t))
+
+
+@pytest.mark.parametrize("rates", [(2.0, 3.0), (3.0, 2.0)])
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+def test_two_rate_log_derivative_finite_past_both_underflows(weight, rates):
+    # both sums of h'/h underflowed to 0 once min(r1, r2) t passed about 745:
+    # the ratio read nan, and a T = 400 march broke down at step 3722
+    kernel = SumOfExponentials(weight, *rates)
+    slow = min(r for w, r in zip((weight, 1.0 - weight), rates) if w > 0.0)
+    t = np.array([0.0, 100.0, 400.0, 1e3, 1e5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel.log_derivative(t)
+    assert np.all(np.isfinite(got))
+    assert np.all((got <= -min(rates)) & (got >= -max(rates)))
+    assert got[-1] == -slow
+    assert kernel.log_derivative(0.0) == -(weight * rates[0] + (1.0 - weight) * rates[1])
+
+
+@pytest.mark.parametrize("weight", [1e-6, 0.3, 0.5, 0.999])
+@pytest.mark.parametrize("rates", [(0.05, 2.0), (2.0, 0.05), (2.0, 3.0), (0.4, 0.4), (0.0, 1.0)])
+def test_two_rate_log_derivative_matches_direct_ratio(weight, rates):
+    # wherever the direct ratio is finite; measured at most 1.5e-15 relative
+    kernel = SumOfExponentials(weight, *rates)
+    t = np.linspace(0.0, 300.0, 3001)
+    with np.errstate(all="ignore"):
+        direct = _direct_two_rate_log_derivative(kernel, t)
+    finite = np.isfinite(direct) & (direct != 0.0)
+    got = kernel.log_derivative(t)[finite]
+    assert np.max(np.abs(got / direct[finite] - 1.0)) <= 4e-15
+
+
 # ---------------------------------------------------------------------------
 # Survival
 # ---------------------------------------------------------------------------
@@ -271,18 +314,30 @@ def test_affine_inverse_cumulative_does_not_cancel(lambda1):
     assert np.max(np.abs(hazard.inverse_cumulative(hazard.cumulative(t)) / t - 1.0)) <= 1e-14
 
 
+def _config_with_income(name):
+    spec = parse_config((CONFIGS / f"{name}.cfg").read_text()).spec
+    return dataclasses.replace(spec, insurance=dataclasses.replace(spec.insurance, income=1.0))
+
+
 _AFFINE = AffineHazard(lambda0=0.005, lambda1=0.001125)
+_EXP1_INCOME = _config_with_income("exp1")
 _TIME_METHODS = [
     # AffineHazard(0.02, 0.001).inverse_cumulative(-0.1) read -5.86
     (ConstantHazard(0.02), ("rate", "cumulative", "inverse_cumulative")),
     (_AFFINE, ("rate", "cumulative", "inverse_cumulative")),
     (ConstantWeight(2), ("value", "log_derivative")),  # value(0.5) returned the int 2
+    (LogTaperWeight(4.0), ("value", "log_derivative")),
     (ConstantPayout(50.0), ("value", "inverse", "integrated_inverse")),
     (ConstantPayout(math.inf), ("value", "inverse", "integrated_inverse")),
     (InverseHazardPayout(_AFFINE), ("value", "inverse", "integrated_inverse")),
+    (solve_a(_EXP1_INCOME, 32), ("interpolate",)),
+    (a_priori_bounds(_EXP1_INCOME), ("lower_curve", "upper_curve")),
+    (b_function(_EXP1_INCOME), ("__call__",)),  # the closed form
+    (b_function(_config_with_income("experiment")), ("__call__",)),  # the Simpson interpolant
+    (functools.partial(a_exponential, _EXP1_INCOME), ("__call__",)),
 ]
 _TIME_METHOD_CASES = [(obj, name) for obj, names in _TIME_METHODS for name in names]
-_TIME_METHOD_IDS = [f"{type(obj).__name__}.{name}" for obj, name in _TIME_METHOD_CASES]
+_TIME_METHOD_IDS = [f"{getattr(obj, '__name__', type(obj).__name__)}.{name}" for obj, name in _TIME_METHOD_CASES]
 
 
 @pytest.mark.parametrize("obj, method", _TIME_METHOD_CASES, ids=_TIME_METHOD_IDS)
@@ -296,8 +351,10 @@ def test_time_methods_refuse_negative_and_nan_times(obj, method, t):
 
 @pytest.mark.parametrize("obj, method", _TIME_METHOD_CASES, ids=_TIME_METHOD_IDS)
 def test_time_methods_give_python_float_for_scalar_time(obj, method):
-    assert type(getattr(obj, method)(0.5)) is float
-    assert type(getattr(obj, method)(1)) is float
+    # the type itself: isinstance(np.float64(x), float) holds too
+    for t in (0.5, 1, np.float64(0.5)):
+        assert type(getattr(obj, method)(t)) is float
+    assert type(getattr(obj, method)(np.array([0.0, 0.5]))) is np.ndarray
 
 
 @pytest.mark.parametrize(
@@ -553,8 +610,7 @@ def test_model_spec_horizon_consistency(market):
 # Public names
 # ---------------------------------------------------------------------------
 
-# each family name with its classes: a base class for the kernels, a union of
-# the classes for the others
+# each family name with its classes, of which it is the union
 _FAMILIES = [
     (DiscountKernel, ALL_KERNELS),
     (MortalityModel, [ConstantHazard(0.02), _AFFINE]),
@@ -566,6 +622,7 @@ _FAMILIES = [
 @pytest.mark.parametrize("family, members", _FAMILIES, ids=["kernel", "hazard", "weight", "payout"])
 def test_each_family_member_is_an_instance_of_its_family_alone(family, members):
     others = tuple(other for other, _ in _FAMILIES if other is not family)
+    assert isinstance(family, types.UnionType)
     for obj in members:
         assert isinstance(obj, family)
         assert not any(isinstance(obj, other) for other in others)
